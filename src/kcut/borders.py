@@ -3,8 +3,11 @@
 Each trial contracts weighted-random edges down to tau vertices and then
 labels the survivors uniformly at random.  Per-trial RNG streams are seeded
 seed XOR trial-index, so trials are reproducible and independently
-schedulable; when no contraction is needed (n <= tau) the whole batch of
-trials runs vectorized with numpy on the identical streams.
+schedulable.  The trials differ only in their vertex -> super-vertex map:
+the identity when n <= tau, otherwise one ``contract_random`` call per trial.
+Every trial is then labelled, lifted, canonicalized and evaluated in one
+vectorized numpy path; trials that contracted to the same size share a
+batch, because their label draws start at the same stream offset.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, KCut, canonical_labels
+from .graph import MAX_WEIGHT, Graph, GraphError, KCut, union_find
 from .rng import SplitMix64, stream_outputs
 
 
@@ -44,14 +47,7 @@ def contract_random(g: Graph, tau: int, rng: SplitMix64) -> tuple:
 
     Returns (contracted graph, original-vertex -> super-vertex map).
     """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    find, union = union_find(g.n)
     edges = {(u, v): w for u, v, w in g.edges}
     nv = g.n
     while nv > tau and edges:
@@ -65,9 +61,7 @@ def contract_random(g: Graph, tau: int, rng: SplitMix64) -> tuple:
             if r < acc:
                 pick = (u, v)
                 break
-        u, v = pick
-        ru, rv = find(u), find(v)
-        parent[rv] = ru
+        union(*pick)
         nv -= 1
         merged: dict = {}
         for (a, b), w in edges.items():
@@ -80,8 +74,7 @@ def contract_random(g: Graph, tau: int, rng: SplitMix64) -> tuple:
     roots = sorted({find(v) for v in range(g.n)})
     dense = {r: i for i, r in enumerate(roots)}
     cmap = tuple(dense[find(v)] for v in range(g.n))
-    out_edges = sorted(((dense[a], dense[b]), w) for (a, b), w in edges.items())
-    gc = Graph.from_edges(len(roots), [(a, b, w) for (a, b), w in out_edges])
+    gc = Graph.from_edges(len(roots), ((dense[a], dense[b], w) for (a, b), w in edges.items()))
     return gc, cmap
 
 
@@ -111,25 +104,26 @@ def cut_survives(cmap: tuple, labels: tuple) -> bool:
     return True
 
 
-def _labels_batch(seed: int, trials: int, nv: int, s: int) -> np.ndarray:
-    """Vectorized random_s_cut for all trials at once; rows that never hit an
-    onto labeling come back as all-(s) sentinel rows."""
-    seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
-    rows = np.full((trials, nv), s, dtype=np.int64)
-    done = np.zeros(trials, dtype=bool)
+def _labels_batch(seeds: np.ndarray, offset: int, nv: int, s: int) -> tuple:
+    """Vectorized random_s_cut, one stream per row, with the label draws
+    starting at stream output ``offset``.  Returns (labels, onto): rows that
+    never hit an onto labeling are all-(s) sentinel rows with onto False."""
+    rows = np.full((len(seeds), nv), s, dtype=np.int64)
+    done = np.zeros(len(seeds), dtype=bool)
     max_attempts = 100 * s * s
     for attempt in range(max_attempts):
         pending = np.flatnonzero(~done)
         if len(pending) == 0:
             break
-        steps = np.arange(attempt * nv, (attempt + 1) * nv, dtype=np.uint64)
+        start = offset + attempt * nv
+        steps = np.arange(start, start + nv, dtype=np.uint64)
         lab = (stream_outputs(seeds[pending], steps) % np.uint64(s)).astype(np.int64)
         onto = np.ones(len(pending), dtype=bool)
         for l in range(s):
             onto &= (lab == l).any(axis=1)
         rows[pending[onto]] = lab[onto]
         done[pending[onto]] = True
-    return rows[done]
+    return rows, done
 
 
 def _canonicalize_batch(lab: np.ndarray, s: int) -> np.ndarray:
@@ -152,41 +146,39 @@ def enumerate_borders(g: Graph, params: BorderParams,
     s, tau, trials, seed = params.s, params.tau, params.trials, params.seed
     if s < 1 or trials < 1:
         raise ValueError("need s >= 1 and trials >= 1")
+    if g.total_weight > MAX_WEIGHT:
+        raise GraphError("total edge weight overflows the 64-bit cut values")
+    seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
+    # (trial ids, contracted size, vertex -> super-vertex maps) per batch.
     if g.n <= tau:
-        if s > g.n:
-            return []
-        lab = _labels_batch(seed, trials, g.n, s)
-        if len(lab) == 0:
-            return []
-        canon = np.unique(_canonicalize_batch(lab, s), axis=0)
-        if len(g.edges) > 0:
-            eu = np.array([e[0] for e in g.edges])
-            ev = np.array([e[1] for e in g.edges])
-            ew = np.array([e[2] for e in g.edges], dtype=np.int64)
-            values = ((canon[:, eu] != canon[:, ev]) * ew).sum(axis=1)
-        else:
-            values = np.zeros(len(canon), dtype=np.int64)
-        cuts = []
-        for row, val in zip(canon, values):
-            if max_value is not None and val > max_value:
-                continue
-            cuts.append(KCut(k=s, labels=tuple(int(x) for x in row), value=int(val)))
+        batches = [(np.arange(trials), g.n, np.arange(g.n)[None, :])]
     else:
-        seen: set = set()
+        by_size: dict = {}
         for t in range(trials):
-            rng = SplitMix64(seed ^ t)
-            gc, cmap = contract_random(g, tau, rng)
-            cut = random_s_cut(gc, s, rng)
-            if cut is None:
-                continue
-            lifted = canonical_labels(tuple(cut.labels[cmap[v]] for v in range(g.n)))
-            seen.add(lifted)
-        cuts = []
-        for labels in seen:
-            cut = KCut.from_labels(g, labels, s)
-            if max_value is not None and cut.value > max_value:
-                continue
-            cuts.append(cut)
+            gc, cmap = contract_random(g, tau, SplitMix64(seed ^ t))
+            ids, maps = by_size.setdefault(gc.n, ([], []))
+            ids.append(t)
+            maps.append(cmap)
+        batches = [(np.array(ids), nv, np.array(maps)) for nv, (ids, maps) in by_size.items()]
+    canon = []
+    for ids, nv, cmap in batches:
+        if s > nv:
+            continue
+        # contract_random draws once per contraction step, so the labels of
+        # a trial contracted to nv vertices start at output g.n - nv.
+        lab, onto = _labels_batch(seeds[ids], g.n - nv, nv, s)
+        lifted = np.take_along_axis(lab, cmap, axis=1)[onto]
+        canon.append(_canonicalize_batch(lifted, s))
+    if not canon:
+        return []
+    canon = np.unique(np.concatenate(canon), axis=0)
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+    values = ((canon[:, edges[:, 0]] != canon[:, edges[:, 1]]) * edges[:, 2]).sum(axis=1)
+    if max_value is not None:
+        keep = values <= max_value
+        canon, values = canon[keep], values[keep]
+    cuts = [KCut(k=s, labels=tuple(row), value=val)
+            for row, val in zip(canon.tolist(), values.tolist())]
     cuts.sort(key=lambda c: (c.value, c.labels))
     return cuts
 
@@ -203,7 +195,7 @@ def wilson_lower(successes: int, trials: int, z: float = 1.959963984540054) -> f
     """Lower endpoint of the Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0
-    return _wilson(successes, trials, z)[0]
+    return max(0.0, _wilson(successes, trials, z)[0])
 
 
 def wilson_upper(successes: int, trials: int, z: float = 1.959963984540054) -> float:

@@ -65,21 +65,16 @@ class _IOFailure(Exception):
     pass
 
 
-def _cut_components(labels, k: int) -> list:
-    parts: list = [[] for _ in range(k)]
-    for v, lab in enumerate(labels):
-        parts[lab].append(v)
-    parts.sort(key=lambda p: p[0])
-    return parts
-
-
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     cfg = PipelineConfig(t=args.t, trial_cap=args.trial_cap, seed=args.seed,
                          force_branch=args.force_branch)
     report = min_kcut(g, args.k, cfg)
     # Independent re-validation before printing.
-    assert cut_value(g, report.cut) == report.value
+    recomputed = cut_value(g, report.cut)
+    if recomputed != report.value:
+        raise InvalidCutError(
+            f"reported value {report.value} but the cut's value is {recomputed}")
     json.dump(report.to_dict(), sys.stdout, indent=2)
     print()
     return EXIT_OK
@@ -91,7 +86,7 @@ def cmd_oracle(args) -> int:
     doc = {
         "k": args.k,
         "value": cut.value,
-        "components": _cut_components(cut.labels, args.k),
+        "components": sorted(map(list, cut.parts())),
         "method": "oracle",
         "branch": None,
         "seed": None,

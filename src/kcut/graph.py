@@ -1,4 +1,5 @@
-"""Weighted multigraph substrate: parsing, cut evaluation, contraction, conductance.
+"""Weighted multigraph substrate: parsing, cut evaluation, contraction,
+union-find, conductance.
 
 Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 "multigraph" only ever means integer weights >= 2.  All types are immutable
@@ -27,12 +28,6 @@ class ParseError(GraphError):
 
 class InvalidCutError(GraphError):
     """A cut that violates the k-cut contract (empty part, bad labels)."""
-
-
-def _check_weight(w: int) -> int:
-    if w > MAX_WEIGHT:
-        raise GraphError(f"edge weight {w} overflows the 64-bit weight budget")
-    return w
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,10 @@ class Graph:
             if w < 1:
                 raise GraphError(f"edge weight must be positive, got {w}")
             key = (u, v) if u < v else (v, u)
-            merged[key] = _check_weight(merged.get(key, 0) + w)
+            total = merged.get(key, 0) + w
+            if total > MAX_WEIGHT:
+                raise GraphError(f"edge weight {total} overflows the 64-bit weight budget")
+            merged[key] = total
         edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
         simple = all(w == 1 for _, _, w in edges)
         return Graph(n=n, edges=edges, simple=simple)
@@ -138,7 +136,6 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"malformed header at line {header_line}: negative count")
     if len(entries) != m:
         raise ParseError(f"header at line {header_line} promises {m} edges, found {len(entries)}")
-    merged: dict = {}
     for lineno, vals in entries:
         u, v = vals[0], vals[1]
         w = vals[2] if len(vals) == 3 else 1
@@ -148,11 +145,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"nonpositive weight at line {lineno}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex id out of range at line {lineno}")
-        key = (u, v) if u < v else (v, u)
-        merged[key] = _check_weight(merged.get(key, 0) + w)
-    edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
-    simple = all(w == 1 for _, _, w in edges)
-    return Graph(n=n, edges=edges, simple=simple)
+    return Graph.from_edges(n, (vals for _, vals in entries))
 
 
 def graph_to_text(g: Graph) -> str:
@@ -207,17 +200,9 @@ class KCut:
 
 
 def cut_value(g: Graph, cut: KCut) -> int:
-    """Total weight of edges whose endpoints carry different labels."""
-    if len(cut.labels) != g.n:
-        raise InvalidCutError("cut does not match graph size")
-    counts = [0] * cut.k
-    for lab in cut.labels:
-        if not (0 <= lab < cut.k):
-            raise InvalidCutError(f"label {lab} out of range 0..{cut.k - 1}")
-        counts[lab] += 1
-    if any(c == 0 for c in counts):
-        raise InvalidCutError("empty part in cut")
-    return sum(w for u, v, w in g.edges if cut.labels[u] != cut.labels[v])
+    """Total weight of edges whose endpoints carry different labels; rejects
+    label vectors of the wrong length, out-of-range labels and empty parts."""
+    return KCut.from_labels(g, cut.labels, cut.k).value
 
 
 @dataclass(frozen=True)
@@ -260,10 +245,6 @@ class VertexPartition:
         return len(self.blocks)
 
 
-# A ContractionMap is a per-original-vertex tuple of super-vertex ids.
-ContractionMap = tuple
-
-
 def contract(g: Graph, p: VertexPartition) -> tuple:
     """Contract each block into a super-vertex; returns (graph, contraction map).
 
@@ -271,41 +252,40 @@ def contract(g: Graph, p: VertexPartition) -> tuple:
     edges are discarded.  Blocks relabel densely in canonical block order.
     """
     cmap = p.to_block_index(g.n)
-    merged: dict = {}
-    for u, v, w in g.edges:
-        a, b = cmap[u], cmap[v]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
-        merged[key] = _check_weight(merged.get(key, 0) + w)
-    edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
-    simple = all(w == 1 for _, _, w in edges)
-    return Graph(n=len(p.blocks), edges=edges, simple=simple), cmap
+    crossing = ((cmap[u], cmap[v], w) for u, v, w in g.edges if cmap[u] != cmap[v])
+    return Graph.from_edges(len(p.blocks), crossing), cmap
 
 
-def compose_maps(outer: ContractionMap, inner: ContractionMap) -> ContractionMap:
-    """Map through ``inner`` first, then ``outer``."""
-    return tuple(outer[x] for x in inner)
+def union_find(n: int) -> tuple:
+    """Disjoint sets over 0..n-1 as a (find, union) pair of closures.
 
+    ``find`` uses path halving.  ``union(a, b)`` hangs b's root under a's root
+    and returns whether the two were in different sets.
+    """
+    parent = list(range(n))
 
-def connected_components(g: Graph) -> VertexPartition:
-    """Connected components as a vertex partition."""
-    parent = list(range(g.n))
-
-    def find(x):
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
+    def union(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[rb] = ra
+        return True
+
+    return find, union
+
+
+def connected_components(g: Graph) -> VertexPartition:
+    """Connected components as a vertex partition."""
+    find, union = union_find(g.n)
     for u, v, _ in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return VertexPartition.from_blocks(groups.values(), g.n)
+        union(u, v)
+    return VertexPartition.from_labels([find(v) for v in range(g.n)], g.n)
 
 
 def conductance(g: Graph, s: Iterable[int]):

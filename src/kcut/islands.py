@@ -64,14 +64,13 @@ def matmul_strassen(a: np.ndarray, b: np.ndarray, base: int = _STRASSEN_BASE) ->
     return out[:n, :p]
 
 
-def matmul(a: np.ndarray, b: np.ndarray,
-           strassen_threshold: int = STRASSEN_THRESHOLD) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product; switches to Strassen above the dimension threshold."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    if max(a.shape[0], a.shape[1], b.shape[1]) >= strassen_threshold:
+    if max(a.shape[0], a.shape[1], b.shape[1]) >= STRASSEN_THRESHOLD:
         return matmul_strassen(a, b)
     return a @ b
 
@@ -109,7 +108,8 @@ def _subset_stats(adj: np.ndarray, q: int, n: int) -> tuple:
 
 
 class _TripleSearch:
-    """Shared state for the value pass and the witness pass."""
+    """Subset statistics, profile classes and cached pair matrices for the
+    triple search over three disjoint q-subsets of the (padded) vertex set."""
 
     def __init__(self, g: Graph, r: int):
         self.pad = (-r) % 3
@@ -157,39 +157,18 @@ class _TripleSearch:
         triples.sort()
         return triples
 
-    def best_value(self, upper: int) -> int:
-        """Minimum achievable cut value over all parameter guesses."""
-        best = upper
-        max_pair = self.q * self.q
-        for c_sum, p1, p2, p3 in self.sorted_triples():
-            if c_sum - 3 * max_pair >= best:
-                break
-            w12, d12 = self.pair_matrices(p1, p2)
-            w23, d23 = self.pair_matrices(p2, p3)
-            w31, d31 = self.pair_matrices(p3, p1)
-            for v12 in np.unique(w12[d12]) if d12.any() else []:
-                a12 = (d12 & (w12 == v12)).astype(np.int64)
-                if c_sum - int(v12) - 2 * max_pair >= best:
-                    continue
-                for v23 in np.unique(w23[d23]) if d23.any() else []:
-                    if c_sum - int(v12) - int(v23) - max_pair >= best:
-                        continue
-                    a23 = (d23 & (w23 == v23)).astype(np.int64)
-                    b = matmul(a12, a23)
-                    mask = (b > 0) & d31.T
-                    if not mask.any():
-                        continue
-                    v31 = int(w31.T[mask].max())
-                    value = c_sum - int(v12) - int(v23) - v31
-                    if value < best:
-                        best = value
-        return best
+    def best_with_witnesses(self, upper: int) -> tuple:
+        """One pass over the parameter guesses: the minimum cut value no
+        larger than ``upper`` and every island set (sorted tuple) attaining it.
 
-    def collect_witnesses(self, target: int):
-        """All island sets achieving the target value; yields sorted tuples."""
+        Pruning uses ``> best`` so that ties are still visited; the witness
+        list restarts whenever ``best`` drops.
+        """
+        best = upper
+        witnesses: list = []
         max_pair = self.q * self.q
         for c_sum, p1, p2, p3 in self.sorted_triples():
-            if c_sum - 3 * max_pair > target:
+            if c_sum - 3 * max_pair > best:
                 break
             w12, d12 = self.pair_matrices(p1, p2)
             w23, d23 = self.pair_matrices(p2, p3)
@@ -198,17 +177,25 @@ class _TripleSearch:
             f2 = self.profile_members[p2]
             f3 = self.profile_members[p3]
             for v12 in np.unique(w12[d12]) if d12.any() else []:
-                if c_sum - int(v12) - 2 * max_pair > target:
+                if c_sum - int(v12) - 2 * max_pair > best:
                     continue
                 a12 = (d12 & (w12 == v12)).astype(np.int64)
                 for v23 in np.unique(w23[d23]) if d23.any() else []:
-                    v31_needed = c_sum - int(v12) - int(v23) - target
-                    if not 0 <= v31_needed <= max_pair:
+                    if c_sum - int(v12) - int(v23) - max_pair > best:
                         continue
                     a23 = (d23 & (w23 == v23)).astype(np.int64)
                     b = matmul(a12, a23)
-                    mask = (b > 0) & d31.T & (w31.T == v31_needed)
-                    for i1, i3 in zip(*np.nonzero(mask)):
+                    mask = (b > 0) & d31.T
+                    if not mask.any():
+                        continue
+                    v31 = int(w31.T[mask].max())
+                    value = c_sum - int(v12) - int(v23) - v31
+                    if value > best:
+                        continue
+                    if value < best:
+                        best = value
+                        witnesses = []
+                    for i1, i3 in zip(*np.nonzero(mask & (w31.T == v31))):
                         mids = np.flatnonzero((a12[i1] > 0) & (a23[:, i3] > 0))
                         s1 = self.subsets[f1[i1]]
                         s3 = self.subsets[f3[i3]]
@@ -216,8 +203,9 @@ class _TripleSearch:
                             s2 = self.subsets[f2[i2]]
                             islands = tuple(sorted(set(s1) | set(s2) | set(s3)))
                             direct = _island_cost(self.adj, self.deg, islands)
-                            assert direct == target, "parameter value identity broken"
-                            yield islands
+                            assert direct == value, "parameter value identity broken"
+                            witnesses.append(islands)
+        return best, witnesses
 
 
 def solve_r_island(g: Graph, r: int) -> tuple:
@@ -239,9 +227,9 @@ def solve_r_island(g: Graph, r: int) -> tuple:
     order = sorted(range(search.n), key=lambda v: (search.deg[v], v), reverse=True)
     greedy = tuple(sorted(order[-search.r3:]))
     upper = _island_cost(search.adj, search.deg, greedy)
-    value = search.best_value(upper + 1)
+    value, witnesses = search.best_with_witnesses(upper)
     best_key = None
-    for islands in search.collect_witnesses(value):
+    for islands in witnesses:
         dummies = sum(1 for v in islands if v >= search.real_n)
         real = tuple(v for v in islands if v < search.real_n)
         key = (search.pad - dummies, real)

@@ -19,6 +19,7 @@ from .graph import (
     GraphError,
     KCut,
     VertexPartition,
+    canonical_labels,
     conductance,
     connected_components,
     induced_subgraph,
@@ -422,13 +423,8 @@ def borders_of_cut(g: Graph, cut: KCut):
                     labels[v] = host
                 merged = tuple(sorted((parts[p][0], h) for p, h in zip(chosen, hosts)))
                 islands = tuple(sorted(parts[p][0] for p in chosen))
-                base = KCut.from_labels(g, _dense_labels(labels), cut.k - size)
+                base = KCut.from_labels(g, canonical_labels(labels), cut.k - size)
                 yield Border(base_cut=base, merged=merged, islands=islands)
-
-
-def _dense_labels(labels: list) -> tuple:
-    from .graph import canonical_labels
-    return canonical_labels(labels)
 
 
 def border_agrees(g: Graph, border: Border, partition: VertexPartition) -> bool:

@@ -26,22 +26,19 @@ from .partition import kt_partition
 from .rng import mix64
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
+_THRESHOLD_CONST = 10    # exact branch iff lambda_bar <= 10 * n^(1/(t+1))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     t: int = 2                      # exact-algorithm exponent knob
-    threshold_const: int = 10
     trial_cap: int = 100_000
-    oracle_n_limit: int = BRUTE_FORCE_KCUT_LIMIT
     seed: int = 0
     force_branch: Optional[str] = None   # "exact" | "sparsify"
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.threshold_const <= 0:
-            raise ValueError("threshold_const must be positive")
         if self.force_branch not in (None, "exact", "sparsify"):
             raise ValueError(f"unknown branch override {self.force_branch!r}")
 
@@ -60,14 +57,10 @@ class SolveReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        parts: list = [[] for _ in range(self.k)]
-        for v, lab in enumerate(self.cut.labels):
-            parts[lab].append(v)
-        parts.sort(key=lambda p: p[0])
         return {
             "k": self.k,
             "value": self.value,
-            "components": parts,
+            "components": sorted(map(list, self.cut.parts())),
             "method": "pipeline",
             "branch": self.branch,
             "fallback": self.fallback,
@@ -110,12 +103,12 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     timings["approx"] = time.perf_counter() - t0
     assert lambda_bar >= 1  # zero-value cuts exited above
 
-    threshold = cfg.threshold_const * g.n ** (1.0 / (cfg.t + 1))
+    threshold = _THRESHOLD_CONST * g.n ** (1.0 / (cfg.t + 1))
     go_exact = cfg.force_branch == "exact" or (
         cfg.force_branch is None and lambda_bar <= threshold)
 
     if go_exact:
-        cut = exact_min_kcut(g, k, n_limit=cfg.oracle_n_limit)
+        cut = exact_min_kcut(g, k)
         timings["exact"] = time.perf_counter() - t0 - timings["approx"]
         timings["total"] = time.perf_counter() - t0
         return SolveReport(k=k, value=cut.value, cut=cut, branch="exact",

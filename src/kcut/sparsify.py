@@ -6,30 +6,7 @@ at most s.
 """
 from __future__ import annotations
 
-from .graph import Graph, GraphError
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
+from .graph import Graph, GraphError, union_find
 
 
 def forest_decomposition(g: Graph, s: int) -> list:
@@ -42,11 +19,11 @@ def forest_decomposition(g: Graph, s: int) -> list:
     remaining = list(g.edges)
     forests = []
     for _ in range(s):
-        uf = _UnionFind(g.n)
+        _, union = union_find(g.n)
         taken = []
         rest = []
         for u, v, w in remaining:
-            if uf.union(u, v):
+            if union(u, v):
                 taken.append((u, v, w))
             else:
                 rest.append((u, v, w))
@@ -58,6 +35,4 @@ def forest_decomposition(g: Graph, s: int) -> list:
 def ni_sparsify(g: Graph, s: int) -> Graph:
     """Union of the s forests: a subgraph with <= s*n edges in which every
     k-cut of g-value <= s keeps its exact crossing edge set."""
-    forests = forest_decomposition(g, s)
-    edges = sorted(e for f in forests for e in f)
-    return Graph.from_edges(g.n, edges)
+    return Graph.from_edges(g.n, (e for f in forest_decomposition(g, s) for e in f))

@@ -4,12 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcut import (
     BorderParams,
     Graph,
+    GraphError,
     brute_force_min_kcut,
     contract_random,
     cut_survives,
@@ -176,20 +177,36 @@ def test_all_outputs_valid_cuts():
         assert c.labels == canonical_labels(c.labels)
 
 
-def test_fast_path_equals_slow_path():
-    # n <= tau: the vectorized batch must produce exactly the trial-by-trial
-    # result of the scalar path.
-    g = gnp_graph(8, 0.5, 6)
+@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
+def test_fast_path_equals_slow_path(n, tau):
+    # The vectorized path must produce exactly the trial-by-trial result of the
+    # scalar reference on the same seed ^ t streams: with n <= tau the identity
+    # map, with n > tau contract_random followed by random_s_cut on the rest of
+    # the stream.
+    g = gnp_graph(n, 0.5, 6)
     s, trials, seed = 2, 200, 77
-    lab = _labels_batch(seed, trials, g.n, s)
-    canon = {tuple(int(x) for x in row) for row in _canonicalize_batch(lab, s)}
     slow = set()
     for t in range(trials):
         rng = SplitMix64(seed ^ t)
-        cut = random_s_cut(g, s, rng)
+        gc, cmap = contract_random(g, tau, rng)
+        cut = random_s_cut(gc, s, rng)
         if cut is not None:
-            slow.add(canonical_labels(cut.labels))
-    assert canon == slow
+            slow.add(canonical_labels(tuple(cut.labels[cmap[v]] for v in range(g.n))))
+    params = BorderParams(s=s, beta=1.0, tau=tau, trials=trials, seed=seed)
+    assert {c.labels for c in enumerate_borders(g, params)} == slow
+    if n <= tau:
+        seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
+        lab, onto = _labels_batch(seeds, 0, g.n, s)
+        canon = {tuple(int(x) for x in row) for row in _canonicalize_batch(lab[onto], s)}
+        assert canon == slow
+
+
+@pytest.mark.parametrize("tau", [5, 2])
+def test_total_weight_beyond_int64_is_rejected(tau):
+    g = Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)])
+    params = BorderParams(s=2, beta=1.0, tau=tau, trials=10, seed=1)
+    with pytest.raises(GraphError, match="overflows"):
+        enumerate_borders(g, params)
 
 
 def test_max_value_filter():
@@ -210,6 +227,7 @@ def test_wilson_bounds():
 
 
 @given(st.integers(0, 100), st.integers(1, 100))
+@example(s=0, t=47)
 def test_wilson_in_unit_interval(s, t):
     if s > t:
         return

@@ -1,8 +1,10 @@
 """Command-line interface contracts."""
+import dataclasses
 import json
 
 import pytest
 
+from kcut import cli, min_kcut
 from kcut.cli import main
 from kcut.generators import cycle_graph
 from kcut.graph import graph_to_text, parse_graph
@@ -57,6 +59,16 @@ def test_io_error(capsys):
 
 def test_bad_k_is_usage_error(c6_path, capsys):
     assert main(["solve", "--graph", c6_path, "--k", "9"]) == 1
+
+
+def test_solve_value_disagreeing_with_cut_is_invariant_error(c6_path, capsys, monkeypatch):
+    def understated(g, k, cfg):
+        report = min_kcut(g, k, cfg)
+        return dataclasses.replace(report, value=report.value - 1)
+
+    monkeypatch.setattr(cli, "min_kcut", understated)
+    assert main(["solve", "--graph", c6_path, "--k", "3"]) == 3
+    assert "solver invariant violated" in capsys.readouterr().err
 
 
 def test_bench_small(tmp_path, capsys):

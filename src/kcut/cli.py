@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (KTInvariantError, InvalidCutError, AssertionError) as exc:
+    except (KTInvariantError, InvalidCutError) as exc:
         print(f"error: solver invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (GraphError, SizeLimitError, ValueError) as exc:

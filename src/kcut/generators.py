@@ -9,9 +9,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph
+from .graph import (Graph, InvalidCutError, KCut, VertexPartition, connected_components,
+                    contract, induced_subgraph)
 from .oracle import brute_force_min_kcut, stoer_wagner_mincut
-from .graph import KCut, VertexPartition, contract, induced_subgraph
 
 
 def cycle_graph(n: int) -> Graph:
@@ -105,7 +105,6 @@ def planted_instance(k: int, size: int, p_in: float, p_out: float,
         for iv in island_ids:
             edges.append((iv, rng.randrange(k * size)))
         g = Graph.from_edges(n, set((min(u, v), max(u, v)) for u, v in edges))
-        from .graph import connected_components
         if len(connected_components(g).blocks) == 1:
             return g, PlantedInfo(k=k, clusters=tuple(clusters),
                                   islands=island_ids, seed=seed)
@@ -134,7 +133,9 @@ def certified_min_kcut(g: Graph, info: PlantedInfo, k: int):
             return None
     labels = tuple(contracted_opt.labels[cmap[v]] for v in range(g.n))
     cut = KCut.from_labels(g, labels, k)
-    assert cut.value == contracted_opt.value
+    if cut.value != contracted_opt.value:
+        raise InvalidCutError(f"lifted cut has value {cut.value}, contracted optimum "
+                              f"{contracted_opt.value}")
     return cut.value, cut
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, GraphError, KCut, canonical_labels, induced_subgraph
+from .graph import Graph, GraphError, InvalidCutError, KCut, canonical_labels, induced_subgraph
 
 STRASSEN_THRESHOLD = 256
 _STRASSEN_BASE = 64
@@ -203,7 +203,10 @@ class _TripleSearch:
                             s2 = self.subsets[f2[i2]]
                             islands = tuple(sorted(set(s1) | set(s2) | set(s3)))
                             direct = _island_cost(self.adj, self.deg, islands)
-                            assert direct == value, "parameter value identity broken"
+                            if direct != value:
+                                raise InvalidCutError(
+                                    f"island set {islands} costs {direct}, its "
+                                    f"parameters give {value}")
                             witnesses.append(islands)
         return best, witnesses
 
@@ -235,8 +238,8 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         key = (search.pad - dummies, real)
         if best_key is None or key < best_key:
             best_key = key
-    assert best_key is not None and best_key[0] == 0, \
-        "padding must be absorbed by dummy islands"
+    if best_key is None or best_key[0] != 0:
+        raise InvalidCutError("padding must be absorbed by dummy islands")
     return value, best_key[1]
 
 

@@ -1,19 +1,22 @@
 """Ground-truth solvers and classical polynomial subroutines.
 
 brute_force_min_kcut / brute_force_r_island are the independent oracles every
-other stage is tested against.  stoer_wagner_mincut and sv_2approx are the
-classical subroutines the pipeline itself uses.
+other stage is tested against.  exact_min_kcut, the pipeline's exact branch,
+runs the same partition search in maximum-adjacency order, seeded with the
+sv_2approx cut; sv_2approx and stoer_wagner_mincut are the classical
+subroutines the pipeline itself uses.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import networkx as nx
 
 from .graph import (
     Graph,
     GraphError,
+    InvalidCutError,
     KCut,
     VertexPartition,
     connected_components,
@@ -29,81 +32,68 @@ class SizeLimitError(ValueError):
 
 
 def _zero_value_kcut(g: Graph, k: int, comps: VertexPartition) -> KCut:
-    """Lexicographically smallest 0-value k-cut when g has >= k components."""
-    c = len(comps.blocks)
-    assert c >= k
-    comp_index = comps.to_block_index(g.n)
-    # Components in order of first vertex; greedily give each the smallest
-    # feasible label so the canonical label string is lex-minimal.
-    comp_label: dict = {}
-    used = 0
-    order = sorted(range(c), key=lambda i: comps.blocks[i][0])
-    for pos, ci in enumerate(order):
-        remaining_after = c - pos - 1
-        label = None
-        for lab in range(min(used + 1, k)):
-            if lab < used:
-                ok = remaining_after >= k - used
-            else:
-                ok = remaining_after >= k - used - 1
-            if ok:
-                label = lab
-                break
-        assert label is not None
-        comp_label[ci] = label
-        if label == used:
-            used += 1
-    labels = tuple(comp_label[comp_index[v]] for v in range(g.n))
+    """Lexicographically smallest 0-value k-cut when g has c >= k components.
+
+    Components come in first-vertex order, so the first c-k+1 share label 0
+    and each later one opens the next label.
+    """
+    shift = len(comps.blocks) - k
+    labels = [max(0, i - shift) for i in comps.to_block_index(g.n)]
     return KCut.from_labels(g, labels, k)
 
 
-def _min_kcut_search(g: Graph, k: int, prune: bool = True,
+def _min_kcut_search(g: Graph, k: int, order: Sequence[int], prune: bool = True,
                      incumbent: Optional[KCut] = None) -> KCut:
     """Restricted-growth-string enumeration of k-part partitions.
 
-    Vertices are assigned in id order; the first partition found at the
-    minimum value has the lex-smallest canonical label string.  With
-    ``prune`` the search skips branches whose partial crossing weight
-    already matches or exceeds the incumbent (identical results).  An
-    ``incumbent`` cut seeds the bound; the returned value is still exact but
-    ties at the incumbent's value keep the incumbent's labels.
+    Vertices are assigned in ``order``; among cuts of the minimum value the
+    first one found has the lex-smallest label string read in that order.
+    With ``prune`` the search skips branches whose partial crossing weight
+    already matches or exceeds the best so far (identical results).  An
+    ``incumbent`` cut seeds the bound and is returned unchanged unless a
+    strictly cheaper cut exists.
     """
     n = g.n
-    earlier: list = [[] for _ in range(n)]
-    for u, v, w in g.edges:   # edges are stored with u < v
-        earlier[v].append((u, w))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier: list = [[] for _ in range(n)]   # per position: (earlier position, w)
+    for u, v, w in g.edges:
+        a, b = sorted((pos[u], pos[v]))
+        earlier[b].append((a, w))
     best_val = incumbent.value if incumbent is not None else None
-    best_labels = incumbent.labels if incumbent is not None else None
+    best_labels = None
     labels = [0] * n
 
-    def rec(v: int, used: int, partial: int) -> None:
+    def rec(i: int, used: int, partial: int) -> None:
         nonlocal best_val, best_labels
         if prune and best_val is not None and partial >= best_val:
             return
-        if v == n:
+        if i == n:
             if used == k and (best_val is None or partial < best_val):
                 best_val = partial
                 best_labels = tuple(labels)
             return
-        if used + (n - v) < k:
+        if used + (n - i) < k:
             return
         for lab in range(min(used, k - 1) + 1):
             add = 0
-            for u, w in earlier[v]:
-                if labels[u] != lab:
+            for j, w in earlier[i]:
+                if labels[j] != lab:
                     add += w
-            labels[v] = lab
-            rec(v + 1, used + (1 if lab == used else 0), partial + add)
-        labels[v] = 0
+            labels[i] = lab
+            rec(i + 1, used + (1 if lab == used else 0), partial + add)
+        labels[i] = 0
 
     rec(0, 0, 0)
     if best_labels is None:
+        if incumbent is not None:
+            return incumbent
         raise GraphError("no k-part partition exists")
-    return KCut.from_labels(g, best_labels, k)
+    return KCut.from_labels(g, [best_labels[pos[v]] for v in range(n)], k)
 
 
-def brute_force_min_kcut(g: Graph, k: int, n_limit: int = BRUTE_FORCE_KCUT_LIMIT,
-                         prune: bool = True) -> KCut:
+def brute_force_min_kcut(g: Graph, k: int, n_limit: int = BRUTE_FORCE_KCUT_LIMIT) -> KCut:
     """Minimum k-cut by exhaustive set-partition enumeration.
 
     Ties break to the lexicographically smallest canonical label string.
@@ -115,34 +105,29 @@ def brute_force_min_kcut(g: Graph, k: int, n_limit: int = BRUTE_FORCE_KCUT_LIMIT
     comps = connected_components(g)
     if len(comps.blocks) >= k:
         return _zero_value_kcut(g, k, comps)
-    return _min_kcut_search(g, k, prune=prune)
+    return _min_kcut_search(g, k, range(g.n))
 
 
-def branch_and_bound_min_kcut(g: Graph, k: int) -> KCut:
-    """Exact k-cut without a size guard: pruned assignment search.
+def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
+    """Exact minimum k-cut without a size guard: pruned assignment search.
 
-    Branches on assigning the lowest-id unassigned vertex to an existing or
-    new part, pruning with the current crossing weight; the greedy-splitting
-    2-approximation seeds the bound so pruning bites from the first node.
+    A graph with at least k components gets the lex-smallest 0-value cut.
+    Otherwise vertices are assigned in maximum-adjacency order, so a label
+    that deviates from the already assigned neighbours is charged at once and
+    pruning bites early.  ``incumbent`` (a k-cut of g, by default the
+    Saran-Vazirani 2-approximation) seeds the bound and is returned unchanged
+    when nothing strictly cheaper exists.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
     comps = connected_components(g)
     if len(comps.blocks) >= k:
         return _zero_value_kcut(g, k, comps)
-    incumbent = sv_2approx(g, k)
-    # Max-adjacency ordering: each vertex is placed after as much of its
-    # neighborhood weight as possible, so a label deviating from the already
-    # assigned neighbors is charged immediately and pruning bites early.
-    order = _max_adjacency_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    perm_edges = [(pos[u], pos[v], w) for u, v, w in g.edges]
-    gp = Graph.from_edges(g.n, perm_edges)
-    inc_p = KCut.from_labels(gp, tuple(incumbent.labels[order[i]]
-                                       for i in range(g.n)), k)
-    found = _min_kcut_search(gp, k, prune=True, incumbent=inc_p)
-    labels = tuple(found.labels[pos[v]] for v in range(g.n))
-    return KCut.from_labels(g, labels, k)
+    if incumbent is None:
+        incumbent = sv_2approx(g, k)
+    elif incumbent.k != k or len(incumbent.labels) != g.n:
+        raise ValueError(f"incumbent is not a {k}-cut of a {g.n}-vertex graph")
+    return _min_kcut_search(g, k, _max_adjacency_order(g), incumbent=incumbent)
 
 
 def _max_adjacency_order(g: Graph) -> list:
@@ -212,7 +197,8 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     side = set(side_a) if 0 in side_a else set(side_b)
     labels = tuple(0 if v in side else 1 for v in range(g.n))
     cut = KCut.from_labels(g, labels, 2)
-    assert cut.value == value
+    if cut.value != value:
+        raise InvalidCutError(f"Stoer-Wagner reported {value}, its cut has value {cut.value}")
     return int(value), cut
 
 
@@ -233,7 +219,8 @@ def sv_2approx(g: Graph, k: int) -> KCut:
             key = (cost, part[0])
             if best is None or key < best[0]:
                 best = (key, idx, side)
-        assert best is not None
+        if best is None:
+            raise InvalidCutError(f"no part left to split at {len(parts)} of {k} parts")
         _, idx, side = best
         part = parts.pop(idx)
         parts.append(tuple(v for v in part if v in side))

@@ -28,8 +28,6 @@ from .sparsify import ni_sparsify
 
 EXACT_CONDUCTANCE_LIMIT = 16
 DECOMPOSITION_EDGE_CONST = 10
-PART_COUNT_CONST = 64
-TRIM_FRACTION = Fraction(2, 5)
 
 
 class KTInvariantError(GraphError):
@@ -38,23 +36,16 @@ class KTInvariantError(GraphError):
 
 @dataclass(frozen=True)
 class KTParams:
-    """Stage parameters derived from (n, k, min degree, approx cut value)."""
+    """Stage parameters derived from (n, k, min degree)."""
 
     k: int
     epsilon: float           # shaving fraction 1/(k*log2 n), n post-regularization
     gamma: Fraction          # expander parameter 1/delta
-    trim_fraction: Fraction = TRIM_FRACTION
-    min_degree_floor: Fraction = Fraction(0)   # regularization threshold
 
     @staticmethod
-    def derive(n: int, k: int, delta: int, lambda_bar: int) -> "KTParams":
+    def derive(n: int, k: int, delta: int) -> "KTParams":
         eps = 1.0 / (k * math.log2(n)) if n >= 2 else 1.0
-        return KTParams(
-            k=k,
-            epsilon=eps,
-            gamma=Fraction(1, max(delta, 1)),
-            min_degree_floor=regularize_threshold(k, lambda_bar),
-        )
+        return KTParams(k=k, epsilon=eps, gamma=Fraction(1, max(delta, 1)))
 
 
 @dataclass
@@ -314,7 +305,7 @@ def _validate_state(h: Graph, post_trim: ClusterState, post_shave: ClusterState,
             raise KTInvariantError("shatter left a small core alive")
 
 
-def kt_partition(g: Graph, k: int, lambda_bar: int, validate: bool = True) -> tuple:
+def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
     """Full partitioning pipeline; returns (partition of V(g), report dict)."""
     if not g.simple:
         raise GraphError("kt_partition is defined for simple graphs")
@@ -327,10 +318,10 @@ def kt_partition(g: Graph, k: int, lambda_bar: int, validate: bool = True) -> tu
         if hr.n == 1:
             blocks.append(tuple(back))
         partition = VertexPartition.from_blocks(blocks, g.n)
-        report = _report(partition, removed, 0, 0, 0, 0, KTParams.derive(2, k, 1, lambda_bar))
+        report = _report(partition, removed, 0, 0, 0, 0, KTParams.derive(2, k, 1))
         return partition, report
     delta = hr.min_degree()
-    params = KTParams.derive(hr.n, k, delta, lambda_bar)
+    params = KTParams.derive(hr.n, k, delta)
     decomp = expander_decompose(hr, params.gamma)
     state0 = ClusterState(clusters=[list(b) for b in decomp.blocks], singletons=set())
     state1 = trim(hr, state0)
@@ -340,9 +331,8 @@ def kt_partition(g: Graph, k: int, lambda_bar: int, validate: bool = True) -> tu
     state3 = shatter(state2, k)
     shattered = len(state3.singletons) - trimmed - shaved
 
-    if validate:
-        _validate_state(hr, state1, state2, state3, params)
-        _validate_decomposition(hr, decomp, params.gamma)
+    _validate_state(hr, state1, state2, state3, params)
+    _validate_decomposition(hr, decomp, params.gamma)
 
     blocks = [tuple(back[v] for v in core) for core in state3.cores if core]
     blocks += [(back[v],) for v in sorted(state3.singletons)]

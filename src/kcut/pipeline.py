@@ -13,15 +13,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .borders import BorderParams, default_trials, enumerate_borders, tau_for
-from .graph import Graph, GraphError, KCut, canonical_labels, connected_components, contract
+from .graph import (Graph, GraphError, InvalidCutError, KCut, canonical_labels,
+                    connected_components, contract)
 from .islands import extend_border
-from .oracle import (
-    BRUTE_FORCE_KCUT_LIMIT,
-    _zero_value_kcut,
-    branch_and_bound_min_kcut,
-    brute_force_min_kcut,
-    sv_2approx,
-)
+from .oracle import _zero_value_kcut, exact_min_kcut, sv_2approx
 from .partition import kt_partition
 from .rng import mix64
 
@@ -74,13 +69,6 @@ class SolveReport:
         }
 
 
-def exact_min_kcut(g: Graph, k: int, n_limit: int = BRUTE_FORCE_KCUT_LIMIT) -> KCut:
-    """Exact solver: exhaustive oracle at small n, pruned search above."""
-    if g.n <= n_limit:
-        return brute_force_min_kcut(g, k, n_limit=n_limit)
-    return branch_and_bound_min_kcut(g, k)
-
-
 def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveReport:
     """Solve minimum k-cut on a simple graph; see module docstring."""
     if not g.simple:
@@ -101,14 +89,15 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     sv_cut = sv_2approx(g, k)
     lambda_bar = sv_cut.value
     timings["approx"] = time.perf_counter() - t0
-    assert lambda_bar >= 1  # zero-value cuts exited above
+    if lambda_bar < 1:  # zero-value cuts exited above
+        raise InvalidCutError(f"2-approximation of a connected graph has value {lambda_bar}")
 
     threshold = _THRESHOLD_CONST * g.n ** (1.0 / (cfg.t + 1))
     go_exact = cfg.force_branch == "exact" or (
         cfg.force_branch is None and lambda_bar <= threshold)
 
     if go_exact:
-        cut = exact_min_kcut(g, k)
+        cut = exact_min_kcut(g, k, incumbent=sv_cut)
         timings["exact"] = time.perf_counter() - t0 - timings["approx"]
         timings["total"] = time.perf_counter() - t0
         return SolveReport(k=k, value=cut.value, cut=cut, branch="exact",

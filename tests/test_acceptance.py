@@ -208,9 +208,9 @@ def test_acceptance_6_stage_postconditions():
             lam_bar = sv_2approx(g, k).value
             if lam_bar < 1:
                 continue  # disconnected instances never reach the partitioner
-            # validate=True asserts trim/shave/shatter postconditions, exact
+            # kt_partition checks trim/shave/shatter postconditions, exact
             # expander certification <= 16 vertices, and the edge budget.
-            kt_partition(g, k, lam_bar, validate=True)
+            kt_partition(g, k, lam_bar)
             runs += 1
     elapsed = time.perf_counter() - t0
     _report(6, "partition stage postconditions", runs > 0,

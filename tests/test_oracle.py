@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from kcut import (
     Graph,
     SizeLimitError,
-    branch_and_bound_min_kcut,
     brute_force_min_kcut,
     brute_force_r_island,
+    connected_components,
+    exact_min_kcut,
     stoer_wagner_mincut,
     sv_2approx,
 )
@@ -90,13 +91,37 @@ def test_brute_force_matches_naive(seed, n, p):
         cut = brute_force_min_kcut(g, k)
         assert cut.value == naive_min_kcut_value(g, k)
         # pruning is result-identical
-        assert cut == _min_kcut_search(g, k, prune=False) or \
+        assert cut == _min_kcut_search(g, k, range(n), prune=False) or \
             connected_components_count(g) >= k
 
 
 def connected_components_count(g):
-    from kcut import connected_components
     return len(connected_components(g).blocks)
+
+
+def restricted_growth_strings(n, k):
+    """Every label string on n vertices using exactly k labels, each label
+    first used after the previous one, in lexicographic order."""
+    def rec(prefix, used):
+        if len(prefix) == n:
+            if used == k:
+                yield tuple(prefix)
+            return
+        for lab in range(min(used + 1, k)):
+            yield from rec(prefix + [lab], max(used, lab + 1))
+    return rec([], 0)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 8), st.sampled_from([0.1, 0.25, 0.4]))
+@settings(max_examples=60, deadline=None)
+def test_zero_value_cut_is_lex_smallest(seed, n, p):
+    g = gnp_graph(n, p, seed)
+    for k in range(2, connected_components_count(g) + 1):
+        naive = next(labs for labs in restricted_growth_strings(n, k)
+                     if all(labs[a] == labs[b] for a, b, _ in g.edges))
+        cut = brute_force_min_kcut(g, k)
+        assert cut.value == 0
+        assert cut.labels == naive
 
 
 def test_branch_and_bound_matches_oracle():
@@ -107,8 +132,32 @@ def test_branch_and_bound_matches_oracle():
         for k in (2, 3, 4):
             if k > n:
                 continue
-            assert branch_and_bound_min_kcut(g, k).value == \
-                brute_force_min_kcut(g, k).value
+            assert exact_min_kcut(g, k).value == brute_force_min_kcut(g, k).value
+
+
+def test_exact_min_kcut_seeded_with_sv_matches_default():
+    rng = random.Random(19)
+    graphs = [cycle_graph(16), cliques_bridge(5, 3, 1)]
+    graphs += [gnp_graph(rng.randint(5, 16), rng.choice([0.3, 0.5]), seed=8000 + i)
+               for i in range(20)]
+    for g in graphs:
+        for k in (2, 3):
+            assert exact_min_kcut(g, k, incumbent=sv_2approx(g, k)) == \
+                exact_min_kcut(g, k)
+
+
+def test_exact_min_kcut_keeps_optimal_incumbent():
+    rng = random.Random(31)
+    graphs = [cycle_graph(8), two_triangles_bridge()]
+    graphs += [gnp_graph(rng.randint(5, 10), 0.5, seed=9000 + i) for i in range(20)]
+    for g in graphs:
+        if connected_components_count(g) > 1:
+            continue  # zero-value inputs take the lex-smallest 0-value cut
+        for k in (2, 3):
+            opt = brute_force_min_kcut(g, k)
+            assert exact_min_kcut(g, k, incumbent=opt) is opt
+    with pytest.raises(ValueError):
+        exact_min_kcut(cycle_graph(8), 3, incumbent=brute_force_min_kcut(cycle_graph(8), 2))
 
 
 # ------------------------------------------------------- brute_force_r_island

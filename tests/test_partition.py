@@ -31,11 +31,10 @@ def two_k8_bridge():
 # ---------------------------------------------------------------- KTParams
 
 def test_params_derivation():
-    p = KTParams.derive(n=16, k=2, delta=3, lambda_bar=4)
+    p = KTParams.derive(n=16, k=2, delta=3)
     assert p.epsilon == pytest.approx(1 / (2 * 4))
     assert p.gamma == Fraction(1, 3)
-    assert p.trim_fraction == Fraction(2, 5)
-    assert p.min_degree_floor == regularize_threshold(2, 4) == Fraction(4, 2)
+    assert regularize_threshold(2, 4) == Fraction(4, 2)
     assert 0 < p.epsilon < 1
     assert 0 < p.gamma <= 1
 

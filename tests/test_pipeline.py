@@ -3,17 +3,20 @@ import random
 
 import pytest
 
+import kcut.oracle
+import kcut.pipeline
 from kcut import (
     Graph,
     GraphError,
-    branch_and_bound_min_kcut,
     brute_force_min_kcut,
     cut_value,
+    exact_min_kcut,
     min_kcut,
     sv_2approx,
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, gnp_graph
-from kcut.pipeline import PipelineConfig, exact_min_kcut
+from kcut.oracle import _min_kcut_search
+from kcut.pipeline import PipelineConfig
 
 
 def planted_three_k8_instance():
@@ -43,11 +46,10 @@ def test_c6_k3_exact_branch():
 
 def test_planted_three_k8_k4():
     g = planted_three_k8_instance()
-    oracle = branch_and_bound_min_kcut(g, 4)
     rep = min_kcut(g, 4, PipelineConfig(seed=42))
-    assert rep.value == oracle.value
+    assert rep.value == 6
     rep2 = min_kcut(g, 4, PipelineConfig(seed=42, force_branch="sparsify"))
-    assert rep2.value == oracle.value
+    assert rep2.value == 6
 
 
 def test_never_worse_than_sv():
@@ -97,12 +99,25 @@ def test_report_shape():
     assert "total" in rep.timings
 
 
-def test_exact_min_kcut_dispatch():
-    g = gnp_graph(16, 0.5, 8)
-    cut = exact_min_kcut(g, 3, n_limit=14)  # routes to branch-and-bound
-    small = cycle_graph(6)
-    assert exact_min_kcut(small, 3).value == 3
-    assert cut.value == branch_and_bound_min_kcut(g, 3).value
+def test_exact_min_kcut_above_oracle_limit():
+    g = gnp_graph(16, 0.5, 8)  # above the brute-force oracle's n <= 14
+    cut = exact_min_kcut(g, 3)
+    assert exact_min_kcut(cycle_graph(6), 3).value == 3
+    assert cut.value == _min_kcut_search(g, 3, range(g.n)).value
+
+
+def test_exact_branch_computes_sv_once(monkeypatch):
+    calls = []
+
+    def counted(g, k):
+        calls.append(k)
+        return sv_2approx(g, k)
+
+    monkeypatch.setattr(kcut.pipeline, "sv_2approx", counted)
+    monkeypatch.setattr(kcut.oracle, "sv_2approx", counted)
+    rep = min_kcut(cycle_graph(30), 3)
+    assert rep.branch == "exact" and rep.value == 3
+    assert calls == [3]
 
 
 def test_input_validation():

@@ -4,16 +4,20 @@ brute_force_min_kcut / brute_force_r_island are the independent oracles every
 other stage is tested against.  exact_min_kcut, the pipeline's exact branch,
 runs the same partition search in maximum-adjacency order, seeded with the
 sv_2approx cut; sv_2approx and stoer_wagner_mincut are the classical
-subroutines the pipeline itself uses.
+subroutines the pipeline itself uses.  stoer_wagner_mincut is a numpy
+Stoer-Wagner whose phases are the maximum-adjacency ordering exact_min_kcut
+uses; the library needs no graph package (the tests compare it with
+networkx's implementation).
 """
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Optional, Sequence
 
-import networkx as nx
+import numpy as np
 
 from .graph import (
+    MAX_WEIGHT,
     Graph,
     GraphError,
     InvalidCutError,
@@ -25,6 +29,10 @@ from .graph import (
 
 BRUTE_FORCE_KCUT_LIMIT = 14
 BRUTE_FORCE_ISLAND_LIMIT = 18
+# Key of a placed vertex in a maximum-adjacency phase.  Later placements add
+# at most its degree, at most MAX_WEIGHT (see _weight_matrix), so it stays
+# negative and below every unplaced key.
+_PLACED = np.iinfo(np.int64).min
 
 
 class SizeLimitError(ValueError):
@@ -133,25 +141,44 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
 def _max_adjacency_order(g: Graph) -> list:
     """Greedy ordering: start at vertex 0, repeatedly append the unplaced
     vertex with maximum edge weight into the placed set (ties to lowest id)."""
-    weight_to_placed = [0] * g.n
-    placed = [False] * g.n
-    order = []
-    adj = g.adjacency
-    for _ in range(g.n):
-        best = None
-        for v in range(g.n):
-            if placed[v]:
-                continue
-            key = (-weight_to_placed[v], v)
-            if best is None or key < best:
-                best = key
-        v = best[1]
-        placed[v] = True
+    return _max_adjacency_phase(_weight_matrix(g))[0]
+
+
+def _weight_matrix(g: Graph) -> np.ndarray:
+    """Dense symmetric int64 weight matrix of g.
+
+    Rejects a total weight above MAX_WEIGHT: every sum formed from the matrix
+    (merged weights, maximum-adjacency keys) is then at most the total weight
+    and cannot wrap around.
+    """
+    if g.total_weight > MAX_WEIGHT:
+        raise GraphError("total edge weight overflows the 64-bit cut values")
+    w = np.zeros((g.n, g.n), dtype=np.int64)
+    u, v, wt = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
+    w[u, v] = wt
+    w[v, u] = wt
+    return w
+
+
+def _max_adjacency_phase(w: np.ndarray) -> tuple:
+    """Maximum-adjacency ordering of the vertices of weight matrix ``w``:
+    start at 0, then repeatedly place the unplaced vertex with the largest
+    weight into the placed set, ties to the lowest index.
+
+    Returns (order, attach), attach[i] being the weight from order[i] to
+    order[:i].
+    """
+    key = w[0].copy()
+    key[0] = _PLACED
+    order = [0]
+    attach = [0]
+    for _ in range(len(w) - 1):
+        v = int(key.argmax())
         order.append(v)
-        for u, w in adj[v]:
-            if not placed[u]:
-                weight_to_placed[u] += w
-    return order
+        attach.append(int(key[v]))
+        key += w[v]
+        key[v] = _PLACED
+    return order, attach
 
 
 def brute_force_r_island(g: Graph, r: int,
@@ -179,50 +206,68 @@ def brute_force_r_island(g: Graph, r: int,
 
 
 def stoer_wagner_mincut(g: Graph) -> tuple:
-    """Exact global minimum weighted 2-cut; (0, component split) if disconnected."""
+    """Exact global minimum weighted 2-cut; (0, component split) if disconnected.
+
+    Stoer-Wagner: each phase orders the current super-vertices by maximum
+    adjacency; the last one's attachment weight is the cut of the phase, and
+    it is then merged into the one before it.  The first phase with the
+    smallest cut gives the answer.  Vertex 0 is on side 0.
+    """
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
-    comps = connected_components(g)
-    if len(comps.blocks) > 1:
-        side = set(comps.blocks[0])
-        labels = tuple(0 if v in side else 1 for v in range(g.n))
-        return 0, KCut.from_labels(g, labels, 2)
-    if g.n == 2:
-        return g.total_weight, KCut.from_labels(g, (0, 1), 2)
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    for u, v, w in g.edges:
-        G.add_edge(u, v, weight=w)
-    value, (side_a, side_b) = nx.stoer_wagner(G)
-    side = set(side_a) if 0 in side_a else set(side_b)
-    labels = tuple(0 if v in side else 1 for v in range(g.n))
+    w = _weight_matrix(g)
+    members = [[v] for v in range(g.n)]
+    best_value, best_side = None, None
+    while len(members) > 1:
+        order, attach = _max_adjacency_phase(w)
+        if 0 in attach[1:]:
+            # Only in the first phase, on a disconnected graph: the vertices
+            # placed before the first zero are vertex 0's component.
+            best_value, best_side = 0, order[:attach.index(0, 1)]
+            break
+        s, t = order[-2], order[-1]
+        if best_value is None or attach[-1] < best_value:
+            best_value, best_side = attach[-1], members[t]
+        w[s] += w[t]
+        w[:, s] += w[:, t]
+        w[s, s] = 0
+        w = np.delete(np.delete(w, t, axis=0), t, axis=1)
+        members[s].extend(members[t])
+        del members[t]
+    side = set(best_side)
+    labels = tuple(0 if (v in side) == (0 in side) else 1 for v in range(g.n))
     cut = KCut.from_labels(g, labels, 2)
-    if cut.value != value:
-        raise InvalidCutError(f"Stoer-Wagner reported {value}, its cut has value {cut.value}")
-    return int(value), cut
+    if cut.value != best_value:
+        raise InvalidCutError(f"Stoer-Wagner reported {best_value}, its cut has value {cut.value}")
+    return best_value, cut
 
 
 def sv_2approx(g: Graph, k: int) -> KCut:
     """Greedy splitting 2-approximation: repeatedly apply the globally
-    cheapest minimum 2-cut of any current part's induced subgraph."""
+    cheapest minimum 2-cut of any current part's induced subgraph.
+
+    Each part's min 2-cut is computed once, and only while another split is
+    still needed: at most 2k-3 Stoer-Wagner runs.
+    """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
     parts: list = [tuple(range(g.n))]
+    cuts: list = []   # per part: ((cost, part min vertex), side vertex set), None if a singleton
     while len(parts) < k:
-        best = None  # (cost, part min vertex, part index, side vertex set)
-        for idx, part in enumerate(parts):
+        for part in parts[len(cuts):]:
             if len(part) < 2:
+                cuts.append(None)
                 continue
             sub, back = induced_subgraph(g, part)
             cost, cut2 = stoer_wagner_mincut(sub)
             side = frozenset(back[v] for v in range(sub.n) if cut2.labels[v] == 0)
-            key = (cost, part[0])
-            if best is None or key < best[0]:
-                best = (key, idx, side)
-        if best is None:
+            cuts.append(((cost, part[0]), side))
+        splittable = [i for i, c in enumerate(cuts) if c is not None]
+        if not splittable:
             raise InvalidCutError(f"no part left to split at {len(parts)} of {k} parts")
-        _, idx, side = best
+        idx = min(splittable, key=lambda i: cuts[i][0])
         part = parts.pop(idx)
+        _, side = cuts.pop(idx)
         parts.append(tuple(v for v in part if v in side))
         parts.append(tuple(v for v in part if v not in side))
     partition = VertexPartition.from_blocks(parts, g.n)

@@ -2,16 +2,20 @@
 import random
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcut.oracle
 from kcut import (
     Graph,
+    GraphError,
     SizeLimitError,
     brute_force_min_kcut,
     brute_force_r_island,
     connected_components,
+    cut_value,
     exact_min_kcut,
     stoer_wagner_mincut,
     sv_2approx,
@@ -24,7 +28,7 @@ from kcut.generators import (
     path_graph,
     star_graph,
 )
-from kcut.oracle import _min_kcut_search
+from kcut.oracle import _max_adjacency_order, _min_kcut_search
 
 
 def two_triangles_bridge():
@@ -227,6 +231,9 @@ def test_sw_disconnected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     value, cut = stoer_wagner_mincut(g)
     assert value == 0 and cut.value == 0
+    # vertex 0's component against the rest
+    g = Graph.from_edges(6, [(0, 4), (1, 2), (4, 5), (3, 5)])
+    assert stoer_wagner_mincut(g)[1].labels == (0, 1, 1, 0, 0, 0)
 
 
 def test_sw_matches_brute_force():
@@ -236,7 +243,69 @@ def test_sw_matches_brute_force():
         g = gnp_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=5000 + i)
         if connected_components_count(g) > 1:
             continue
-        assert stoer_wagner_mincut(g)[0] == brute_force_min_kcut(g, 2).value
+        # the simple graph, then a multigraph on the same pairs: each pair
+        # drawn one to three times with weights 1..4, merged by from_edges
+        weighted = Graph.from_edges(n, [(u, v, rng.randint(1, 4)) for u, v, _ in g.edges
+                                        for _ in range(rng.randint(1, 3))])
+        for h in (g, weighted):
+            assert stoer_wagner_mincut(h)[0] == brute_force_min_kcut(h, 2).value
+
+
+@st.composite
+def connected_weighted_graphs(draw, max_n=40):
+    """A random spanning tree plus random extra pairs, weights 1..9."""
+    n = draw(st.integers(2, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 9))) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 9))
+    edges += [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
+    return Graph.from_edges(n, edges)
+
+
+@given(connected_weighted_graphs())
+@settings(max_examples=60, deadline=None)
+def test_sw_matches_networkx(g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_weighted_edges_from(g.edges)
+    value, cut = stoer_wagner_mincut(g)
+    assert value == nx.stoer_wagner(ref)[0]
+    assert cut_value(g, cut) == value
+    assert cut.labels[0] == 0
+
+
+def test_sw_total_weight_beyond_int64_is_rejected():
+    with pytest.raises(GraphError):
+        stoer_wagner_mincut(Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)]))
+    # a total of exactly 2^63 - 1 still fits
+    value, cut = stoer_wagner_mincut(Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62 - 1)]))
+    assert value == 2**62 - 1 and cut.labels == (0, 0, 1)
+
+
+def reference_max_adjacency_order(g):
+    """Pure-Python maximum-adjacency order: start at 0, ties to the lowest id."""
+    weight_to_placed = [0] * g.n
+    placed = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        v = min((v for v in range(g.n) if not placed[v]),
+                key=lambda v: (-weight_to_placed[v], v))
+        placed[v] = True
+        order.append(v)
+        for u, w in g.adjacency[v]:
+            if not placed[u]:
+                weight_to_placed[u] += w
+    return order
+
+
+def test_max_adjacency_order_matches_reference():
+    rng = random.Random(23)
+    graphs = [cycle_graph(12), complete_graph(7), path_graph(6), star_graph(5),
+              cliques_bridge(4, 3, 1), Graph.from_edges(6, [(0, 4), (1, 2), (4, 5)])]
+    graphs += [Graph.from_edges(n, [(u, v, rng.randint(1, 3)) for u, v, _ in
+                                    gnp_graph(n, 0.4, seed=9500 + n).edges])
+               for n in range(2, 16)]
+    for g in graphs:
+        assert _max_adjacency_order(g) == reference_max_adjacency_order(g)
 
 
 # --------------------------------------------------------------- sv_2approx
@@ -251,6 +320,18 @@ def test_sv_c6_k3():
     val = sv_2approx(cycle_graph(6), 3).value
     oracle = brute_force_min_kcut(cycle_graph(6), 3).value
     assert oracle <= val <= 2 * (1 - 1 / 3) * oracle
+
+
+def test_sv_2approx_caches_part_cuts(monkeypatch):
+    # Each part's min 2-cut is computed once: 2k-3 Stoer-Wagner runs, made
+    # through the module attribute that perfbench's tracer patches.
+    calls = []
+    sw = kcut.oracle.stoer_wagner_mincut
+    monkeypatch.setattr(kcut.oracle, "stoer_wagner_mincut",
+                        lambda g: calls.append(g.n) or sw(g))
+    cut = sv_2approx(cliques_bridge(6, 5, 1), 4)
+    assert len(calls) == 2 * 4 - 3
+    assert cut.value == 3
 
 
 def test_sv_zero_on_disconnected():

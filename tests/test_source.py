@@ -7,12 +7,33 @@ import kcut
 SRC = Path(kcut.__file__).parent
 
 
+def _nodes():
+    """(file name, AST node) for every node of every module under src/kcut."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            yield path.relative_to(SRC), node
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so an invariant written as one
     # silently disappears; library checks raise typed errors instead.
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_does_not_import_networkx():
+    # networkx is a test-only dependency: the independent reference that
+    # stoer_wagner_mincut is checked against.
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "networkx" for m in modules):
+            found.append(f"{name}:{node.lineno}")
     assert found == []

@@ -21,8 +21,7 @@ def run(name, g, labels, taus, trials, seed):
     for tau in taus:
         succ = 0
         for t in range(trials):
-            _, cmap = contract_random(g, tau, SplitMix64(seed ^ t))
-            if cut_survives(cmap, labels):
+            if cut_survives(contract_random(g, tau, SplitMix64(seed ^ t)), labels):
                 succ += 1
         bound = math.comb(tau, 2) / math.comb(g.n, 2)
         print(f"{tau:>5} {succ:>9} {succ / trials:>8.4f} "

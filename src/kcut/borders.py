@@ -4,10 +4,11 @@ Each trial contracts weighted-random edges down to tau vertices and then
 labels the survivors uniformly at random.  Per-trial RNG streams are seeded
 seed XOR trial-index, so trials are reproducible and independently
 schedulable.  The trials differ only in their vertex -> super-vertex map:
-the identity when n <= tau, otherwise one ``contract_random`` call per trial.
-Every trial is then labelled, lifted, canonicalized and evaluated in one
-vectorized numpy path; trials that contracted to the same size share a
-batch, because their label draws start at the same stream offset.
+the identity when n <= tau, otherwise one ``contract_random`` call per trial,
+which spends the first m stream outputs on edge clocks.  Either way every
+trial has the same number of super-vertices and its label draws start at the
+same stream output (0, or m), so all trials are labelled, lifted,
+canonicalized and evaluated as one vectorized numpy batch.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MAX_WEIGHT, Graph, GraphError, KCut, union_find
+from .graph import MAX_WEIGHT, Graph, GraphError, KCut, canonical_labels, union_find
 from .rng import SplitMix64, stream_outputs
 
 
@@ -43,39 +44,28 @@ def default_trials(n: int, beta: float, k: int, cap: int) -> int:
 
 
 def contract_random(g: Graph, tau: int, rng: SplitMix64) -> tuple:
-    """Contract weighted-random edges until <= tau vertices (or no edges) remain.
+    """Contract weighted-random edges until <= tau vertices (or no edges) remain;
+    returns the original-vertex -> super-vertex map, super-vertices numbered
+    by their first vertex.
 
-    Returns (contracted graph, original-vertex -> super-vertex map).
+    Every edge gets the exponential clock -ln(U)/w from one stream output, and
+    edges are merged in clock order: the random-permutation view of repeatedly
+    contracting a weight-proportional edge (Karger), O(m log m) per call.
+    Nothing is drawn when n <= tau or g has no edges.
     """
     find, union = union_find(g.n)
-    edges = {(u, v): w for u, v, w in g.edges}
     nv = g.n
-    while nv > tau and edges:
-        items = sorted(edges.items())
-        total = sum(w for _, w in items)
-        r = rng.randrange(total)
-        acc = 0
-        pick = None
-        for (u, v), w in items:
-            acc += w
-            if r < acc:
-                pick = (u, v)
-                break
-        union(*pick)
-        nv -= 1
-        merged: dict = {}
-        for (a, b), w in edges.items():
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                continue
-            key = (ra, rb) if ra < rb else (rb, ra)
-            merged[key] = merged.get(key, 0) + w
-        edges = merged
-    roots = sorted({find(v) for v in range(g.n)})
-    dense = {r: i for i, r in enumerate(roots)}
-    cmap = tuple(dense[find(v)] for v in range(g.n))
-    gc = Graph.from_edges(len(roots), ((dense[a], dense[b], w) for (a, b), w in edges.items()))
-    return gc, cmap
+    if nv > tau and g.edges:
+        edges = g.edge_array
+        # U from the top 53 bits, offset by half a step so that it is never 0.
+        unif = ((rng.take(len(edges)) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        clock = -np.log(unif) / edges[:, 2]
+        for a, b, _ in edges[np.argsort(clock, kind="stable")].tolist():
+            if union(a, b):
+                nv -= 1
+                if nv <= tau:
+                    break
+    return canonical_labels([find(v) for v in range(g.n)])
 
 
 def random_s_cut(g: Graph, s: int, rng: SplitMix64,
@@ -149,30 +139,19 @@ def enumerate_borders(g: Graph, params: BorderParams,
     if g.total_weight > MAX_WEIGHT:
         raise GraphError("total edge weight overflows the 64-bit cut values")
     seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
-    # (trial ids, contracted size, vertex -> super-vertex maps) per batch.
     if g.n <= tau:
-        batches = [(np.arange(trials), g.n, np.arange(g.n)[None, :])]
+        offset, nv, cmap = 0, g.n, np.arange(g.n)[None, :]
     else:
-        by_size: dict = {}
-        for t in range(trials):
-            gc, cmap = contract_random(g, tau, SplitMix64(seed ^ t))
-            ids, maps = by_size.setdefault(gc.n, ([], []))
-            ids.append(t)
-            maps.append(cmap)
-        batches = [(np.array(ids), nv, np.array(maps)) for nv, (ids, maps) in by_size.items()]
-    canon = []
-    for ids, nv, cmap in batches:
-        if s > nv:
-            continue
-        # contract_random draws once per contraction step, so the labels of
-        # a trial contracted to nv vertices start at output g.n - nv.
-        lab, onto = _labels_batch(seeds[ids], g.n - nv, nv, s)
-        lifted = np.take_along_axis(lab, cmap, axis=1)[onto]
-        canon.append(_canonicalize_batch(lifted, s))
-    if not canon:
+        # Every trial contracts to max(tau, #components) super-vertices after
+        # one clock draw per edge.
+        cmap = np.array([contract_random(g, tau, SplitMix64(seed ^ t)) for t in range(trials)])
+        offset, nv = len(g.edges), int(cmap.max()) + 1
+    if s > nv:
         return []
-    canon = np.unique(np.concatenate(canon), axis=0)
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 3)
+    lab, onto = _labels_batch(seeds, offset, nv, s)
+    lifted = np.take_along_axis(lab, cmap, axis=1)[onto]
+    canon = np.unique(_canonicalize_batch(lifted, s), axis=0)
+    edges = g.edge_array
     values = ((canon[:, edges[:, 0]] != canon[:, edges[:, 1]]) * edges[:, 2]).sum(axis=1)
     if max_value is not None:
         keep = values <= max_value

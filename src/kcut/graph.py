@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 MAX_WEIGHT = 2**63 - 1
 
 INFINITE_CONDUCTANCE = math.inf
@@ -72,6 +74,13 @@ class Graph:
     @cached_property
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 3) int64 array of (u, v, w) rows."""
+        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def degrees(self) -> tuple:
@@ -254,6 +263,22 @@ def contract(g: Graph, p: VertexPartition) -> tuple:
     cmap = p.to_block_index(g.n)
     crossing = ((cmap[u], cmap[v], w) for u, v, w in g.edges if cmap[u] != cmap[v])
     return Graph.from_edges(len(p.blocks), crossing), cmap
+
+
+def weight_matrix(g: Graph) -> np.ndarray:
+    """Dense symmetric int64 weight matrix of g.
+
+    Rejects a total weight above MAX_WEIGHT: every sum formed from the matrix
+    (merged weights, degrees, subset weights) is then at most the total
+    weight and cannot wrap around.
+    """
+    if g.total_weight > MAX_WEIGHT:
+        raise GraphError("total edge weight overflows the 64-bit cut values")
+    w = np.zeros((g.n, g.n), dtype=np.int64)
+    u, v, wt = g.edge_array.T
+    w[u, v] = wt
+    w[v, u] = wt
+    return w
 
 
 def union_find(n: int) -> tuple:

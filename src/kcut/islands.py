@@ -13,7 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, GraphError, InvalidCutError, KCut, canonical_labels, induced_subgraph
+from .graph import (
+    Graph,
+    GraphError,
+    InvalidCutError,
+    KCut,
+    canonical_labels,
+    induced_subgraph,
+    weight_matrix,
+)
 
 STRASSEN_THRESHOLD = 256
 _STRASSEN_BASE = 64
@@ -117,14 +125,10 @@ class _TripleSearch:
         self.q = self.r3 // 3
         self.n = g.n + self.pad          # dummies take the highest ids
         self.real_n = g.n
-        adj = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v, w in g.edges:
-            adj[u, v] = w
-            adj[v, u] = w
-        self.adj = adj
-        self.deg = adj.sum(axis=1)
+        self.adj = np.pad(weight_matrix(g), (0, self.pad))
+        self.deg = self.adj.sum(axis=1)
         self.subsets, self.x, self.xa, self.w_in, self.w_sv = _subset_stats(
-            adj, self.q, self.n)
+            self.adj, self.q, self.n)
         self.c = self.w_in + self.w_sv
         profiles: dict = {}
         for i, key in enumerate(zip(self.w_in.tolist(), self.w_sv.tolist())):

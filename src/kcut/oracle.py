@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import (
-    MAX_WEIGHT,
     Graph,
     GraphError,
     InvalidCutError,
@@ -25,12 +24,13 @@ from .graph import (
     VertexPartition,
     connected_components,
     induced_subgraph,
+    weight_matrix,
 )
 
 BRUTE_FORCE_KCUT_LIMIT = 14
 BRUTE_FORCE_ISLAND_LIMIT = 18
 # Key of a placed vertex in a maximum-adjacency phase.  Later placements add
-# at most its degree, at most MAX_WEIGHT (see _weight_matrix), so it stays
+# at most its degree, at most MAX_WEIGHT (see weight_matrix), so it stays
 # negative and below every unplaced key.
 _PLACED = np.iinfo(np.int64).min
 
@@ -141,23 +141,7 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
 def _max_adjacency_order(g: Graph) -> list:
     """Greedy ordering: start at vertex 0, repeatedly append the unplaced
     vertex with maximum edge weight into the placed set (ties to lowest id)."""
-    return _max_adjacency_phase(_weight_matrix(g))[0]
-
-
-def _weight_matrix(g: Graph) -> np.ndarray:
-    """Dense symmetric int64 weight matrix of g.
-
-    Rejects a total weight above MAX_WEIGHT: every sum formed from the matrix
-    (merged weights, maximum-adjacency keys) is then at most the total weight
-    and cannot wrap around.
-    """
-    if g.total_weight > MAX_WEIGHT:
-        raise GraphError("total edge weight overflows the 64-bit cut values")
-    w = np.zeros((g.n, g.n), dtype=np.int64)
-    u, v, wt = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
-    w[u, v] = wt
-    w[v, u] = wt
-    return w
+    return _max_adjacency_phase(weight_matrix(g))[0]
 
 
 def _max_adjacency_phase(w: np.ndarray) -> tuple:
@@ -215,7 +199,7 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     """
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
-    w = _weight_matrix(g)
+    w = weight_matrix(g)
     members = [[v] for v in range(g.n)]
     best_value, best_side = None, None
     while len(members) > 1:

@@ -20,9 +20,9 @@ from .graph import (
     KCut,
     VertexPartition,
     canonical_labels,
-    conductance,
     connected_components,
     induced_subgraph,
+    weight_matrix,
 )
 from .sparsify import ni_sparsify
 
@@ -147,10 +147,7 @@ def _fiedler_sweep(g: Graph) -> tuple:
     """Best prefix cut of the Fiedler-vector order; returns (conductance, subset)."""
     n = g.n
     deg = np.array(g.degrees, dtype=np.float64)
-    a = np.zeros((n, n))
-    for u, v, w in g.edges:
-        a[u, v] += w
-        a[v, u] += w
+    a = weight_matrix(g).astype(np.float64)
     dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
     lap = np.eye(n) - (a * dinv).T * dinv
     vals, vecs = np.linalg.eigh(lap)

@@ -32,6 +32,14 @@ class SplitMix64:
         self._state = (self._state + _GOLDEN) & _MASK
         return mix64(self._state)
 
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array, as from ``count``
+        calls to next_u64."""
+        out = stream_outputs(np.array([self._state], dtype=np.uint64),
+                             np.arange(count, dtype=np.uint64))[0]
+        self._state = (self._state + count * _GOLDEN) & _MASK
+        return out
+
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")

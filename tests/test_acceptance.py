@@ -113,7 +113,7 @@ def test_acceptance_3_contraction_survival():
     ]:
         succ = sum(
             1 for t in range(10_000)
-            if cut_survives(contract_random(g, tau, SplitMix64(31_000 ^ t))[1], labels))
+            if cut_survives(contract_random(g, tau, SplitMix64(31_000 ^ t)), labels))
         results.append((name, succ, wilson_upper(succ, 10_000)))
     ok = all(hi >= bound for _, _, hi in results)
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Randomized contraction and candidate s-cut enumeration."""
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kcut import (
 )
 from kcut.borders import _canonicalize_batch, _labels_batch
 from kcut.generators import cliques_bridge, cycle_graph, gnp_graph, path_graph
-from kcut.graph import canonical_labels, cut_value
+from kcut.graph import VertexPartition, canonical_labels, contract, cut_value
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
 
@@ -40,6 +41,12 @@ def test_stream_outputs_matches_scalar():
     for row, seed in zip(outs, seeds):
         rng = SplitMix64(seed)
         assert [int(x) for x in row] == [rng.next_u64() for _ in range(8)]
+    # take(count) is count next_u64 calls, and the stream continues after it
+    rng, ref = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    head = rng.take(5)
+    assert head.dtype == np.uint64
+    assert [int(x) for x in head] == [ref.next_u64() for _ in range(5)]
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_mix64_deterministic():
@@ -51,17 +58,19 @@ def test_mix64_deterministic():
 
 def test_contract_noop_when_small():
     g = cycle_graph(6)
-    gc, cmap = contract_random(g, 10, SplitMix64(0))
-    assert gc == g
-    assert cmap == tuple(range(6))
+    rng = SplitMix64(0)
+    assert contract_random(g, 10, rng) == tuple(range(6))
+    # nothing is drawn when there is nothing to contract
+    assert rng.next_u64() == SplitMix64(0).next_u64()
 
 
 def test_contract_single_edge_to_point():
     g = path_graph(2)
-    gc, cmap = contract_random(g, 1, SplitMix64(0))
+    cmap = contract_random(g, 1, SplitMix64(0))
+    assert cmap == (0, 0)
+    gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
     assert gc.n == 1
     assert gc.edges == ()
-    assert cmap == (0, 0)
 
 
 def test_contract_c16_survival_rate():
@@ -71,7 +80,7 @@ def test_contract_c16_survival_rate():
     labels = tuple(0 if v < 8 else 1 for v in range(16))
     succ = 0
     for t in range(10_000):
-        _, cmap = contract_random(g, 2, SplitMix64(999 ^ t))
+        cmap = contract_random(g, 2, SplitMix64(999 ^ t))
         if cut_survives(cmap, labels):
             succ += 1
     assert succ / 10_000 >= 0.5 / math.comb(16, 2)
@@ -79,14 +88,49 @@ def test_contract_c16_survival_rate():
 
 def test_contract_preserves_weight_between_sides():
     g = cycle_graph(16)
-    gc, cmap = contract_random(g, 4, SplitMix64(7))
-    assert gc.n <= 4
+    cmap = contract_random(g, 4, SplitMix64(7))
+    assert cmap == canonical_labels(cmap)
+    gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
+    assert gc.n == 4
     # contracted total weight equals the weight between super-vertex groups
-    groups = {}
-    for v, s in enumerate(cmap):
-        groups.setdefault(s, set()).add(v)
     expected = sum(w for u, v, w in g.edges if cmap[u] != cmap[v])
     assert gc.total_weight == expected
+
+
+def _karger_law(g, tau):
+    """Exact distribution of the contracted map: repeatedly contract a
+    super-edge with probability proportional to its weight."""
+    law = Counter()
+
+    def step(cmap, p):
+        cross = Counter()
+        for u, v, w in g.edges:
+            if cmap[u] != cmap[v]:
+                cross[(cmap[u], cmap[v])] += w
+        if max(cmap) < tau or not cross:
+            law[cmap] += p
+            return
+        total = sum(cross.values())
+        for (a, b), w in cross.items():
+            step(canonical_labels(a if x == b else x for x in cmap), p * Fraction(w, total))
+
+    step(tuple(range(g.n)), Fraction(1))
+    return law
+
+
+@pytest.mark.parametrize("tau", [2, 3])
+def test_contract_follows_karger_law(tau):
+    # Clock-order contraction must draw the contracted map from the law of
+    # weight-proportional edge contraction.
+    g = Graph.from_edges(6, [(0, 1, 5), (1, 2, 1), (2, 3, 3), (3, 4, 1), (4, 5, 4),
+                             (5, 0, 2), (0, 3, 1), (1, 4, 2), (2, 5, 6)])
+    law = _karger_law(g, tau)
+    assert sum(law.values()) == 1
+    trials = 20_000
+    freq = Counter(contract_random(g, tau, SplitMix64(3 ^ t)) for t in range(trials))
+    assert set(freq) <= set(law)
+    tv = sum(abs(freq[m] / trials - float(p)) for m, p in law.items()) / 2
+    assert tv <= 0.03
 
 
 # -------------------------------------------------------------- random_s_cut
@@ -188,7 +232,8 @@ def test_fast_path_equals_slow_path(n, tau):
     slow = set()
     for t in range(trials):
         rng = SplitMix64(seed ^ t)
-        gc, cmap = contract_random(g, tau, rng)
+        cmap = contract_random(g, tau, rng)
+        gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
         cut = random_s_cut(gc, s, rng)
         if cut is not None:
             slow.add(canonical_labels(tuple(cut.labels[cmap[v]] for v in range(g.n))))

@@ -3,11 +3,15 @@
 brute_force_min_kcut / brute_force_r_island are the independent oracles every
 other stage is tested against.  exact_min_kcut, the pipeline's exact branch,
 runs the same partition search in maximum-adjacency order, seeded with the
-sv_2approx cut; sv_2approx and stoer_wagner_mincut are the classical
-subroutines the pipeline itself uses.  stoer_wagner_mincut is a numpy
-Stoer-Wagner whose phases are the maximum-adjacency ordering exact_min_kcut
-uses; the library needs no graph package (the tests compare it with
-networkx's implementation).
+sv_2approx cut and pruned by the lower bound ceil((k - used) * lambda / 2) on
+the weight still to be cut, lambda being the global min cut from one extra
+stoer_wagner_mincut call (sv_2approx finds lambda in its first round but
+returns only its cut); brute_force_min_kcut searches without that bound, so
+it stays an independent check of it.  sv_2approx and stoer_wagner_mincut are
+the classical subroutines the pipeline itself uses.  stoer_wagner_mincut is a
+numpy Stoer-Wagner whose phases are the maximum-adjacency ordering
+exact_min_kcut uses; the library needs no graph package (the tests compare it
+with networkx's implementation).
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from .graph import (
     KCut,
     VertexPartition,
     connected_components,
+    cut_value,
     induced_subgraph,
     weight_matrix,
 )
@@ -51,15 +56,22 @@ def _zero_value_kcut(g: Graph, k: int, comps: VertexPartition) -> KCut:
 
 
 def _min_kcut_search(g: Graph, k: int, order: Sequence[int], prune: bool = True,
-                     incumbent: Optional[KCut] = None) -> KCut:
+                     incumbent: Optional[KCut] = None, lam: int = 0) -> KCut:
     """Restricted-growth-string enumeration of k-part partitions.
 
-    Vertices are assigned in ``order``; among cuts of the minimum value the
-    first one found has the lex-smallest label string read in that order.
-    With ``prune`` the search skips branches whose partial crossing weight
-    already matches or exceeds the best so far (identical results).  An
-    ``incumbent`` cut seeds the bound and is returned unchanged unless a
-    strictly cheaper cut exists.
+    Vertices are assigned in ``order`` by a depth-first search on an explicit
+    stack (no recursion limit on n); among cuts of the minimum value the first
+    one found has the lex-smallest label string read in that order.  With
+    ``prune`` the search skips a branch once ``partial + ceil((k - used) *
+    lam / 2)`` matches or exceeds the best value so far, ``partial`` being the
+    crossing weight among assigned vertices and ``used`` the parts opened.
+    With ``lam`` the global min cut this is a lower bound on every completion:
+    each unopened part holds only unassigned vertices, so its boundary (at
+    least lam) is still uncounted, and an edge borders at most two such
+    parts.  ``lam = 0`` is the plain partial-weight bound.  Either way only
+    branches that cannot strictly beat the best are skipped, so the result
+    does not depend on ``lam``.  An ``incumbent`` cut seeds the bound and is
+    returned unchanged unless a strictly cheaper cut exists.
     """
     n = g.n
     pos = [0] * n
@@ -69,31 +81,45 @@ def _min_kcut_search(g: Graph, k: int, order: Sequence[int], prune: bool = True,
     for u, v, w in g.edges:
         a, b = sorted((pos[u], pos[v]))
         earlier[b].append((a, w))
-    best_val = incumbent.value if incumbent is not None else None
+    back = [sum(w for _, w in e) for e in earlier]   # weight to earlier positions
+    # need[u]: weight still to be cut once u parts are open
+    need = [-(-(k - u) * lam // 2) for u in range(k + 1)]
+    best_val = incumbent.value if incumbent is not None else g.total_weight + 1
     best_labels = None
     labels = [0] * n
-
-    def rec(i: int, used: int, partial: int) -> None:
-        nonlocal best_val, best_labels
-        if prune and best_val is not None and partial >= best_val:
-            return
-        if i == n:
-            if used == k and (best_val is None or partial < best_val):
-                best_val = partial
+    # Stack frame of position i: crossing weight and parts opened before it,
+    # the next label to try, and the weight from i to each earlier label.
+    partial = [0] * n
+    used_at = [0] * n
+    nxt = [0] * n
+    to_label = [[0] * k for _ in range(n)]
+    i = -1 if prune and need[0] >= best_val else 0   # the root bound may close it
+    while i >= 0:
+        lab = nxt[i]
+        used = used_at[i]
+        if lab > used or lab == k:
+            i -= 1
+            continue
+        nxt[i] = lab + 1
+        p = partial[i] + back[i] - to_label[i][lab]
+        u = used + (lab == used)
+        if prune and p + need[u] >= best_val:
+            continue
+        labels[i] = lab
+        if i + 1 == n:
+            if u == k and p < best_val:
+                best_val = p
                 best_labels = tuple(labels)
-            return
-        if used + (n - i) < k:
-            return
-        for lab in range(min(used, k - 1) + 1):
-            add = 0
-            for j, w in earlier[i]:
-                if labels[j] != lab:
-                    add += w
-            labels[i] = lab
-            rec(i + 1, used + (1 if lab == used else 0), partial + add)
-        labels[i] = 0
-
-    rec(0, 0, 0)
+            continue
+        if u + (n - i - 1) < k:
+            continue
+        i += 1
+        partial[i] = p
+        used_at[i] = u
+        nxt[i] = 0
+        row = to_label[i] = [0] * k
+        for j, w in earlier[i]:
+            row[labels[j]] += w
     if best_labels is None:
         if incumbent is not None:
             return incumbent
@@ -124,7 +150,13 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     that deviates from the already assigned neighbours is charged at once and
     pruning bites early.  ``incumbent`` (a k-cut of g, by default the
     Saran-Vazirani 2-approximation) seeds the bound and is returned unchanged
-    when nothing strictly cheaper exists.
+    when nothing strictly cheaper exists; an incumbent whose stored value is
+    not its cut value is rejected.  One more stoer_wagner_mincut call gives
+    the global min cut lambda (0 on a disconnected graph), and the search
+    prunes on ``partial + ceil((k - used) * lambda / 2)``; at the root that is
+    the certificate opt >= ceil(k * lambda / 2), which closes the search when
+    the incumbent meets it.  sv_2approx computes lambda in its first round
+    but returns only its cut, so lambda is not taken from there.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
@@ -135,7 +167,10 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
         incumbent = sv_2approx(g, k)
     elif incumbent.k != k or len(incumbent.labels) != g.n:
         raise ValueError(f"incumbent is not a {k}-cut of a {g.n}-vertex graph")
-    return _min_kcut_search(g, k, _max_adjacency_order(g), incumbent=incumbent)
+    elif incumbent.value != (actual := cut_value(g, incumbent)):
+        raise ValueError(f"incumbent claims value {incumbent.value}, its cut has value {actual}")
+    lam = stoer_wagner_mincut(g)[0]
+    return _min_kcut_search(g, k, _max_adjacency_order(g), incumbent=incumbent, lam=lam)
 
 
 def _max_adjacency_order(g: Graph) -> list:

@@ -1,5 +1,7 @@
 """Ground-truth solvers and classical subroutines."""
+import math
 import random
+import sys
 from itertools import combinations, product
 
 import networkx as nx
@@ -11,6 +13,7 @@ import kcut.oracle
 from kcut import (
     Graph,
     GraphError,
+    KCut,
     SizeLimitError,
     brute_force_min_kcut,
     brute_force_r_island,
@@ -164,6 +167,29 @@ def test_exact_min_kcut_keeps_optimal_incumbent():
         exact_min_kcut(cycle_graph(8), 3, incumbent=brute_force_min_kcut(cycle_graph(8), 2))
 
 
+def test_exact_min_kcut_rejects_misvalued_incumbent():
+    # The cut below has value 3 on C_10; a stored value of 1 would seed the
+    # bound with a value no cut reaches and be returned as the optimum.
+    with pytest.raises(ValueError):
+        exact_min_kcut(cycle_graph(10), 3, incumbent=KCut(3, (0,) * 8 + (1, 2), value=1))
+    honest = KCut.from_labels(cycle_graph(10), (0,) * 8 + (1, 2), 3)
+    assert exact_min_kcut(cycle_graph(10), 3, incumbent=honest) is honest
+
+
+def test_exact_min_kcut_takes_lambda_from_one_stoer_wagner_call(monkeypatch):
+    # One call, through the module attribute that perfbench's tracer patches;
+    # on C_400 the root bound ceil(3 * 2 / 2) = 3 meets the 2-approximation,
+    # so the search closes at once.
+    calls = []
+    sw = kcut.oracle.stoer_wagner_mincut
+    monkeypatch.setattr(kcut.oracle, "stoer_wagner_mincut",
+                        lambda g: calls.append(g.n) or sw(g))
+    g = cycle_graph(400)
+    incumbent = KCut.from_labels(g, (0,) * 398 + (1, 2), 3)
+    assert exact_min_kcut(g, 3, incumbent=incumbent) is incumbent
+    assert calls == [400]
+
+
 # ------------------------------------------------------- brute_force_r_island
 
 def test_star_r3():
@@ -252,9 +278,9 @@ def test_sw_matches_brute_force():
 
 
 @st.composite
-def connected_weighted_graphs(draw, max_n=40):
+def connected_weighted_graphs(draw, max_n=40, min_n=2):
     """A random spanning tree plus random extra pairs, weights 1..9."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, 9))) for v in range(1, n)]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 9))
     edges += [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
@@ -271,6 +297,32 @@ def test_sw_matches_networkx(g):
     assert value == nx.stoer_wagner(ref)[0]
     assert cut_value(g, cut) == value
     assert cut.labels[0] == 0
+
+
+@given(st.data(), st.integers(2, 4), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_lambda_bound_matches_unbounded_search(data, k, seeded):
+    # Same order, same incumbent: the lambda bound only skips branches that
+    # cannot strictly beat the best, so the returned KCut is identical.
+    g = data.draw(connected_weighted_graphs(max_n=10, min_n=k))
+    order = data.draw(st.permutations(range(g.n)))
+    incumbent = sv_2approx(g, k) if seeded else None
+    lam = stoer_wagner_mincut(g)[0]
+    assert _min_kcut_search(g, k, order, incumbent=incumbent, lam=lam) == \
+        _min_kcut_search(g, k, order, incumbent=incumbent)
+
+
+def test_deep_search_needs_no_recursion():
+    # 300 K_4s chained by 2 bridge edges: lambda = 2, and cutting off the
+    # first clique and the second gives a 3-cut of value 4.  The root bound
+    # ceil(3 * 2 / 2) = 3 < 4 does not close the search, which then runs
+    # 1,200 positions deep, beyond the default recursion limit.
+    g = cliques_bridge(4, 300, 2)
+    assert g.n > sys.getrecursionlimit()
+    assert stoer_wagner_mincut(g)[0] == 2
+    incumbent = KCut.from_labels(g, (0,) * 4 + (1,) * 4 + (2,) * (g.n - 8), 3)
+    assert math.ceil(3 * 2 / 2) == 3 < incumbent.value == 4
+    assert _min_kcut_search(g, 3, range(g.n), incumbent=incumbent, lam=2).value == 4
 
 
 def test_sw_total_weight_beyond_int64_is_rejected():

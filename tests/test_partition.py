@@ -1,5 +1,4 @@
 """Partitioning stages: regularize, expander decompose, trim, shave, shatter."""
-import math
 from fractions import Fraction
 
 import pytest

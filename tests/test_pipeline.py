@@ -14,7 +14,7 @@ from kcut import (
     min_kcut,
     sv_2approx,
 )
-from kcut.generators import cliques_bridge, complete_graph, cycle_graph, gnp_graph
+from kcut.generators import cliques_bridge, cycle_graph, gnp_graph
 from kcut.oracle import _min_kcut_search
 from kcut.pipeline import PipelineConfig
 

@@ -9,6 +9,9 @@ which spends the first m stream outputs on edge clocks.  Either way every
 trial has the same number of super-vertices and its label draws start at the
 same stream output (0, or m), so all trials are labelled, lifted,
 canonicalized and evaluated as one vectorized numpy batch.
+
+For s = 1 every trial yields the same cut, all vertices in one part with
+value 0, so that cut is built directly and no trial is run.
 """
 from __future__ import annotations
 
@@ -138,6 +141,9 @@ def enumerate_borders(g: Graph, params: BorderParams,
         raise ValueError("need s >= 1 and trials >= 1")
     if g.total_weight > MAX_WEIGHT:
         raise GraphError("total edge weight overflows the 64-bit cut values")
+    if s == 1:
+        cuts = [KCut(k=1, labels=(0,) * g.n, value=0)] if g.n else []
+        return [c for c in cuts if max_value is None or c.value <= max_value]
     seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
     if g.n <= tau:
         offset, nv, cmap = 0, g.n, np.arange(g.n)[None, :]

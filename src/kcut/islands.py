@@ -5,6 +5,14 @@ singleton, minimizing the total number of incident edges.  For r >= 3 the
 set is split into three equal subsets; triangles in a profile-filtered
 subset graph are detected with integer matrix products, enumerating the
 nine weight parameters that pin down the cut value exactly.
+
+Before the search, vertices are pruned by degree.  In a simple graph a set S
+costs sum(deg(v) for v in S) - |E(S)|, and |E(S)| <= C(r, 2).  So a vertex v
+lies in a set no dearer than a known feasible set (the r lowest-degree
+vertices) only if deg(v) + (the r-1 smallest other degrees) - C(r, 2) is at
+most that set's cost.  Every optimal set passes, and the padding dummies
+(isolated, so free) are always kept: the value and the lex-smallest optimum
+are those of the unpruned search.
 """
 from __future__ import annotations
 
@@ -104,31 +112,51 @@ def _solve_small(g: Graph, r: int) -> tuple:
     return best
 
 
-def _subset_stats(adj: np.ndarray, q: int, n: int) -> tuple:
+def _subset_stats(adj: np.ndarray, deg: np.ndarray, q: int, n: int) -> tuple:
     subsets = list(combinations(range(n), q))
     x = np.zeros((len(subsets), n), dtype=np.int64)
     for i, s in enumerate(subsets):
         x[i, list(s)] = 1
     xa = x @ adj
     w_in = (xa * x).sum(axis=1) // 2
-    w_sv = x @ adj.sum(axis=1) - 2 * w_in
+    w_sv = x @ deg - 2 * w_in
     return subsets, x, xa, w_in, w_sv
+
+
+def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int) -> tuple:
+    """(upper, kept) for a simple graph: the cost of the r lowest-degree
+    vertices, which bounds the optimum, and the increasing ids of the vertices
+    that can lie in an r-island set costing at most that.
+
+    The test is deg(v) + (sum of the r-1 smallest degrees other than v) -
+    C(r, 2) <= upper.  It always passes when deg(v) is among the r smallest,
+    as upper is at least their sum minus C(r, 2); for every other v, the r-1
+    smallest other degrees are the r-1 smallest overall.
+    """
+    order = np.argsort(deg, kind="stable")
+    upper = _island_cost(adj, deg, order[:r])
+    rest = int(deg[order[:r - 1]].sum())
+    return upper, np.flatnonzero(deg + rest - r * (r - 1) // 2 <= upper)
 
 
 class _TripleSearch:
     """Subset statistics, profile classes and cached pair matrices for the
-    triple search over three disjoint q-subsets of the (padded) vertex set."""
+    triple search over three disjoint q-subsets of the (padded) vertex set.
 
-    def __init__(self, g: Graph, r: int):
+    ``adj`` is the weight matrix among the searched vertices and ``deg`` their
+    degrees in the whole graph, so subset costs count every incident edge.
+    """
+
+    def __init__(self, adj: np.ndarray, deg: np.ndarray, r: int):
         self.pad = (-r) % 3
         self.r3 = r + self.pad
         self.q = self.r3 // 3
-        self.n = g.n + self.pad          # dummies take the highest ids
-        self.real_n = g.n
-        self.adj = np.pad(weight_matrix(g), (0, self.pad))
-        self.deg = self.adj.sum(axis=1)
+        self.real_n = len(deg)
+        self.n = self.real_n + self.pad  # dummies take the highest ids
+        self.adj = np.pad(adj, (0, self.pad))
+        self.deg = np.pad(deg, (0, self.pad))
         self.subsets, self.x, self.xa, self.w_in, self.w_sv = _subset_stats(
-            self.adj, self.q, self.n)
+            self.adj, self.deg, self.q, self.n)
         self.c = self.w_in + self.w_sv
         profiles: dict = {}
         for i, key in enumerate(zip(self.w_in.tolist(), self.w_sv.tolist())):
@@ -219,8 +247,13 @@ def solve_r_island(g: Graph, r: int) -> tuple:
     """Exact minimum (r+1)-cut with exactly r singleton components.
 
     Returns (value, island tuple); ties take the lex-smallest island set.
-    r >= 3 pads with isolated dummy vertices to a multiple of 3; the free
-    dummy islands are preferred at ties and stripped from the answer.
+    r >= 3 searches only the vertices that pass the degree test of the module
+    docstring against the cost of the r lowest-degree vertices, with their
+    whole-graph degrees.  The test is exact because the graph is simple (at
+    most C(r, 2) edges inside the set) and an optimal set can always give its
+    padding slots to the dummies: r >= 3 pads with isolated dummy vertices to
+    a multiple of 3, and the free dummy islands are preferred at ties and
+    stripped from the answer.
     """
     if not g.simple:
         raise GraphError("r-island solving is defined for simple graphs")
@@ -228,17 +261,15 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         raise ValueError(f"r must be in 1..n-1, got r={r} with n={g.n}")
     if r <= 2:
         return _solve_small(g, r)
-    search = _TripleSearch(g, r)
-    # Any feasible island set bounds the optimum: dummies plus the lowest-
-    # degree real vertices.
-    order = sorted(range(search.n), key=lambda v: (search.deg[v], v), reverse=True)
-    greedy = tuple(sorted(order[-search.r3:]))
-    upper = _island_cost(search.adj, search.deg, greedy)
+    adj = weight_matrix(g)
+    deg = adj.sum(axis=1)
+    upper, kept = _island_candidates(adj, deg, r)
+    search = _TripleSearch(adj[np.ix_(kept, kept)], deg[kept], r)
     value, witnesses = search.best_with_witnesses(upper)
     best_key = None
     for islands in witnesses:
         dummies = sum(1 for v in islands if v >= search.real_n)
-        real = tuple(v for v in islands if v < search.real_n)
+        real = tuple(int(kept[v]) for v in islands if v < search.real_n)
         key = (search.pad - dummies, real)
         if best_key is None or key < best_key:
             best_key = key

@@ -12,6 +12,7 @@ from kcut import (
     BorderParams,
     Graph,
     GraphError,
+    KCut,
     brute_force_min_kcut,
     contract_random,
     cut_survives,
@@ -21,6 +22,7 @@ from kcut import (
     tau_for,
     wilson_lower,
 )
+import kcut.borders
 from kcut.borders import _canonicalize_batch, _labels_batch
 from kcut.generators import cliques_bridge, cycle_graph, gnp_graph, path_graph
 from kcut.graph import VertexPartition, canonical_labels, contract, cut_value
@@ -260,6 +262,23 @@ def test_max_value_filter():
     all_cuts = enumerate_borders(g, params)
     filtered = enumerate_borders(g, params, max_value=3)
     assert filtered == [c for c in all_cuts if c.value <= 3]
+
+
+@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
+def test_single_part_round_is_closed_form(monkeypatch, n, tau):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return contract_random(*args)
+
+    monkeypatch.setattr(kcut.borders, "contract_random", spy)
+    g = gnp_graph(n, 0.5, 6)
+    params = BorderParams(s=1, beta=1.0, tau=tau, trials=500, seed=3)
+    assert enumerate_borders(g, params) == [KCut(1, (0,) * n, 0)]
+    assert enumerate_borders(g, params, max_value=0) == [KCut(1, (0,) * n, 0)]
+    assert enumerate_borders(g, params, max_value=-1) == []
+    assert calls == []
 
 
 # ------------------------------------------------------------------- wilson

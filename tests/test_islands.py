@@ -22,7 +22,9 @@ from kcut.generators import (
     path_graph,
     star_graph,
 )
-from kcut.islands import matmul_cubic, matmul_strassen
+import kcut.islands
+from kcut.graph import weight_matrix
+from kcut.islands import STRASSEN_THRESHOLD, _island_candidates, matmul_cubic, matmul_strassen
 
 
 # -------------------------------------------------------------------- matmul
@@ -58,6 +60,23 @@ def test_strassen_odd_and_rectangular():
         assert np.array_equal(matmul_strassen(a, b, base=4), matmul_cubic(a, b))
 
 
+@pytest.mark.parametrize("size, routed", [(STRASSEN_THRESHOLD, True),
+                                           (STRASSEN_THRESHOLD - 1, False)])
+def test_matmul_strassen_dispatch(monkeypatch, size, routed):
+    calls = []
+
+    def spy(a, b, *args):  # the recursion looks matmul_strassen up again
+        calls.append(a.shape)
+        return matmul_strassen(a, b, *args)
+
+    monkeypatch.setattr(kcut.islands, "matmul_strassen", spy)
+    rng = np.random.default_rng(2)
+    a = rng.integers(-9, 9, size=(size, 3)).astype(np.int64)
+    b = rng.integers(-9, 9, size=(3, 2)).astype(np.int64)
+    assert np.array_equal(matmul(a, b), a @ b)
+    assert bool(calls) is routed
+
+
 # ------------------------------------------------------------- solve_r_island
 
 def test_star_r3():
@@ -91,6 +110,7 @@ def test_r_island_matches_oracle(r):
         value, islands = solve_r_island(g, r)
         ov, oi = brute_force_r_island(g, r)
         assert value == ov
+        assert islands == oi
         assert len(islands) == r
         # returned witness achieves the value
         deg = g.degrees
@@ -102,7 +122,23 @@ def test_padding_boundaries():
     # r = 4 pads by 2, r = 5 pads by 1, r = 3 pads by 0
     g = gnp_graph(9, 0.6, 77)
     for r in (3, 4, 5):
-        assert solve_r_island(g, r)[0] == brute_force_r_island(g, r)[0]
+        assert solve_r_island(g, r) == brute_force_r_island(g, r)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_degree_prune_drops_hubs(r):
+    # Three adjacent hubs 0..2, each joined to most of the cycle 3..16.  A hub
+    # is too dear to sit in a set as cheap as the r lowest-degree vertices
+    # (only hub 0 still passes, at r = 5), so the search runs on fewer
+    # vertices and its ids are mapped back.
+    edges = [(3 + v, 3 + (v + 1) % 14) for v in range(14)]
+    edges += [(h, 3 + v) for h in range(3) for v in range(14) if (v + h) % 4]
+    edges += [(0, 1), (0, 2), (1, 2)]
+    g = Graph.from_edges(17, edges)
+    adj = weight_matrix(g)
+    _, kept = _island_candidates(adj, adj.sum(axis=1), r)
+    assert len(kept) < g.n
+    assert solve_r_island(g, r) == brute_force_r_island(g, r)
 
 
 # -------------------------------------------------------------- extend_border

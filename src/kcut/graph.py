@@ -335,8 +335,14 @@ def conductance(g: Graph, s: Iterable[int]):
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple:
-    """Induced subgraph with dense relabeling; returns (graph, new-id -> old-id)."""
+    """Induced subgraph with dense relabeling; returns (graph, new-id -> old-id).
+
+    The relabeling is increasing, so g's edges keep u < v, stay sorted and
+    distinct: the Graph is built directly, without Graph.from_edges
+    re-validating and re-merging them, and is the graph from_edges would
+    build.  ``simple`` is recomputed from the kept weights.
+    """
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[u], index[v], w) for u, v, w in g.edges if u in index and v in index]
-    return Graph.from_edges(len(verts), edges), verts
+    edges = tuple((index[u], index[v], w) for u, v, w in g.edges if u in index and v in index)
+    return Graph(n=len(verts), edges=edges, simple=all(w == 1 for _, _, w in edges)), verts

@@ -11,7 +11,10 @@ it stays an independent check of it.  sv_2approx and stoer_wagner_mincut are
 the classical subroutines the pipeline itself uses.  stoer_wagner_mincut is a
 numpy Stoer-Wagner whose phases are the maximum-adjacency ordering
 exact_min_kcut uses; the library needs no graph package (the tests compare it
-with networkx's implementation).
+with networkx's implementation).  On a simple graph whose minimum degree
+delta is at least floor(n/2), lambda = delta, so Stoer-Wagner stops at the
+first phase that cuts delta; later phases could only tie, and a tie never
+replaces the answer, so value and side are unchanged.
 """
 from __future__ import annotations
 
@@ -231,10 +234,19 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     adjacency; the last one's attachment weight is the cut of the phase, and
     it is then merged into the one before it.  The first phase with the
     smallest cut gives the answer.  Vertex 0 is on side 0.
+
+    Degree certificate: a simple graph with minimum degree delta >=
+    floor(n/2) has lambda = delta (Chartrand 1966).  Every phase cut is a cut
+    of g, so none is below lambda, and a later phase only replaces the answer
+    with a strictly smaller cut; once a phase cuts delta the remaining phases
+    cannot change the result, and the loop stops there.  The value and side
+    are those of the full run.
     """
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
     w = weight_matrix(g)
+    delta = int(w.sum(axis=1).min())
+    floor = delta if g.simple and delta >= g.n // 2 else None
     members = [[v] for v in range(g.n)]
     best_value, best_side = None, None
     while len(members) > 1:
@@ -247,6 +259,8 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
         s, t = order[-2], order[-1]
         if best_value is None or attach[-1] < best_value:
             best_value, best_side = attach[-1], members[t]
+            if best_value == floor:
+                break
         w[s] += w[t]
         w[:, s] += w[:, t]
         w[s, s] = 0

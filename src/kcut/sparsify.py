@@ -2,20 +2,28 @@
 
 The union of s edge-disjoint maximal spanning forests keeps at most s*n
 edges while preserving the exact crossing edge set of every k-cut of value
-at most s.
+at most s.  A forest rejects an edge only when its endpoints are already
+joined in that forest, that is when the forest holds another edge at each
+endpoint; the forests are edge-disjoint, so an edge with an endpoint of
+degree <= s is always kept.  When every edge is such an edge, ni_sparsify
+returns its input without building the forests.
 """
 from __future__ import annotations
 
 from .graph import Graph, GraphError, union_find
 
 
-def forest_decomposition(g: Graph, s: int) -> list:
-    """s edge-disjoint forests; forest i is a maximal spanning forest of g
-    minus forests 1..i-1.  Edges are scanned in sorted order each pass."""
+def _check_input(g: Graph, s: int) -> None:
     if not g.simple:
         raise GraphError("forest decomposition is defined for simple graphs")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+
+
+def forest_decomposition(g: Graph, s: int) -> list:
+    """s edge-disjoint forests; forest i is a maximal spanning forest of g
+    minus forests 1..i-1.  Edges are scanned in sorted order each pass."""
+    _check_input(g, s)
     remaining = list(g.edges)
     forests = []
     for _ in range(s):
@@ -34,5 +42,13 @@ def forest_decomposition(g: Graph, s: int) -> list:
 
 def ni_sparsify(g: Graph, s: int) -> Graph:
     """Union of the s forests: a subgraph with <= s*n edges in which every
-    k-cut of g-value <= s keeps its exact crossing edge set."""
+    k-cut of g-value <= s keeps its exact crossing edge set.
+
+    Degree certificate: if min(deg u, deg v) <= s for every edge (u, v), no
+    forest can reject an edge, the union is g itself, and g is returned.
+    """
+    _check_input(g, s)
+    deg = g.degrees
+    if all(deg[u] <= s or deg[v] <= s for u, v, _ in g.edges):
+        return g
     return Graph.from_edges(g.n, (e for f in forest_decomposition(g, s) for e in f))

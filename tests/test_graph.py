@@ -19,6 +19,7 @@ from kcut import (
     contract,
     cut_value,
     graph_to_text,
+    induced_subgraph,
     parse_graph,
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_graph
@@ -253,3 +254,37 @@ def test_graph_invariants():
         Graph.from_edges(2, [(0, 1, 0)])
     with pytest.raises(GraphError):
         Graph.from_edges(1, [(0, 1)])
+
+
+# ---------------------------------------------------------------- induced
+
+def induced_by_from_edges(g, vertices):
+    """Reference: relabel the kept edges and validate them through from_edges."""
+    verts = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(verts)}
+    return Graph.from_edges(len(verts), [(index[u], index[v], w) for u, v, w in g.edges
+                                         if u in index and v in index]), verts
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_induced_subgraph_matches_from_edges(data, unit_weights):
+    g = data.draw(graphs(max_n=12))
+    if unit_weights:
+        g = Graph.from_edges(g.n, [(u, v) for u, v, _ in g.edges])
+    subset = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
+    sub, back = induced_subgraph(g, subset)
+    # Graph equality compares n, edges and simple.
+    assert (sub, back) == induced_by_from_edges(g, subset)
+
+
+def test_induced_subgraph_recomputes_simple():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3, 3), (3, 4), (0, 4, 2)])
+    assert not g.simple
+    for subset, simple in (([0, 1, 2], True), ([1, 2, 3], False), ([4, 3], True),
+                           ([0, 4], False), ([], True), ([2], True)):
+        sub, back = induced_subgraph(g, subset)
+        assert sub.simple is simple
+        assert (sub, back) == induced_by_from_edges(g, subset)
+    assert induced_subgraph(g, []) == (Graph(n=0, edges=(), simple=True), [])
+    assert induced_subgraph(g, [3, 3]) == (Graph(n=1, edges=(), simple=True), [3])

@@ -31,7 +31,8 @@ from kcut.generators import (
     path_graph,
     star_graph,
 )
-from kcut.oracle import _max_adjacency_order, _min_kcut_search
+from kcut.graph import weight_matrix
+from kcut.oracle import _max_adjacency_order, _max_adjacency_phase, _min_kcut_search
 
 
 def two_triangles_bridge():
@@ -331,6 +332,66 @@ def test_sw_total_weight_beyond_int64_is_rejected():
     # a total of exactly 2^63 - 1 still fits
     value, cut = stoer_wagner_mincut(Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62 - 1)]))
     assert value == 2**62 - 1 and cut.labels == (0, 0, 1)
+
+
+def doubled(g):
+    """g with every weight doubled: never simple, so Stoer-Wagner gets no
+    degree floor, while every phase makes the same comparisons and ties."""
+    return Graph.from_edges(g.n, [(u, v, 2 * w) for u, v, w in g.edges])
+
+
+@given(st.integers(2, 40), st.sampled_from([0.5, 0.7, 0.9, 1.0]), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_sw_floor_matches_full_run(n, p, seed):
+    g = gnp_graph(n, p, seed)
+    value, cut = stoer_wagner_mincut(g)
+    full_value, full_cut = stoer_wagner_mincut(doubled(g))
+    assert cut.labels == full_cut.labels
+    assert 2 * value == full_value
+
+
+def count_phases(monkeypatch):
+    phases = []
+    phase = kcut.oracle._max_adjacency_phase
+    monkeypatch.setattr(kcut.oracle, "_max_adjacency_phase",
+                        lambda w: phases.append(len(w)) or phase(w))
+    return phases
+
+
+def test_sw_floor_runs_on_past_a_phase_above_delta(monkeypatch):
+    # K_5 minus (0,2), (1,3), (1,4): delta = deg(1) = 2 = floor(5/2), so
+    # lambda = 2 is certified, but phase 1 (order 0, 1, 2, 3, 4) ends on
+    # vertex 4 with cut 3.  The loop must go on until a phase cuts 2.
+    g = Graph.from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert g.simple and min(g.degrees) == 2 == g.n // 2
+    order, attach = _max_adjacency_phase(weight_matrix(g))
+    assert order == [0, 1, 2, 3, 4] and attach[-1] == 3
+    phases = count_phases(monkeypatch)
+    value, cut = stoer_wagner_mincut(g)
+    assert value == 2 and len(phases) > 1
+    full_value, full_cut = stoer_wagner_mincut(doubled(g))
+    assert (2 * value, cut.labels) == (full_value, full_cut.labels)
+
+
+def test_sw_no_floor_below_half_n():
+    # Two triangles joined by the edge (0, 5): delta = 2 < floor(6/2), and
+    # lambda = 1.  Phase 1 cuts 2 = delta, so a floor taken from delta below
+    # floor(n/2) would stop there with the wrong value.
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 5)])
+    assert _max_adjacency_phase(weight_matrix(g))[1][-1] == 2 == min(g.degrees)
+    value, cut = stoer_wagner_mincut(g)
+    assert value == 1 and cut.labels == (0, 0, 0, 1, 1, 1)
+
+
+def test_sw_floor_work_guard(monkeypatch):
+    # K_30: delta = 29 >= 15, and phase 1 already cuts 29, so one phase.
+    # C_30: delta = 2 < 15, no floor, so all n - 1 = 29 phases.
+    phases = count_phases(monkeypatch)
+    assert stoer_wagner_mincut(complete_graph(30))[0] == 29
+    assert len(phases) == 1
+    phases.clear()
+    assert stoer_wagner_mincut(cycle_graph(30))[0] == 2
+    assert len(phases) == 29
 
 
 def reference_max_adjacency_order(g):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcut.sparsify
 from kcut import Graph, GraphError, connected_components, forest_decomposition, ni_sparsify
 from kcut.generators import complete_graph, cycle_graph, gnp_graph, path_graph
 
@@ -94,3 +95,53 @@ def test_cut_preservation_exhaustive():
                     cg = crossing_set(g, labels)
                     if len(cg) <= s:
                         assert cg == crossing_set(h, labels)
+
+
+# ------------------------------------------------------ degree certificate
+
+def max_min_degree(g):
+    """t = max over edges of min(deg u, deg v): for s >= t no forest can
+    reject an edge, so the s forests hold every edge of g."""
+    deg = g.degrees
+    return max(min(deg[u], deg[v]) for u, v, _ in g.edges)
+
+
+def test_certificate_boundary_matches_forest_union():
+    # Every s from 1 to t + 1: the boundary t - 1, t, t + 1, and the small s
+    # at which the forests do drop edges.
+    dropped = 0
+    for i in range(30):
+        g = gnp_graph(6 + i % 15, [0.2, 0.5, 0.8][i % 3], seed=9000 + i)
+        if not g.edges:
+            continue
+        t = max_min_degree(g)
+        for s in range(1, t + 2):
+            union = Graph.from_edges(g.n, (e for f in forest_decomposition(g, s) for e in f))
+            assert ni_sparsify(g, s) == union
+            if s >= t:
+                assert union == g
+            dropped += union != g
+    assert dropped > 0
+
+
+def test_certificate_skips_the_forests(monkeypatch):
+    calls = []
+    forests = kcut.sparsify.forest_decomposition
+    monkeypatch.setattr(kcut.sparsify, "forest_decomposition",
+                        lambda g, s: calls.append(s) or forests(g, s))
+    g = gnp_graph(30, 0.7, seed=3)
+    t = max_min_degree(g)
+    assert ni_sparsify(g, t) is g
+    c9 = cycle_graph(9)
+    assert ni_sparsify(c9, 2) is c9
+    assert calls == []
+    # at s = t - 1 some edge has both degrees above s: the forests run
+    ni_sparsify(g, t - 1)
+    assert calls == [t - 1]
+
+
+def test_ni_sparsify_rejects_bad_input():
+    with pytest.raises(GraphError):
+        ni_sparsify(Graph.from_edges(2, [(0, 1, 2)]), 1)
+    with pytest.raises(ValueError):
+        ni_sparsify(path_graph(3), 0)

@@ -4,17 +4,19 @@ brute_force_min_kcut / brute_force_r_island are the independent oracles every
 other stage is tested against.  exact_min_kcut, the pipeline's exact branch,
 runs the same partition search in maximum-adjacency order, seeded with the
 sv_2approx cut and pruned by the lower bound ceil((k - used) * lambda / 2) on
-the weight still to be cut, lambda being the global min cut from one extra
-stoer_wagner_mincut call (sv_2approx finds lambda in its first round but
-returns only its cut); brute_force_min_kcut searches without that bound, so
-it stays an independent check of it.  sv_2approx and stoer_wagner_mincut are
-the classical subroutines the pipeline itself uses.  stoer_wagner_mincut is a
-numpy Stoer-Wagner whose phases are the maximum-adjacency ordering
-exact_min_kcut uses; the library needs no graph package (the tests compare it
-with networkx's implementation).  On a simple graph whose minimum degree
-delta is at least floor(n/2), lambda = delta, so Stoer-Wagner stops at the
-first phase that cuts delta; later phases could only tie, and a tie never
-replaces the answer, so value and side are unchanged.
+the weight still to be cut, lambda being the global min cut;
+brute_force_min_kcut searches without that bound, so it stays an independent
+check of it.  sv_2approx and stoer_wagner_mincut are the classical
+subroutines the pipeline itself uses.  stoer_wagner_mincut is a numpy
+Stoer-Wagner whose phases are the maximum-adjacency ordering exact_min_kcut
+uses; the library needs no graph package (the tests compare it with
+networkx's implementation).  It stops at the first phase that cuts a
+certified lower bound on lambda (1 on a connected graph, 2 without a
+weight-1 bridge, delta by Chartrand on a dense simple graph); later phases
+could only tie, and a tie never replaces the answer, so value and side are
+those of the full run.  Its result is memoised on the Graph object, and
+sv_2approx's first round runs on the input graph itself, so one solve
+computes the whole-graph min cut once and exact_min_kcut's lambda is free.
 """
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ from .graph import (
 
 BRUTE_FORCE_KCUT_LIMIT = 14
 BRUTE_FORCE_ISLAND_LIMIT = 18
-# Key of a placed vertex in a maximum-adjacency phase.  Later placements add
-# at most its degree, at most MAX_WEIGHT (see weight_matrix), so it stays
-# negative and below every unplaced key.
+# Key of a placed (or dead) vertex in a maximum-adjacency phase.  Later
+# placements add at most its degree, at most MAX_WEIGHT (see weight_matrix),
+# so it stays negative and below every unplaced key.
 _PLACED = np.iinfo(np.int64).min
 
 
@@ -154,12 +156,13 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     pruning bites early.  ``incumbent`` (a k-cut of g, by default the
     Saran-Vazirani 2-approximation) seeds the bound and is returned unchanged
     when nothing strictly cheaper exists; an incumbent whose stored value is
-    not its cut value is rejected.  One more stoer_wagner_mincut call gives
-    the global min cut lambda (0 on a disconnected graph), and the search
-    prunes on ``partial + ceil((k - used) * lambda / 2)``; at the root that is
-    the certificate opt >= ceil(k * lambda / 2), which closes the search when
-    the incumbent meets it.  sv_2approx computes lambda in its first round
-    but returns only its cut, so lambda is not taken from there.
+    not its cut value is rejected.  The search prunes on ``partial +
+    ceil((k - used) * lambda / 2)``, lambda being the global min cut from
+    stoer_wagner_mincut (0 on a disconnected graph); when sv_2approx(g) made
+    the incumbent, its first round computed lambda on this Graph object, and
+    the call is a memo hit.  At the root the bound is the certificate opt >= ceil(k *
+    lambda / 2): when the incumbent meets it, the incumbent is returned
+    before the maximum-adjacency order is built.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
@@ -173,6 +176,8 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     elif incumbent.value != (actual := cut_value(g, incumbent)):
         raise ValueError(f"incumbent claims value {incumbent.value}, its cut has value {actual}")
     lam = stoer_wagner_mincut(g)[0]
+    if -(-k * lam // 2) >= incumbent.value:
+        return incumbent   # the root bound closes the search
     return _min_kcut_search(g, k, _max_adjacency_order(g), incumbent=incumbent, lam=lam)
 
 
@@ -182,19 +187,25 @@ def _max_adjacency_order(g: Graph) -> list:
     return _max_adjacency_phase(weight_matrix(g))[0]
 
 
-def _max_adjacency_phase(w: np.ndarray) -> tuple:
+def _max_adjacency_phase(w: np.ndarray, dead: Optional[np.ndarray] = None) -> tuple:
     """Maximum-adjacency ordering of the vertices of weight matrix ``w``:
     start at 0, then repeatedly place the unplaced vertex with the largest
-    weight into the placed set, ties to the lowest index.
+    weight into the placed set, ties to the lowest index.  Vertices marked in
+    the boolean mask ``dead`` (all-zero rows and columns of ``w``) count as
+    placed from the start and are left out of the order.
 
     Returns (order, attach), attach[i] being the weight from order[i] to
     order[:i].
     """
     key = w[0].copy()
+    steps = len(w) - 1
+    if dead is not None:
+        key[dead] = _PLACED
+        steps -= int(np.count_nonzero(dead))
     key[0] = _PLACED
     order = [0]
     attach = [0]
-    for _ in range(len(w) - 1):
+    for _ in range(steps):
         v = int(key.argmax())
         order.append(v)
         attach.append(int(key[v]))
@@ -232,25 +243,40 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
 
     Stoer-Wagner: each phase orders the current super-vertices by maximum
     adjacency; the last one's attachment weight is the cut of the phase, and
-    it is then merged into the one before it.  The first phase with the
+    it is then merged into the one before it, in place (the merged vertex is
+    marked dead, so later phases skip it).  The first phase with the
     smallest cut gives the answer.  Vertex 0 is on side 0.
 
-    Degree certificate: a simple graph with minimum degree delta >=
-    floor(n/2) has lambda = delta (Chartrand 1966).  Every phase cut is a cut
-    of g, so none is below lambda, and a later phase only replaces the answer
-    with a strictly smaller cut; once a phase cuts delta the remaining phases
-    cannot change the result, and the loop stops there.  The value and side
-    are those of the full run.
+    Every phase cut is a cut of g, so none is below lambda, and a later phase
+    only replaces the answer with a strictly smaller cut.  So once a phase
+    cuts a certified lower bound L <= lambda, the remaining phases cannot
+    change the result, and the loop stops there with the value and side of
+    the full run.  L is the largest of:
+
+    - 1, once phase 1 has placed every vertex with a nonzero attachment
+      (g is connected, and weights are positive);
+    - 2, when g has no bridge of weight 1 (a cut of value 1 is one such
+      edge); checked by one depth-first search, only when the best phase
+      cut becomes 2;
+    - delta, on a simple graph with minimum degree delta >= floor(n/2)
+      (Chartrand 1966).
+
+    The result is memoised on g itself (like its cached properties), so the
+    whole-graph min cut is computed once however many layers ask for it.
     """
+    memo = vars(g).get("_min_cut")
+    if memo is not None:
+        return memo
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
     w = weight_matrix(g)
     delta = int(w.sum(axis=1).min())
-    floor = delta if g.simple and delta >= g.n // 2 else None
+    lower = delta if g.simple and delta >= g.n // 2 else 1
+    dead = np.zeros(g.n, dtype=bool)
     members = [[v] for v in range(g.n)]
     best_value, best_side = None, None
-    while len(members) > 1:
-        order, attach = _max_adjacency_phase(w)
+    for _ in range(g.n - 1):
+        order, attach = _max_adjacency_phase(w, dead)
         if 0 in attach[1:]:
             # Only in the first phase, on a disconnected graph: the vertices
             # placed before the first zero are vertex 0's component.
@@ -259,20 +285,58 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
         s, t = order[-2], order[-1]
         if best_value is None or attach[-1] < best_value:
             best_value, best_side = attach[-1], members[t]
-            if best_value == floor:
+            # best_value only falls, so the search runs at most once
+            if best_value == 2 and lower < 2 and not _has_unit_bridge(g):
+                lower = 2
+            if best_value <= lower:
                 break
         w[s] += w[t]
         w[:, s] += w[:, t]
         w[s, s] = 0
-        w = np.delete(np.delete(w, t, axis=0), t, axis=1)
+        w[t] = 0
+        w[:, t] = 0
+        dead[t] = True
         members[s].extend(members[t])
-        del members[t]
     side = set(best_side)
     labels = tuple(0 if (v in side) == (0 in side) else 1 for v in range(g.n))
     cut = KCut.from_labels(g, labels, 2)
     if cut.value != best_value:
         raise InvalidCutError(f"Stoer-Wagner reported {best_value}, its cut has value {cut.value}")
-    return best_value, cut
+    vars(g)["_min_cut"] = result = (best_value, cut)
+    return result
+
+
+def _has_unit_bridge(g: Graph) -> bool:
+    """Whether connected g has a bridge of weight 1, i.e. a cut of value 1.
+
+    Tarjan's low-link depth-first search from vertex 0, on an explicit stack
+    (no recursion limit on n).  Stored pairs are distinct, so the edge back
+    to a vertex's parent is skipped by the parent's id.
+    """
+    adj = g.adjacency
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    clock = 1
+    stack = [(0, -1, 0, iter(adj[0]))]   # (vertex, parent, tree-edge weight, neighbours left)
+    while stack:
+        v, parent, w_in, it = stack[-1]
+        for u, w in it:
+            if u == parent:
+                continue
+            if disc[u] < 0:
+                disc[u] = low[u] = clock
+                clock += 1
+                stack.append((u, v, w, iter(adj[u])))
+                break
+            low[v] = min(low[v], disc[u])
+        else:
+            stack.pop()
+            if parent >= 0:
+                if low[v] > disc[parent] and w_in == 1:
+                    return True
+                low[parent] = min(low[parent], low[v])
+    return False
 
 
 def sv_2approx(g: Graph, k: int) -> KCut:
@@ -280,7 +344,9 @@ def sv_2approx(g: Graph, k: int) -> KCut:
     cheapest minimum 2-cut of any current part's induced subgraph.
 
     Each part's min 2-cut is computed once, and only while another split is
-    still needed: at most 2k-3 Stoer-Wagner runs.
+    still needed: at most 2k-3 Stoer-Wagner runs.  The first part is all of
+    g, and its cut is taken on g itself, not on an induced copy, so the
+    global min cut is memoised on g for later callers.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
@@ -291,7 +357,7 @@ def sv_2approx(g: Graph, k: int) -> KCut:
             if len(part) < 2:
                 cuts.append(None)
                 continue
-            sub, back = induced_subgraph(g, part)
+            sub, back = (g, part) if len(part) == g.n else induced_subgraph(g, part)
             cost, cut2 = stoer_wagner_mincut(sub)
             side = frozenset(back[v] for v in range(sub.n) if cut2.labels[v] == 0)
             cuts.append(((cost, part[0]), side))

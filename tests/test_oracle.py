@@ -20,6 +20,7 @@ from kcut import (
     connected_components,
     cut_value,
     exact_min_kcut,
+    min_kcut,
     stoer_wagner_mincut,
     sv_2approx,
 )
@@ -334,27 +335,30 @@ def test_sw_total_weight_beyond_int64_is_rejected():
     assert value == 2**62 - 1 and cut.labels == (0, 0, 1)
 
 
-def doubled(g):
-    """g with every weight doubled: never simple, so Stoer-Wagner gets no
-    degree floor, while every phase makes the same comparisons and ties."""
-    return Graph.from_edges(g.n, [(u, v, 2 * w) for u, v, w in g.edges])
+def tripled(g):
+    """g with every weight tripled: never simple, so Stoer-Wagner gets no
+    degree floor, and every cut is a multiple of 3, never 1 or 2, so no
+    connectivity or bridge floor either; every phase makes the same
+    comparisons and ties as on g, and on a connected g all n - 1 run."""
+    return Graph.from_edges(g.n, [(u, v, 3 * w) for u, v, w in g.edges])
 
 
-@given(st.integers(2, 40), st.sampled_from([0.5, 0.7, 0.9, 1.0]), st.integers(0, 10_000))
+@given(st.integers(2, 40), st.sampled_from([0.15, 0.3, 0.5, 0.7, 0.9, 1.0]),
+       st.integers(0, 10_000))
 @settings(max_examples=80, deadline=None)
 def test_sw_floor_matches_full_run(n, p, seed):
     g = gnp_graph(n, p, seed)
     value, cut = stoer_wagner_mincut(g)
-    full_value, full_cut = stoer_wagner_mincut(doubled(g))
+    full_value, full_cut = stoer_wagner_mincut(tripled(g))
     assert cut.labels == full_cut.labels
-    assert 2 * value == full_value
+    assert 3 * value == full_value
 
 
 def count_phases(monkeypatch):
     phases = []
     phase = kcut.oracle._max_adjacency_phase
     monkeypatch.setattr(kcut.oracle, "_max_adjacency_phase",
-                        lambda w: phases.append(len(w)) or phase(w))
+                        lambda w, *dead: phases.append(len(w)) or phase(w, *dead))
     return phases
 
 
@@ -369,8 +373,8 @@ def test_sw_floor_runs_on_past_a_phase_above_delta(monkeypatch):
     phases = count_phases(monkeypatch)
     value, cut = stoer_wagner_mincut(g)
     assert value == 2 and len(phases) > 1
-    full_value, full_cut = stoer_wagner_mincut(doubled(g))
-    assert (2 * value, cut.labels) == (full_value, full_cut.labels)
+    full_value, full_cut = stoer_wagner_mincut(tripled(g))
+    assert (3 * value, cut.labels) == (full_value, full_cut.labels)
 
 
 def test_sw_no_floor_below_half_n():
@@ -385,13 +389,115 @@ def test_sw_no_floor_below_half_n():
 
 def test_sw_floor_work_guard(monkeypatch):
     # K_30: delta = 29 >= 15, and phase 1 already cuts 29, so one phase.
-    # C_30: delta = 2 < 15, no floor, so all n - 1 = 29 phases.
+    # Three K_10s chained by 3 edges: delta = 9 < 15, so no Chartrand floor,
+    # and lambda = 3 is above the bridge floor 2, so nothing certifies it:
+    # all n - 1 = 29 phases.  A floor taken from delta below floor(n/2)
+    # would stop at phase 1.
     phases = count_phases(monkeypatch)
     assert stoer_wagner_mincut(complete_graph(30))[0] == 29
     assert len(phases) == 1
     phases.clear()
-    assert stoer_wagner_mincut(cycle_graph(30))[0] == 2
+    g = cliques_bridge(10, 3, 3)
+    assert min(g.degrees) == 9 < g.n // 2
+    assert stoer_wagner_mincut(g)[0] == 3
     assert len(phases) == 29
+
+
+@st.composite
+def small_lambda_graphs(draw):
+    """Connected graphs with lambda in {1, 2}: a tree plus a few extra pairs,
+    a cycle with chords, or cliques chained by 1-2 edges; sometimes with
+    weights 1..3 (a weight-1 edge keeps the tree and chain cuts at 1 or 2)."""
+    kind = draw(st.sampled_from(["tree", "cycle", "cliques"]))
+    if kind == "cliques":
+        g = cliques_bridge(draw(st.integers(2, 6)), draw(st.integers(2, 5)),
+                           draw(st.integers(1, 2)))
+    else:
+        n = draw(st.integers(3, 40))
+        if kind == "tree":
+            edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        else:
+            edges = [(v, (v + 1) % n) for v in range(n)]
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [e for e in draw(st.lists(pair, max_size=3)) if e[0] != e[1]]
+        g = Graph.from_edges(n, edges)
+    if draw(st.booleans()):
+        weights = st.integers(1, 3)
+        g = Graph.from_edges(g.n, [(u, v, draw(weights)) for u, v, _ in g.edges])
+    return g
+
+
+@given(small_lambda_graphs())
+@settings(max_examples=150, deadline=None)
+def test_sw_small_lambda_floor_matches_full_run(g):
+    value, cut = stoer_wagner_mincut(g)
+    full_value, full_cut = stoer_wagner_mincut(tripled(g))
+    assert (3 * value, cut.labels) == (full_value, full_cut.labels)
+
+
+def test_sw_stops_at_connectivity_and_bridge_floors(monkeypatch):
+    # P_30: phase 1 cuts 1, and a connected graph has lambda >= 1.
+    # C_30: phase 1 cuts 2, and no edge is a bridge, so lambda >= 2.
+    # Two C_5s joined by the edge (0, 5): phase 1 cuts 2, but (0, 5) is a
+    # bridge, so the loop runs on to the phase that cuts 1.
+    phases = count_phases(monkeypatch)
+    for g, lam in [(path_graph(30), 1), (cycle_graph(30), 2)]:
+        phases.clear()
+        assert stoer_wagner_mincut(g)[0] == lam
+        assert len(phases) == 1
+    ring = [(v, (v + 1) % 5) for v in range(5)]
+    g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5)])
+    phases.clear()
+    assert _max_adjacency_phase(weight_matrix(g))[1][-1] == 2
+    assert stoer_wagner_mincut(g)[0] == 1
+    assert len(phases) > 1
+    # a weight-2 bridge is no cut of value 1: two C_5s joined by (0, 5, 2)
+    g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5, 2)])
+    assert not kcut.oracle._has_unit_bridge(g)
+    assert stoer_wagner_mincut(g)[0] == 2
+
+
+def test_unit_bridge_search_needs_no_recursion():
+    # The depth-first search runs 1,500 vertices deep on C_1500 and P_1500.
+    assert 1500 > sys.getrecursionlimit()
+    assert not kcut.oracle._has_unit_bridge(cycle_graph(1500))
+    assert kcut.oracle._has_unit_bridge(path_graph(1500))
+    assert stoer_wagner_mincut(cycle_graph(1500))[0] == 2
+
+
+@given(connected_weighted_graphs())
+@settings(max_examples=60, deadline=None)
+def test_unit_bridge_search_matches_networkx(g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_weighted_edges_from(g.edges)
+    expected = any(ref[u][v]["weight"] == 1 for u, v in nx.bridges(ref))
+    assert kcut.oracle._has_unit_bridge(g) == expected
+
+
+def test_sw_result_is_memoised_per_graph_object(monkeypatch):
+    # A second call on the same object runs no phase; an equal but distinct
+    # Graph object computes its own.
+    g = cliques_bridge(5, 4, 2)
+    phases = count_phases(monkeypatch)
+    first = stoer_wagner_mincut(g)
+    ran = len(phases)
+    assert ran > 1 and stoer_wagner_mincut(g) is first
+    assert len(phases) == ran
+    twin = Graph(n=g.n, edges=g.edges, simple=g.simple)
+    assert stoer_wagner_mincut(twin) == first
+    assert len(phases) == 2 * ran
+
+
+def test_min_kcut_computes_the_whole_graph_min_cut_once(monkeypatch):
+    # C_1100, k=2: sv_2approx's first round runs Stoer-Wagner on the graph
+    # itself, which stops after phase 1 on the bridge floor; exact_min_kcut
+    # takes lambda = 2 from the memo, and its root bound ceil(2 * 2 / 2) = 2
+    # meets the 2-approximation, so it builds no maximum-adjacency order.
+    phases = count_phases(monkeypatch)
+    report = min_kcut(cycle_graph(1100), 2)
+    assert (report.branch, report.value) == ("exact", 2)
+    assert len(phases) == 1
 
 
 def reference_max_adjacency_order(g):

@@ -4,11 +4,12 @@ Each trial contracts weighted-random edges down to tau vertices and then
 labels the survivors uniformly at random.  Per-trial RNG streams are seeded
 seed XOR trial-index, so trials are reproducible and independently
 schedulable.  The trials differ only in their vertex -> super-vertex map:
-the identity when n <= tau, otherwise one ``contract_random`` call per trial,
-which spends the first m stream outputs on edge clocks.  Either way every
-trial has the same number of super-vertices and its label draws start at the
-same stream output (0, or m), so all trials are labelled, lifted,
-canonicalized and evaluated as one vectorized numpy batch.
+the identity when n <= tau, otherwise a row of one ``contract_random`` call
+that contracts every trial of the round, each spending the first m outputs
+of its stream on edge clocks.  Either way every trial has the same number
+of super-vertices and its label draws start at the same stream output (0,
+or m), so all trials are labelled, lifted, canonicalized and evaluated as
+one vectorized numpy batch.
 
 For s = 1 every trial yields the same cut, all vertices in one part with
 value 0, so that cut is built directly and no trial is run.
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MAX_WEIGHT, Graph, GraphError, KCut, canonical_labels, union_find
+from .graph import MAX_WEIGHT, Graph, GraphError, KCut, union_find
 from .rng import SplitMix64, stream_outputs
 
 
@@ -46,29 +47,108 @@ def default_trials(n: int, beta: float, k: int, cap: int) -> int:
     return max(1, min(cap, raw))
 
 
-def contract_random(g: Graph, tau: int, rng: SplitMix64) -> tuple:
-    """Contract weighted-random edges until <= tau vertices (or no edges) remain;
-    returns the original-vertex -> super-vertex map, super-vertices numbered
-    by their first vertex.
+# Clocks held at once: a batch is contracted in blocks of trials, so its
+# clock memory does not grow with the number of trials.  On a 150-trial,
+# 647-edge round, 2^15-clock blocks were also faster than one block.
+_CLOCK_BLOCK = 1 << 15
 
-    Every edge gets the exponential clock -ln(U)/w from one stream output, and
-    edges are merged in clock order: the random-permutation view of repeatedly
-    contracting a weight-proportional edge (Karger), O(m log m) per call.
-    Nothing is drawn when n <= tau or g has no edges.
+
+def contract_random(g: Graph, tau: int, seeds: np.ndarray) -> np.ndarray:
+    """Contract weighted-random edges until <= tau vertices (or no edges)
+    remain, one trial per seed; returns the (len(seeds), n) array of
+    original-vertex -> super-vertex maps, super-vertices numbered by their
+    first vertex.
+
+    Trial t gives every edge the exponential clock -ln(U)/w from the first m
+    outputs of stream ``seeds[t]`` and merges edges in stable clock order:
+    the random-permutation view of repeatedly contracting a weight-
+    proportional edge (Karger).  Only the prefix of that order that the
+    union loop can consume is sorted (see ``_clock_prefix``); a trial that
+    runs out of it continues with its full order.  Every map is the identity
+    when n <= tau or g has no edges.
     """
-    find, union = union_find(g.n)
-    nv = g.n
-    if nv > tau and g.edges:
-        edges = g.edge_array
-        # U from the top 53 bits, offset by half a step so that it is never 0.
-        unif = ((rng.take(len(edges)) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        clock = -np.log(unif) / edges[:, 2]
-        for a, b, _ in edges[np.argsort(clock, kind="stable")].tolist():
-            if union(a, b):
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    n, m = g.n, len(g.edges)
+    if n <= tau or m == 0 or len(seeds) == 0:
+        return np.tile(np.arange(n), (len(seeds), 1))
+    edges = g.edge_array
+    ends = edges[:, :2].tolist()
+    # n - tau unions are needed; the slack covers edges inside a super-vertex.
+    width = min(m, 2 * (n - tau) + 16)
+    step = max(1, _CLOCK_BLOCK // m)
+    return np.concatenate([
+        _contract_block(seeds[i:i + step], edges, ends, n, tau, width)
+        for i in range(0, len(seeds), step)])
+
+
+def _clocks(seeds: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Edge clocks -ln(U)/w, one row per seed, U from the top 53 bits of the
+    stream outputs 0..m-1 offset by half a step so that it is never 0."""
+    bits = stream_outputs(seeds, np.arange(len(edges), dtype=np.uint64))
+    bits >>= np.uint64(11)
+    clock = bits.astype(np.float64)
+    clock += 0.5
+    clock *= 2.0**-53
+    np.log(clock, out=clock)
+    np.negative(clock, out=clock)
+    clock /= edges[:, 2]
+    return clock
+
+
+def _clock_prefix(clock: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` entries of every row's stable argsort.
+
+    ``argpartition`` picks the ``width`` smallest clocks of each row, which
+    are sorted by (clock, edge index).  That is the stable order unless a
+    tie straddles the cut-off, when a clock outside the prefix equals the
+    largest one inside; such rows take their full stable argsort.
+    """
+    if width >= clock.shape[1]:
+        return np.argsort(clock, axis=1, kind="stable")
+    prefix = np.argpartition(clock, width - 1, axis=1)[:, :width]
+    prefix.sort(axis=1)
+    vals = np.take_along_axis(clock, prefix, axis=1)
+    prefix = np.take_along_axis(prefix, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    cut = vals.max(axis=1, keepdims=True)
+    for r in np.flatnonzero(np.count_nonzero(clock <= cut, axis=1) > width):
+        prefix[r] = np.argsort(clock[r], kind="stable")[:width]
+    return prefix
+
+
+def _contract_block(seeds: np.ndarray, edges: np.ndarray, ends: list,
+                    n: int, tau: int, width: int) -> np.ndarray:
+    """contract_random for one block of seeds: trial t owns the vertices
+    t*n .. t*n+n-1 of one union-find."""
+    prefix = _clock_prefix(_clocks(seeds, edges), width).tolist()
+    _, union, parent = union_find(len(seeds) * n)
+
+    def merge(base: int, order, nv: int) -> int:
+        for e in order:
+            a, b = ends[e]
+            if union(base + a, base + b):
                 nv -= 1
                 if nv <= tau:
                     break
-    return canonical_labels([find(v) for v in range(g.n)])
+        return nv
+
+    for t, order in enumerate(prefix):
+        nv = merge(t * n, order, n)
+        if nv > tau and width < len(ends):
+            full = np.argsort(_clocks(seeds[t:t + 1], edges)[0], kind="stable")
+            merge(t * n, full[width:].tolist(), nv)
+    roots = np.array(parent)
+    while True:
+        up = roots[roots]
+        if np.array_equal(up, roots):
+            break
+        roots = up
+    # Number each trial's super-vertices by their first (smallest) vertex.
+    idx = np.arange(len(roots))
+    head = np.full(len(roots), len(roots))
+    np.minimum.at(head, roots, idx)
+    head = head[roots]
+    rank = np.cumsum((head == idx).reshape(-1, n), axis=1) - 1
+    return rank.ravel()[head].reshape(-1, n)
 
 
 def random_s_cut(g: Graph, s: int, rng: SplitMix64,
@@ -150,7 +230,7 @@ def enumerate_borders(g: Graph, params: BorderParams,
     else:
         # Every trial contracts to max(tau, #components) super-vertices after
         # one clock draw per edge.
-        cmap = np.array([contract_random(g, tau, SplitMix64(seed ^ t)) for t in range(trials)])
+        cmap = contract_random(g, tau, seeds)
         offset, nv = len(g.edges), int(cmap.max()) + 1
     if s > nv:
         return []

@@ -282,10 +282,11 @@ def weight_matrix(g: Graph) -> np.ndarray:
 
 
 def union_find(n: int) -> tuple:
-    """Disjoint sets over 0..n-1 as a (find, union) pair of closures.
+    """Disjoint sets over 0..n-1 as a (find, union, parent) triple.
 
     ``find`` uses path halving.  ``union(a, b)`` hangs b's root under a's root
-    and returns whether the two were in different sets.
+    and returns whether the two were in different sets.  ``parent`` is the
+    live parent list the closures share: following it from v ends at find(v).
     """
     parent = list(range(n))
 
@@ -302,12 +303,12 @@ def union_find(n: int) -> tuple:
         parent[rb] = ra
         return True
 
-    return find, union
+    return find, union, parent
 
 
 def connected_components(g: Graph) -> VertexPartition:
     """Connected components as a vertex partition."""
-    find, union = union_find(g.n)
+    find, union, _ = union_find(g.n)
     for u, v, _ in g.edges:
         union(u, v)
     return VertexPartition.from_labels([find(v) for v in range(g.n)], g.n)

@@ -32,14 +32,6 @@ class SplitMix64:
         self._state = (self._state + _GOLDEN) & _MASK
         return mix64(self._state)
 
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs as a uint64 array, as from ``count``
-        calls to next_u64."""
-        out = stream_outputs(np.array([self._state], dtype=np.uint64),
-                             np.arange(count, dtype=np.uint64))[0]
-        self._state = (self._state + count * _GOLDEN) & _MASK
-        return out
-
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
@@ -54,6 +46,9 @@ def stream_outputs(seeds: np.ndarray, steps: np.ndarray) -> np.ndarray:
     seeds = seeds.astype(np.uint64).reshape(-1, 1)
     incr = ((steps.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)).reshape(1, -1)
     z = seeds + incr
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z

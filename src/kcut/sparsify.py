@@ -6,7 +6,8 @@ at most s.  A forest rejects an edge only when its endpoints are already
 joined in that forest, that is when the forest holds another edge at each
 endpoint; the forests are edge-disjoint, so an edge with an endpoint of
 degree <= s is always kept.  When every edge is such an edge, ni_sparsify
-returns its input without building the forests.
+returns its input without building the forests; otherwise they are built in
+one scan of the edges, O(m log s) union-find lookups.
 """
 from __future__ import annotations
 
@@ -22,22 +23,27 @@ def _check_input(g: Graph, s: int) -> None:
 
 def forest_decomposition(g: Graph, s: int) -> list:
     """s edge-disjoint forests; forest i is a maximal spanning forest of g
-    minus forests 1..i-1.  Edges are scanned in sorted order each pass."""
+    minus forests 1..i-1, built as by s passes over the edges in sorted
+    order, but in one scan: each edge joins the first forest that does not
+    already connect its endpoints.  An edge enters forest i+1 only when forest
+    i connects its endpoints, so "connected in forest i+1" implies "connected
+    in forest i", and that first forest is found by binary search."""
     _check_input(g, s)
-    remaining = list(g.edges)
-    forests = []
-    for _ in range(s):
-        _, union = union_find(g.n)
-        taken = []
-        rest = []
-        for u, v, w in remaining:
-            if union(u, v):
-                taken.append((u, v, w))
+    finds, unions, _ = zip(*(union_find(g.n) for _ in range(s)))
+    forests: list = [[] for _ in range(s)]
+    for u, v, w in g.edges:
+        lo, hi = 0, s
+        while lo < hi:
+            mid = (lo + hi) // 2
+            find = finds[mid]
+            if find(u) == find(v):
+                lo = mid + 1
             else:
-                rest.append((u, v, w))
-        forests.append(tuple(taken))
-        remaining = rest
-    return forests
+                hi = mid
+        if lo < s:
+            unions[lo](u, v)
+            forests[lo].append((u, v, w))
+    return [tuple(f) for f in forests]
 
 
 def ni_sparsify(g: Graph, s: int) -> Graph:

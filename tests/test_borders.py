@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcut import (
@@ -23,9 +23,9 @@ from kcut import (
     wilson_lower,
 )
 import kcut.borders
-from kcut.borders import _canonicalize_batch, _labels_batch
-from kcut.generators import cliques_bridge, cycle_graph, gnp_graph, path_graph
-from kcut.graph import VertexPartition, canonical_labels, contract, cut_value
+from kcut.borders import _canonicalize_batch, _clock_prefix, _labels_batch
+from kcut.generators import cliques_bridge, complete_graph, cycle_graph, gnp_graph, path_graph
+from kcut.graph import VertexPartition, canonical_labels, contract, cut_value, union_find
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
 
@@ -40,15 +40,10 @@ def test_splitmix_reproducible():
 def test_stream_outputs_matches_scalar():
     seeds = [0, 1, 42, 2**63]
     outs = stream_outputs(np.array(seeds, dtype=np.uint64), np.arange(8, dtype=np.uint64))
+    assert outs.dtype == np.uint64
     for row, seed in zip(outs, seeds):
         rng = SplitMix64(seed)
         assert [int(x) for x in row] == [rng.next_u64() for _ in range(8)]
-    # take(count) is count next_u64 calls, and the stream continues after it
-    rng, ref = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
-    head = rng.take(5)
-    assert head.dtype == np.uint64
-    assert [int(x) for x in head] == [ref.next_u64() for _ in range(5)]
-    assert rng.next_u64() == ref.next_u64()
 
 
 def test_mix64_deterministic():
@@ -58,17 +53,42 @@ def test_mix64_deterministic():
 
 # ------------------------------------------------------------ contract_random
 
-def test_contract_noop_when_small():
-    g = cycle_graph(6)
-    rng = SplitMix64(0)
-    assert contract_random(g, 10, rng) == tuple(range(6))
+def _seeds(base, count):
+    return np.uint64(base) ^ np.arange(count, dtype=np.uint64)
+
+
+def _contract_scalar(g, tau, rng):
+    """Reference: one trial's map, drawn from ``rng`` one output per edge with
+    next_u64, edges merged in stable-argsort clock order, roots found one
+    vertex at a time.  Nothing is drawn when n <= tau or g has no edges."""
+    find, union, _ = union_find(g.n)
+    nv = g.n
+    if nv > tau and g.edges:
+        edges = g.edge_array
+        draws = np.array([rng.next_u64() for _ in range(len(edges))], dtype=np.uint64)
+        unif = ((draws >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        clock = -np.log(unif) / edges[:, 2]
+        for a, b, _ in edges[np.argsort(clock, kind="stable")].tolist():
+            if union(a, b):
+                nv -= 1
+                if nv <= tau:
+                    break
+    return canonical_labels([find(v) for v in range(g.n)])
+
+
+def test_contract_noop_when_small(monkeypatch):
+    draws = []
+    monkeypatch.setattr(kcut.borders, "stream_outputs", lambda *args: draws.append(args))
+    seeds = _seeds(0, 3)
+    assert contract_random(cycle_graph(6), 10, seeds).tolist() == [list(range(6))] * 3
+    assert contract_random(Graph.from_edges(4, []), 1, seeds).tolist() == [list(range(4))] * 3
     # nothing is drawn when there is nothing to contract
-    assert rng.next_u64() == SplitMix64(0).next_u64()
+    assert draws == []
 
 
 def test_contract_single_edge_to_point():
     g = path_graph(2)
-    cmap = contract_random(g, 1, SplitMix64(0))
+    cmap = tuple(contract_random(g, 1, _seeds(0, 1))[0])
     assert cmap == (0, 0)
     gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
     assert gc.n == 1
@@ -80,23 +100,90 @@ def test_contract_c16_survival_rate():
     # at least at half the classical 1/C(16,2) rate over 10000 trials.
     g = cycle_graph(16)
     labels = tuple(0 if v < 8 else 1 for v in range(16))
-    succ = 0
-    for t in range(10_000):
-        cmap = contract_random(g, 2, SplitMix64(999 ^ t))
-        if cut_survives(cmap, labels):
-            succ += 1
+    cmaps = contract_random(g, 2, _seeds(999, 10_000))
+    assert cmaps.shape == (10_000, 16)
+    succ = sum(cut_survives(tuple(cmap), labels) for cmap in cmaps.tolist())
     assert succ / 10_000 >= 0.5 / math.comb(16, 2)
 
 
 def test_contract_preserves_weight_between_sides():
     g = cycle_graph(16)
-    cmap = contract_random(g, 4, SplitMix64(7))
+    cmap = tuple(contract_random(g, 4, _seeds(7, 1))[0])
     assert cmap == canonical_labels(cmap)
     gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
     assert gc.n == 4
     # contracted total weight equals the weight between super-vertex groups
     expected = sum(w for u, v, w in g.edges if cmap[u] != cmap[v])
     assert gc.total_weight == expected
+
+
+@st.composite
+def weighted_graphs(draw, max_n=40):
+    """Weighted graphs on 0..40 vertices, often disconnected or edgeless."""
+    n = draw(st.integers(0, max_n))
+    v = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(v, v, st.integers(1, 9)), max_size=4 * n))
+    return Graph.from_edges(n, [e for e in edges if e[0] != e[1]])
+
+
+@given(weighted_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_contract_batch_equals_scalar_reference(g, data):
+    tau = data.draw(st.one_of(st.just(1), st.integers(g.n, g.n + 2),
+                              st.integers(1, max(g.n, 1))), label="tau")
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=12), label="seeds")
+    cmaps = contract_random(g, tau, np.array(seeds, dtype=np.uint64))
+    assert cmaps.shape == (len(seeds), g.n)
+    for cmap, seed in zip(cmaps.tolist(), seeds):
+        assert tuple(cmap) == _contract_scalar(g, tau, SplitMix64(seed))
+
+
+def test_contract_continues_past_the_prefix(monkeypatch):
+    # K_30 down to one vertex needs a spanning tree; the first 2*29+16 clock
+    # edges often leave a vertex isolated, so some trials run out of their
+    # sorted prefix and redraw their full clock order.
+    redraws = []
+    clocks = kcut.borders._clocks
+    monkeypatch.setattr(kcut.borders, "_clocks",
+                        lambda seeds, edges: redraws.append(len(seeds)) or clocks(seeds, edges))
+    g = complete_graph(30)
+    seeds = _seeds(17, 100)
+    cmaps = contract_random(g, 1, seeds)
+    # one draw per block of trials, then one per trial that ran out
+    assert sum(r for r in redraws if r > 1) == 100 and 1 in redraws
+    assert cmaps.tolist() == [[0] * 30] * 100
+    for cmap, seed in zip(cmaps.tolist(), seeds.tolist()):
+        assert tuple(cmap) == _contract_scalar(g, 1, SplitMix64(seed))
+    cmaps = contract_random(g, 12, seeds)
+    for cmap, seed in zip(cmaps.tolist(), seeds.tolist()):
+        assert tuple(cmap) == _contract_scalar(g, 12, SplitMix64(seed))
+
+
+def test_contract_blocks_match_one_batch(monkeypatch):
+    # A batch is contracted in blocks of trials whose clocks fit in
+    # _CLOCK_BLOCK; the block size must not change any row.
+    g = gnp_graph(20, 0.5, 3)
+    seeds = _seeds(9, 37)
+    whole = contract_random(g, 5, seeds)
+    for block in (3 * len(g.edges), 1):
+        monkeypatch.setattr(kcut.borders, "_CLOCK_BLOCK", block)
+        assert (contract_random(g, 5, seeds) == whole).all()
+
+
+def test_clock_prefix_breaks_ties_by_edge_index():
+    # Rows whose ties straddle the cut-off must still get the stable order.
+    crafted = np.array([
+        [3.0, 1.0, 2.0, 2.0, 0.5, 2.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        [5.0, 4.0, 3.0, 2.0, 1.0, 0.0],
+        [0.0, -0.0, 2.0, 0.0, 1.0, 3.0],
+        [2.0, 1.0, 1.0, 9.0, 1.0, 0.5],
+    ])
+    random_ties = np.random.default_rng(0).integers(0, 4, (300, 6)).astype(np.float64)
+    for clock in (crafted, random_ties):
+        stable = np.argsort(clock, axis=1, kind="stable")
+        for width in range(1, 8):
+            assert (_clock_prefix(clock, width) == stable[:, :width]).all()
 
 
 def _karger_law(g, tau):
@@ -129,7 +216,7 @@ def test_contract_follows_karger_law(tau):
     law = _karger_law(g, tau)
     assert sum(law.values()) == 1
     trials = 20_000
-    freq = Counter(contract_random(g, tau, SplitMix64(3 ^ t)) for t in range(trials))
+    freq = Counter(map(tuple, contract_random(g, tau, _seeds(3, trials)).tolist()))
     assert set(freq) <= set(law)
     tv = sum(abs(freq[m] / trials - float(p)) for m, p in law.items()) / 2
     assert tv <= 0.03
@@ -227,14 +314,17 @@ def test_all_outputs_valid_cuts():
 def test_fast_path_equals_slow_path(n, tau):
     # The vectorized path must produce exactly the trial-by-trial result of the
     # scalar reference on the same seed ^ t streams: with n <= tau the identity
-    # map, with n > tau contract_random followed by random_s_cut on the rest of
-    # the stream.
+    # map, with n > tau the contract_random row followed by random_s_cut on the
+    # stream after its m clock draws.
     g = gnp_graph(n, 0.5, 6)
     s, trials, seed = 2, 200, 77
     slow = set()
-    for t in range(trials):
+    cmaps = contract_random(g, tau, _seeds(seed, trials)).tolist()
+    for t, cmap in enumerate(cmaps):
         rng = SplitMix64(seed ^ t)
-        cmap = contract_random(g, tau, rng)
+        if n > tau:
+            for _ in g.edges:   # the clock draws
+                rng.next_u64()
         gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
         cut = random_s_cut(gc, s, rng)
         if cut is not None:
@@ -242,8 +332,7 @@ def test_fast_path_equals_slow_path(n, tau):
     params = BorderParams(s=s, beta=1.0, tau=tau, trials=trials, seed=seed)
     assert {c.labels for c in enumerate_borders(g, params)} == slow
     if n <= tau:
-        seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
-        lab, onto = _labels_batch(seeds, 0, g.n, s)
+        lab, onto = _labels_batch(_seeds(seed, trials), 0, g.n, s)
         canon = {tuple(int(x) for x in row) for row in _canonicalize_batch(lab[onto], s)}
         assert canon == slow
 
@@ -279,6 +368,22 @@ def test_single_part_round_is_closed_form(monkeypatch, n, tau):
     assert enumerate_borders(g, params, max_value=0) == [KCut(1, (0,) * n, 0)]
     assert enumerate_borders(g, params, max_value=-1) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
+def test_one_contract_call_per_round(monkeypatch, n, tau):
+    calls = []
+
+    def spy(g, tau, seeds):
+        calls.append(seeds.tolist())
+        return contract_random(g, tau, seeds)
+
+    monkeypatch.setattr(kcut.borders, "contract_random", spy)
+    g = gnp_graph(n, 0.5, 6)
+    for s in (2, 3):
+        enumerate_borders(g, BorderParams(s=s, beta=1.0, tau=tau, trials=300, seed=5))
+    # one batch of every trial's seed per contracted round, none without contraction
+    assert calls == ([[5 ^ t for t in range(300)]] * 2 if n > tau else [])
 
 
 # ------------------------------------------------------------------- wilson

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import kcut.sparsify
 from kcut import Graph, GraphError, connected_components, forest_decomposition, ni_sparsify
 from kcut.generators import complete_graph, cycle_graph, gnp_graph, path_graph
+from kcut.graph import union_find
 
 
 def crossing_set(g, labels):
@@ -42,6 +43,46 @@ def test_forests_edge_disjoint():
         for e in forest:
             assert e not in seen
             seen.add(e)
+
+
+def forests_by_passes(g, s):
+    """Reference: s passes over the remaining edges in sorted order, one
+    fresh union-find per pass."""
+    remaining, forests = list(g.edges), []
+    for _ in range(s):
+        _, union, _ = union_find(g.n)
+        taken, rest = [], []
+        for e in remaining:
+            (taken if union(e[0], e[1]) else rest).append(e)
+        forests.append(tuple(taken))
+        remaining = rest
+    return forests
+
+
+@st.composite
+def simple_graphs(draw, max_n=25):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, [(u, v, 1) for u, v in chosen])
+
+
+@given(st.one_of(simple_graphs(),
+                 st.builds(gnp_graph, st.integers(2, 30), st.sampled_from([0.3, 0.6, 0.9]),
+                           st.integers(0, 10_000))),
+       st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_one_scan_equals_passes_and_nests(g, s):
+    forests = forest_decomposition(g, s)
+    assert forests == forests_by_passes(g, s)
+    # "connected in forest i+1" implies "connected in forest i", and every
+    # edge no forest took is connected in the last forest
+    comps = [connected_components(Graph.from_edges(g.n, f)).to_block_index(g.n) for f in forests]
+    for i in range(s - 1):
+        assert all(comps[i][u] == comps[i][v] for u in range(g.n) for v in range(g.n)
+                   if comps[i + 1][u] == comps[i + 1][v])
+    taken = {e for f in forests for e in f}
+    assert all(comps[-1][u] == comps[-1][v] for u, v, w in g.edges if (u, v, w) not in taken)
 
 
 def test_rejects_non_simple():

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import MAX_WEIGHT, Graph, GraphError, KCut, union_find
-from .rng import SplitMix64, stream_outputs
+from .rng import stream_outputs
 
 
 @dataclass(frozen=True)
@@ -151,36 +151,12 @@ def _contract_block(seeds: np.ndarray, edges: np.ndarray, ends: list,
     return rank.ravel()[head].reshape(-1, n)
 
 
-def random_s_cut(g: Graph, s: int, rng: SplitMix64,
-                 max_attempts: Optional[int] = None) -> Optional[KCut]:
-    """Uniform independent labels in 0..s-1, rejecting vectors that miss a
-    label; None after 100*s^2 failed attempts or when s > n."""
-    if s > g.n:
-        return None
-    if max_attempts is None:
-        max_attempts = 100 * s * s
-    for _ in range(max_attempts):
-        labels = [rng.randrange(s) for _ in range(g.n)]
-        if len(set(labels)) == s:
-            return KCut.from_labels(g, labels, s)
-    return None
-
-
-def cut_survives(cmap: tuple, labels: tuple) -> bool:
-    """True iff no super-vertex mixes two sides of the labeled cut."""
-    seen: dict = {}
-    for v, sup in enumerate(cmap):
-        lab = labels[v]
-        if sup in seen and seen[sup] != lab:
-            return False
-        seen[sup] = lab
-    return True
-
-
 def _labels_batch(seeds: np.ndarray, offset: int, nv: int, s: int) -> tuple:
-    """Vectorized random_s_cut, one stream per row, with the label draws
-    starting at stream output ``offset``.  Returns (labels, onto): rows that
-    never hit an onto labeling are all-(s) sentinel rows with onto False."""
+    """Uniform labels in 0..s-1 of nv vertices, one stream per row, redrawn
+    until they use every label (at most 100*s^2 attempts), with the label
+    draws starting at stream output ``offset``.  Returns (labels, onto): rows
+    that never hit an onto labeling are all-(s) sentinel rows with onto
+    False."""
     rows = np.full((len(seeds), nv), s, dtype=np.int64)
     done = np.zeros(len(seeds), dtype=bool)
     max_attempts = 100 * s * s
@@ -246,25 +222,3 @@ def enumerate_borders(g: Graph, params: BorderParams,
             for row, val in zip(canon.tolist(), values.tolist())]
     cuts.sort(key=lambda c: (c.value, c.labels))
     return cuts
-
-
-def _wilson(successes: int, trials: int, z: float) -> tuple:
-    p = successes / trials
-    denom = 1 + z * z / trials
-    center = p + z * z / (2 * trials)
-    spread = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return (center - spread) / denom, (center + spread) / denom
-
-
-def wilson_lower(successes: int, trials: int, z: float = 1.959963984540054) -> float:
-    """Lower endpoint of the Wilson score interval for a binomial proportion."""
-    if trials == 0:
-        return 0.0
-    return max(0.0, _wilson(successes, trials, z)[0])
-
-
-def wilson_upper(successes: int, trials: int, z: float = 1.959963984540054) -> float:
-    """Upper endpoint of the Wilson score interval for a binomial proportion."""
-    if trials == 0:
-        return 1.0
-    return min(1.0, _wilson(successes, trials, z)[1])

@@ -1,5 +1,5 @@
 """Weighted multigraph substrate: parsing, cut evaluation, contraction,
-union-find, conductance.
+union-find, induced subgraphs.
 
 Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 "multigraph" only ever means integer weights >= 2.  All types are immutable
@@ -7,17 +7,13 @@ after construction and every operation is a pure function.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_WEIGHT = 2**63 - 1
-
-INFINITE_CONDUCTANCE = math.inf
 
 
 class GraphError(ValueError):
@@ -312,27 +308,6 @@ def connected_components(g: Graph) -> VertexPartition:
     for u, v, _ in g.edges:
         union(u, v)
     return VertexPartition.from_labels([find(v) for v in range(g.n)], g.n)
-
-
-def conductance(g: Graph, s: Iterable[int]):
-    """Boundary weight over min side volume; INFINITE_CONDUCTANCE if both sides
-    have zero volume (then the boundary is necessarily empty)."""
-    sset = set(s)
-    if not sset or len(sset) >= g.n:
-        raise GraphError("conductance needs a proper nonempty vertex subset")
-    boundary = 0
-    vol_s = 0
-    deg = g.degrees
-    for v in sset:
-        vol_s += deg[v]
-    for u, v, w in g.edges:
-        if (u in sset) != (v in sset):
-            boundary += w
-    vol_rest = 2 * g.total_weight - vol_s
-    denom = min(vol_s, vol_rest)
-    if denom == 0:
-        return INFINITE_CONDUCTANCE
-    return Fraction(boundary, denom)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple:

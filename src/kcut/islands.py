@@ -35,15 +35,6 @@ STRASSEN_THRESHOLD = 256
 _STRASSEN_BASE = 64
 
 
-def matmul_cubic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product, classical algorithm."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def matmul_strassen(a: np.ndarray, b: np.ndarray, base: int = _STRASSEN_BASE) -> np.ndarray:
     """Exact integer product via Strassen recursion; bit-identical to cubic."""
     a = np.asarray(a, dtype=np.int64)

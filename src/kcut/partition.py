@@ -4,30 +4,45 @@ Pipeline: forest sparsification -> degree regularization -> expander
 decomposition -> trimming -> shaving -> shattering.  The surviving cores
 plus all singletons form the partition whose contraction the border-finder
 operates on.
+
+After sparsification every stage works on one dense int64 weight matrix
+(that of the sparsified graph, then its regularized principal submatrix)
+and on vertex index arrays; no stage builds a ``Graph``.  A vertex's
+weight into its cluster is a row sum over a cluster mask, updated by one
+matrix row per removal.  The decomposition splits blocks on an explicit
+stack, finding components by a frontier search over the block's submatrix.
+Blocks of at most 16 vertices are split at their exact minimum-conductance
+subset.  Its enumeration is meet-in-the-middle: the vertices split into a
+low half (holding vertex 0) and a high half; every half-subset's volume and
+boundary come from small matrix products with a table of subset bits, and
+the weight between the two halves' subsets is tabulated by doubling over
+the high half.  The (high subset, low subset) grid is in ascending
+subset-mask order, and its sums are exact int64 arithmetic.  Larger blocks
+take the best prefix of the Fiedler-vector order, from cumulative sums over
+the permuted matrix.  The final check re-runs the exact enumeration on
+every block of at most 16 vertices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    GraphError,
-    KCut,
-    VertexPartition,
-    canonical_labels,
-    connected_components,
-    induced_subgraph,
-    weight_matrix,
-)
+from .graph import Graph, GraphError, VertexPartition, weight_matrix
 from .sparsify import ni_sparsify
 
 EXACT_CONDUCTANCE_LIMIT = 16
 DECOMPOSITION_EDGE_CONST = 10
+# Below this total weight, distinct ratios p/q with p, q <= total differ by
+# a relative 1/total^2 > 2^-50 at least, so their float64 quotients are
+# distinct and in the same order: a float argmin is the exact first minimum.
+_FLOAT_EXACT_TOTAL = 1 << 25
+# Blocks up to this size are enumerated from one subset table; above it the
+# subsets split into two halves (one table grows as 2^n * n^2 work).
+_ONE_TABLE_LIMIT = 8
 
 
 class KTInvariantError(GraphError):
@@ -64,75 +79,133 @@ def regularize_threshold(k: int, lambda_bar: int) -> Fraction:
     return Fraction(lambda_bar, 2 * (k - 1))
 
 
-def regularize(g: Graph, k: int, lambda_bar: int) -> tuple:
-    """Repeatedly delete vertices of degree below lambda_bar/(2(k-1)).
+def regularize(w: np.ndarray, k: int, lambda_bar: int) -> tuple:
+    """Repeatedly delete the lowest-id vertex of degree below
+    lambda_bar/(2(k-1)) from the simple graph with weight matrix ``w``.
 
-    Returns (remaining graph, removed original ids in removal order,
-    new-id -> old-id map).  Raises if >= k vertices would be removed, which
-    would certify lambda_bar below the true optimum.
+    Returns (weight matrix of the remaining graph, removed ids in removal
+    order, array mapping remaining ids to ids of ``w``).  Raises if >= k
+    vertices would be removed, which would certify lambda_bar below the
+    true optimum.
     """
-    if not g.simple:
+    if (w > 1).any():
         raise GraphError("regularization is defined for simple graphs")
-    thr = regularize_threshold(k, lambda_bar)
-    deg = list(g.degrees)
-    alive = [True] * g.n
+    deg = w.sum(axis=1)
+    alive = np.ones(len(w), dtype=bool)
     removed = []
-    adj = g.adjacency
     while True:
-        victim = None
-        for v in range(g.n):
-            if alive[v] and deg[v] < thr:
-                victim = v
-                break
-        if victim is None:
+        low = np.flatnonzero(alive & (deg * (2 * (k - 1)) < lambda_bar))
+        if len(low) == 0:
             break
+        victim = int(low[0])
         removed.append(victim)
         if len(removed) >= k:
             raise KTInvariantError(
                 f"regularization removed {len(removed)} vertices; "
                 f"approximation value {lambda_bar} cannot be valid")
         alive[victim] = False
-        for u, w in adj[victim]:
-            if alive[u]:
-                deg[u] -= w
-    keep = [v for v in range(g.n) if alive[v]]
-    sub, back = induced_subgraph(g, keep)
-    return sub, removed, back
+        deg -= w[victim]
+    keep = np.flatnonzero(alive)
+    return w[keep[:, None], keep], removed, keep
+
+
+@lru_cache(maxsize=None)
+def _subset_bits(m: int) -> np.ndarray:
+    """(2^m, m) int64 table whose row i holds the bits of i, lowest first."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """(n, n) int64 mask of the entries above the diagonal (n <= 16)."""
+    mask = np.triu(np.ones((n, n), dtype=np.int64), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _first_min_ratio(num: np.ndarray, den: np.ndarray, total: int):
+    """Index of the first exact minimum of num/den over the entries with
+    den > 0, where num, den <= total; None when every den is 0."""
+    q = np.divide(num, den, out=np.full(len(num), math.inf), where=den > 0)
+    i = int(q.argmin())
+    if q[i] == math.inf:
+        return None
+    if total >= _FLOAT_EXACT_TOTAL:
+        # Distinct ratios may round together: settle the near-ties exactly.
+        near = np.flatnonzero(q <= q[i] * (1 + 2.0**-48)).tolist()
+        i = min(near, key=lambda j: (Fraction(int(num[j]), int(den[j])), j))
+    return i
+
+
+def _min_side_volumes(vol: np.ndarray, total: int) -> np.ndarray:
+    """min(vol S, 2*total - vol S) for int64 subset volumes that may have
+    wrapped: the true volumes are at most 2*total < 2^64, so they are exact
+    as uint64, and the minimum is at most total."""
+    vol = vol.view(np.uint64)
+    other = np.subtract(2 * total, vol)
+    np.minimum(vol, other, out=other)
+    return other.view(np.int64)
+
+
+def _min_conductance(w: np.ndarray) -> tuple:
+    """Exact minimum-conductance proper subset of the graph with weight
+    matrix ``w`` (2 <= n <= 16): (Fraction or inf, sorted index array).
+
+    Enumerates the subsets holding vertex 0 (conductance is complement-
+    symmetric).  Above ``_ONE_TABLE_LIMIT`` vertices they form a (high
+    subset, low subset) grid whose ravel order is ascending subset-mask
+    order, so either way ties go to the smallest mask.  Sums are int64 and
+    may wrap for huge weights; every quantity read from them is at most the
+    total weight, hence exact.
+    """
+    n = len(w)
+    a = n if n <= _ONE_TABLE_LIMIT else (n + 1) // 2
+    low = _subset_bits(a)[1::2]           # subsets of 0..a-1 holding 0
+    deg = w.sum(axis=1)
+    upper = w * _strict_upper(n)          # every edge once
+    total = int(upper.sum())
+    vol = low @ deg[:a]
+    bd = vol - 2 * ((low @ upper[:a, :a]) * low).sum(axis=1)
+    if a < n:
+        high = _subset_bits(n - a)        # subsets of a..n-1
+        # Row h: boundary of (high subset h) + (low subset l) for every l,
+        # less the high subset's own boundary, built one high vertex at a
+        # time: rows 2^i..2^(i+1)-1 are rows 0..2^i-1 less twice the weight
+        # from vertex a+i into the low subset.
+        grid = np.empty((len(high), len(low)), dtype=np.int64)
+        grid[0] = bd
+        for i, row in enumerate((low @ w[:a, a:]).T * -2):
+            np.add(grid[:1 << i], row, out=grid[1 << i:2 << i])
+        vol_high = high @ deg[a:]
+        grid += (vol_high - 2 * ((high @ upper[a:, a:]) * high).sum(axis=1))[:, None]
+        bd = grid.ravel()
+        vol = np.add(vol, vol_high[:, None]).ravel()
+    denom = _min_side_volumes(vol, total)
+    i = _first_min_ratio(bd, denom, total)
+    if i is None:
+        # Edgeless: every subset has zero volume on some side and no boundary.
+        return math.inf, np.zeros(1, dtype=np.int64)
+    h, l = divmod(i, len(low))
+    side = low[l].nonzero()[0]
+    if h:
+        side = np.concatenate([side, a + _subset_bits(n - a)[h].nonzero()[0]])
+    return Fraction(int(bd[i]), int(denom[i])), side
 
 
 def min_conductance_subset(g: Graph) -> tuple:
     """Exact minimum-conductance proper subset by enumeration (n <= 16).
 
-    Returns (conductance as Fraction or inf, vertex tuple).  Vectorized over
-    all subsets containing vertex 0 (conductance is complement-symmetric).
+    Returns (conductance as Fraction or inf, vertex tuple): the first
+    minimal subset holding vertex 0, in ascending bit-mask order.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise GraphError("conductance needs at least 2 vertices")
-    if n > EXACT_CONDUCTANCE_LIMIT:
+    if g.n > EXACT_CONDUCTANCE_LIMIT:
         raise GraphError(f"exact conductance limited to n <= {EXACT_CONDUCTANCE_LIMIT}")
-    masks = np.arange(1, 1 << n, 2, dtype=np.int64)  # bit 0 set
-    masks = masks[masks != (1 << n) - 1]
-    deg = np.array(g.degrees, dtype=np.int64)
-    vol = np.zeros(len(masks), dtype=np.int64)
-    for v in range(n):
-        vol += deg[v] * ((masks >> v) & 1)
-    boundary = np.zeros(len(masks), dtype=np.int64)
-    for u, v, w in g.edges:
-        boundary += w * (((masks >> u) ^ (masks >> v)) & 1)
-    total = int(2 * g.total_weight)
-    denom = np.minimum(vol, total - vol)
-    finite = denom > 0
-    if not finite.any():
-        # Edgeless: every subset has zero volume on some side and no boundary.
-        return math.inf, (0,)
-    cond = np.where(finite, boundary / np.maximum(denom, 1), np.inf)
-    idx = int(np.argmin(cond))
-    mask = int(masks[idx])
-    subset = tuple(v for v in range(n) if (mask >> v) & 1)
-    if not finite[idx]:
-        return math.inf, subset
-    return Fraction(int(boundary[idx]), int(denom[idx])), subset
+    cond, side = _min_conductance(weight_matrix(g))
+    return cond, tuple(side.tolist())
 
 
 def is_expander(g: Graph, gamma: Fraction) -> bool:
@@ -143,128 +216,146 @@ def is_expander(g: Graph, gamma: Fraction) -> bool:
     return cond >= gamma
 
 
-def _fiedler_sweep(g: Graph) -> tuple:
-    """Best prefix cut of the Fiedler-vector order; returns (conductance, subset)."""
-    n = g.n
-    deg = np.array(g.degrees, dtype=np.float64)
-    a = weight_matrix(g).astype(np.float64)
-    dinv = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-    lap = np.eye(n) - (a * dinv).T * dinv
-    vals, vecs = np.linalg.eigh(lap)
-    fiedler = vecs[:, 1] * dinv
-    order = sorted(range(n), key=lambda v: (fiedler[v], v))
-    adj = g.adjacency
-    in_s = [False] * n
-    vol = 0
-    boundary = 0
-    total = 2 * g.total_weight
-    best = None
-    for j, v in enumerate(order[:-1]):
-        in_s[v] = True
-        to_s = sum(w for u, w in adj[v] if in_s[u])
-        vol += g.degrees[v]
-        boundary += g.degrees[v] - 2 * to_s
-        denom = min(vol, total - vol)
-        if denom <= 0:
-            continue
-        cond = Fraction(boundary, denom)
-        if best is None or cond < best[0]:
-            best = (cond, j)
-    if best is None:
-        return math.inf, tuple(order[:1])
-    return best[0], tuple(sorted(order[: best[1] + 1]))
+def _fiedler_sweep(w: np.ndarray) -> tuple:
+    """Best prefix cut of the Fiedler-vector order of the graph with weight
+    matrix ``w``; returns (conductance, sorted index array)."""
+    n = len(w)
+    deg = w.sum(axis=1)
+    dinv = 1.0 / np.sqrt(np.maximum(deg.astype(np.float64), 1e-12))
+    lap = np.eye(n) - (w.astype(np.float64) * dinv).T * dinv
+    _, vecs = np.linalg.eigh(lap)
+    order = np.argsort(vecs[:, 1] * dinv, kind="stable")
+    # Prefix j holds order[:j+1]; row j of the permuted matrix below the
+    # diagonal is the weight from order[j] into the prefix before it.
+    lower = np.tril(w[order[:, None], order], -1).sum(axis=1)
+    vol = np.cumsum(deg[order])[:-1]
+    total = int(deg.sum(dtype=np.uint64)) // 2
+    denom = _min_side_volumes(vol, total)
+    bd = vol - 2 * np.cumsum(lower)[:-1]
+    j = _first_min_ratio(bd, denom, total)
+    if j is None:
+        return math.inf, order[:1]
+    return Fraction(int(bd[j]), int(denom[j])), np.sort(order[:j + 1])
 
 
-def expander_decompose(g: Graph, gamma: Fraction) -> VertexPartition:
-    """Recursive low-conductance-cut splitting.
+def _components(w: np.ndarray) -> list:
+    """Connected components of the graph with weight matrix ``w`` as sorted
+    index arrays, ordered by smallest member; a frontier search that grows
+    the reached set by one matrix-vector product per step."""
+    step = w.astype(np.float64)
+    np.fill_diagonal(step, 1.0)
+    unseen = np.ones(len(w), dtype=bool)
+    comps = []
+    while unseen.any():
+        reach = np.zeros(len(w))
+        reach[unseen.argmax()] = 1.0
+        size = 1
+        while True:
+            reach = (reach @ step > 0).astype(np.float64)
+            grown = int(reach.sum())
+            if grown == size:
+                break
+            size = grown
+        comps.append(reach.nonzero()[0])
+        unseen[comps[-1]] = False
+    return comps
+
+
+def expander_decompose(g, gamma: Fraction) -> VertexPartition:
+    """Low-conductance-cut splitting of a Graph or of its weight matrix.
 
     Blocks of size <= 16 are certified gamma-expanders exactly; larger
-    blocks stop when the spectral sweep finds no cut below gamma.
+    blocks stop when the spectral sweep finds no cut below gamma.  Blocks
+    are split depth-first on an explicit stack: each component, then each
+    side of a cut, in the order the recursive definition visits them.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    w = weight_matrix(g) if isinstance(g, Graph) else g
     blocks = []
-
-    def recurse(vertices: list) -> None:
-        if len(vertices) == 1:
-            blocks.append(tuple(vertices))
-            return
-        sub, back = induced_subgraph(g, vertices)
-        comps = connected_components(sub)
-        if len(comps.blocks) > 1:
-            for comp in comps.blocks:
-                recurse([back[v] for v in comp])
-            return
-        if sub.n <= EXACT_CONDUCTANCE_LIMIT:
-            cond, subset = min_conductance_subset(sub)
-        else:
-            cond, subset = _fiedler_sweep(sub)
+    # (block, known to be connected): a component needs no second search.
+    stack = [(np.arange(len(w)), False)] if len(w) else []
+    while stack:
+        idx, connected = stack.pop()
+        if len(idx) == 1:
+            blocks.append(idx.tolist())
+            continue
+        sub = w[idx[:, None], idx]
+        small = len(idx) <= EXACT_CONDUCTANCE_LIMIT
+        if small:
+            cond, side = _min_conductance(sub)
+            # Without isolated vertices a zero-boundary proper subset has
+            # volume on both sides, so the block is connected iff cond > 0.
+            connected = connected or (cond > 0 and bool(sub.any(axis=1).all()))
+        if not connected:
+            comps = _components(sub)
+            if len(comps) > 1:
+                stack.extend((idx[c], True) for c in reversed(comps))
+                continue
+        if not small:
+            cond, side = _fiedler_sweep(sub)
         if cond < gamma:
-            side = set(subset)
-            recurse([back[v] for v in range(sub.n) if v in side])
-            recurse([back[v] for v in range(sub.n) if v not in side])
+            rest = np.ones(len(idx), dtype=bool)
+            rest[side] = False
+            stack += [(idx[rest], False), (idx[side], False)]
         else:
-            blocks.append(tuple(sorted(vertices)))
-
-    for comp in connected_components(g).blocks:
-        recurse(list(comp))
-    return VertexPartition.from_blocks(blocks, g.n)
+            blocks.append(idx.tolist())
+    return VertexPartition.from_blocks(blocks, len(w))
 
 
-def trim(g: Graph, state: ClusterState) -> ClusterState:
+def _cluster_labels(n: int, clusters: list) -> np.ndarray:
+    """Per-vertex cluster index, -1 outside every cluster."""
+    lab = np.full(n, -1)
+    lab[[v for c in clusters for v in c]] = np.repeat(
+        np.arange(len(clusters)), [len(c) for c in clusters])
+    return lab
+
+
+def _weight_inside(w: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Each vertex's weight into its own cluster: row sums of ``w`` over the
+    same-label mask (meaningless where lab is -1)."""
+    return np.where(lab[:, None] == lab, w, 0).sum(axis=1)
+
+
+def trim(w: np.ndarray, state: ClusterState) -> ClusterState:
     """Move vertices keeping at most 2/5 of their degree inside their cluster
-    to the singleton set, lowest id first, until a fixpoint."""
-    deg = g.degrees
-    adj = g.adjacency
-    clusters = [set(c) for c in state.clusters]
-    singles = set(state.singletons)
-    internal = []
-    for c in clusters:
-        internal.append({v: sum(w for u, w in adj[v] if u in c) for v in c})
-    changed = True
-    while changed:
-        changed = False
-        victim = None
-        for ci, c in enumerate(clusters):
-            for v in sorted(c):
-                if internal[ci][v] * 5 <= 2 * deg[v]:
-                    if victim is None or v < victim[1]:
-                        victim = (ci, v)
-                    break
-        if victim is not None:
-            ci, v = victim
-            clusters[ci].discard(v)
-            del internal[ci][v]
-            for u, w in adj[v]:
-                if u in clusters[ci]:
-                    internal[ci][u] -= w
-            singles.add(v)
-            changed = True
+    to the singleton set until a fixpoint.
+
+    A removal only lowers the others' weight inside their clusters, so the
+    fixpoint (in each cluster, the largest subset in which every vertex keeps
+    more than 2/5) does not depend on the order: one removal lowest id first,
+    as the definition reads, or, as here, every failing vertex per round.
+    """
+    deg = w.sum(axis=1)
+    lab = _cluster_labels(len(w), state.clusters)
+    inside = _weight_inside(w, lab)
+    while True:
+        out = ((lab >= 0) & (inside * 5 <= 2 * deg)).nonzero()[0]
+        if len(out) == 0:
+            break
+        inside -= np.where(lab[out, None] == lab, w[out], 0).sum(axis=0)
+        lab[out] = -1
+    labels = lab.tolist()
     return ClusterState(
-        clusters=[sorted(c) for c in clusters],
-        singletons=singles,
+        clusters=[sorted(v for v in c if labels[v] == i)
+                  for i, c in enumerate(state.clusters)],
+        singletons=set(state.singletons).union(
+            v for i, c in enumerate(state.clusters) for v in c if labels[v] != i),
         cores=list(state.cores),
     )
 
 
-def shave(g: Graph, state: ClusterState, epsilon: float) -> ClusterState:
+def shave(w: np.ndarray, state: ClusterState, epsilon: float) -> ClusterState:
     """One simultaneous pass: vertices losing at least an epsilon fraction of
     their degree outside their cluster move to the singletons; the remainder
     of each cluster becomes its core."""
-    deg = g.degrees
-    adj = g.adjacency
+    inside = _weight_inside(w, _cluster_labels(len(w), state.clusters))
+    keep = (inside > (1.0 - epsilon) * w.sum(axis=1)).tolist()
     singles = set(state.singletons)
     cores = []
     for c in state.clusters:
-        cset = set(c)
-        core = []
-        for v in c:
-            internal = sum(w for u, w in adj[v] if u in cset)
-            if internal <= (1.0 - epsilon) * deg[v]:
-                singles.add(v)
-            else:
-                core.append(v)
-        cores.append(core)
+        cores.append([v for v in c if keep[v]])
+        singles.update(v for v in c if not keep[v])
     return ClusterState(clusters=list(state.clusters), singletons=singles, cores=cores)
 
 
@@ -281,22 +372,18 @@ def shatter(state: ClusterState, k: int) -> ClusterState:
     return ClusterState(clusters=list(state.clusters), singletons=singles, cores=cores)
 
 
-def _validate_state(h: Graph, post_trim: ClusterState, post_shave: ClusterState,
+def _validate_state(w: np.ndarray, post_trim: ClusterState, post_shave: ClusterState,
                     post_shatter: ClusterState, params: KTParams) -> None:
-    deg = h.degrees
-    adj = h.adjacency
-    for c in post_trim.clusters:
-        cset = set(c)
-        for v in c:
-            internal = sum(w for u, w in adj[v] if u in cset)
-            if internal * 5 <= 2 * deg[v]:
-                raise KTInvariantError(f"trim fixpoint violated at vertex {v}")
-    for core, cluster in zip(post_shave.cores, post_shave.clusters):
-        cset = set(cluster)
-        for v in core:
-            internal = sum(w for u, w in adj[v] if u in cset)
-            if internal <= (1.0 - params.epsilon) * deg[v]:
-                raise KTInvariantError(f"shave condition violated at vertex {v}")
+    deg = w.sum(axis=1)
+    lab = _cluster_labels(len(w), post_trim.clusters)
+    bad = np.flatnonzero((lab >= 0) & (_weight_inside(w, lab) * 5 <= 2 * deg))
+    if len(bad):
+        raise KTInvariantError(f"trim fixpoint violated at vertex {bad[0]}")
+    inside = _weight_inside(w, _cluster_labels(len(w), post_shave.clusters))
+    in_core = _cluster_labels(len(w), post_shave.cores) >= 0
+    bad = np.flatnonzero(in_core & (inside <= (1.0 - params.epsilon) * deg))
+    if len(bad):
+        raise KTInvariantError(f"shave condition violated at vertex {bad[0]}")
     for core in post_shatter.cores:
         if 0 < len(core) <= params.k:
             raise KTInvariantError("shatter left a small core alive")
@@ -309,28 +396,29 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
     if lambda_bar < 1:
         raise ValueError("lambda_bar must be >= 1 (zero-cut inputs exit earlier)")
     h = ni_sparsify(g, lambda_bar)
-    hr, removed, back = regularize(h, k, lambda_bar)
-    if hr.n <= 1:
+    wr, removed, back = regularize(weight_matrix(h), k, lambda_bar)
+    if len(wr) <= 1:
         blocks = [(v,) for v in removed]
-        if hr.n == 1:
-            blocks.append(tuple(back))
+        if len(wr) == 1:
+            blocks.append(tuple(back.tolist()))
         partition = VertexPartition.from_blocks(blocks, g.n)
         report = _report(partition, removed, 0, 0, 0, 0, KTParams.derive(2, k, 1))
         return partition, report
-    delta = hr.min_degree()
-    params = KTParams.derive(hr.n, k, delta)
-    decomp = expander_decompose(hr, params.gamma)
+    delta = int(wr.sum(axis=1).min())
+    params = KTParams.derive(len(wr), k, delta)
+    decomp = expander_decompose(wr, params.gamma)
     state0 = ClusterState(clusters=[list(b) for b in decomp.blocks], singletons=set())
-    state1 = trim(hr, state0)
+    state1 = trim(wr, state0)
     trimmed = len(state1.singletons)
-    state2 = shave(hr, state1, params.epsilon)
+    state2 = shave(wr, state1, params.epsilon)
     shaved = len(state2.singletons) - trimmed
     state3 = shatter(state2, k)
     shattered = len(state3.singletons) - trimmed - shaved
 
-    _validate_state(hr, state1, state2, state3, params)
-    _validate_decomposition(hr, decomp, params.gamma)
+    _validate_state(wr, state1, state2, state3, params)
+    _validate_decomposition(wr, decomp, params.gamma)
 
+    back = back.tolist()
     blocks = [tuple(back[v] for v in core) for core in state3.cores if core]
     blocks += [(back[v],) for v in sorted(state3.singletons)]
     blocks += [(v,) for v in removed]
@@ -353,13 +441,14 @@ def _report(partition, removed, clusters, trimmed, shaved, shattered, params) ->
     }
 
 
-def _validate_decomposition(h: Graph, decomp: VertexPartition, gamma: Fraction) -> None:
-    inter = 0
-    index = decomp.to_block_index(h.n)
-    for u, v, w in h.edges:
-        if index[u] != index[v]:
-            inter += w
-    m = h.total_weight
+def _validate_decomposition(w: np.ndarray, decomp: VertexPartition, gamma: Fraction) -> None:
+    """Re-check the decomposition independently: the weight it cuts against
+    the edge budget, and every block of at most 16 vertices by exact
+    enumeration on its submatrix."""
+    index = np.array(decomp.to_block_index(len(w)))
+    upper = np.triu(w)
+    inter = int(upper[index[:, None] != index].sum())
+    m = int(upper.sum())
     if m >= 2:
         budget = DECOMPOSITION_EDGE_CONST * float(gamma) * m * math.log2(m)
         if inter > budget:
@@ -367,58 +456,7 @@ def _validate_decomposition(h: Graph, decomp: VertexPartition, gamma: Fraction) 
                 f"decomposition cut {inter} edges, budget {budget:.2f}")
     for block in decomp.blocks:
         if 1 < len(block) <= EXACT_CONDUCTANCE_LIMIT:
-            sub, _ = induced_subgraph(h, block)
-            if not is_expander(sub, gamma):
+            b = np.array(block)
+            cond, _ = _min_conductance(w[b[:, None], b])
+            if cond < gamma:
                 raise KTInvariantError(f"block {block} is not a {gamma}-expander")
-
-
-@dataclass(frozen=True)
-class Border:
-    """A (k-|I|)-cut plus the bookkeeping of which singletons merged where."""
-
-    base_cut: KCut
-    merged: tuple        # ((island vertex, host part id), ...) sorted
-    islands: tuple       # sorted island vertices
-
-    def reconstruct_kcut(self, g: Graph) -> KCut:
-        """Re-single every merged island; recovers the original k-cut."""
-        labels = list(self.base_cut.labels)
-        next_label = self.base_cut.k
-        for v, _host in self.merged:
-            labels[v] = next_label
-            next_label += 1
-        return KCut.from_labels(g, labels, next_label)
-
-
-def borders_of_cut(g: Graph, cut: KCut):
-    """Enumerate every border (I, sigma) of a k-cut.
-
-    Yields Border objects; I ranges over subsets of the singleton parts and
-    sigma over maps from I to the non-singleton parts.
-    """
-    parts = cut.parts()
-    singleton_parts = [i for i, p in enumerate(parts) if len(p) == 1]
-    host_parts = [i for i, p in enumerate(parts) if len(p) >= 2]
-    for size in range(len(singleton_parts) + 1):
-        for chosen in combinations(singleton_parts, size):
-            if size > 0 and not host_parts:
-                continue
-            for hosts in product(host_parts, repeat=size):
-                labels = list(cut.labels)
-                for part, host in zip(chosen, hosts):
-                    v = parts[part][0]
-                    labels[v] = host
-                merged = tuple(sorted((parts[p][0], h) for p, h in zip(chosen, hosts)))
-                islands = tuple(sorted(parts[p][0] for p in chosen))
-                base = KCut.from_labels(g, canonical_labels(labels), cut.k - size)
-                yield Border(base_cut=base, merged=merged, islands=islands)
-
-
-def border_agrees(g: Graph, border: Border, partition: VertexPartition) -> bool:
-    """True iff every crossing edge of the border runs between distinct blocks."""
-    index = partition.to_block_index(g.n)
-    labels = border.base_cut.labels
-    for u, v, _ in g.edges:
-        if labels[u] != labels[v] and index[u] == index[v]:
-            return False
-    return True

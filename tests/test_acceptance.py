@@ -14,7 +14,6 @@ from kcut import (
     brute_force_min_kcut,
     brute_force_r_island,
     certified_min_kcut,
-    cut_survives,
     contract_random,
     kt_partition,
     min_kcut,
@@ -23,13 +22,13 @@ from kcut import (
     solve_r_island,
     sv_2approx,
 )
-from kcut.borders import wilson_upper
 from kcut.borders import tau_for
 from kcut.generators import cliques_bridge, cycle_graph, gnp_graph
-from kcut.islands import matmul_cubic, matmul_strassen
-from kcut.partition import border_agrees, borders_of_cut
+from kcut.islands import matmul_strassen
 from kcut.pipeline import PipelineConfig
 from kcut.suites import get_suite
+
+from helpers import border_agrees, borders_of_cut, cut_survives, matmul_cubic, wilson_upper
 
 
 def _report(num, name, ok, detail, elapsed, budget):

@@ -15,18 +15,17 @@ from kcut import (
     KCut,
     brute_force_min_kcut,
     contract_random,
-    cut_survives,
     default_trials,
     enumerate_borders,
-    random_s_cut,
     tau_for,
-    wilson_lower,
 )
 import kcut.borders
 from kcut.borders import _canonicalize_batch, _clock_prefix, _labels_batch
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, gnp_graph, path_graph
 from kcut.graph import VertexPartition, canonical_labels, contract, cut_value, union_find
 from kcut.rng import SplitMix64, mix64, stream_outputs
+
+from helpers import cut_survives, random_s_cut, wilson_lower
 
 
 # --------------------------------------------------------------------- rng

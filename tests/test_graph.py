@@ -14,7 +14,6 @@ from kcut import (
     ParseError,
     VertexPartition,
     canonical_labels,
-    conductance,
     connected_components,
     contract,
     cut_value,
@@ -23,6 +22,8 @@ from kcut import (
     parse_graph,
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_graph
+
+from helpers import conductance
 
 
 # ---------------------------------------------------------------- strategies

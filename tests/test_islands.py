@@ -24,7 +24,9 @@ from kcut.generators import (
 )
 import kcut.islands
 from kcut.graph import weight_matrix
-from kcut.islands import STRASSEN_THRESHOLD, _island_candidates, matmul_cubic, matmul_strassen
+from kcut.islands import STRASSEN_THRESHOLD, _island_candidates, matmul_strassen
+
+from helpers import matmul_cubic
 
 
 # -------------------------------------------------------------------- matmul

@@ -1,14 +1,19 @@
 """Partitioning stages: regularize, expander decompose, trim, shave, shatter."""
+import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
     Graph,
+    GraphError,
     KCut,
     KTInvariantError,
-    border_agrees,
-    borders_of_cut,
     expander_decompose,
     is_expander,
     kt_partition,
@@ -19,8 +24,13 @@ from kcut import (
     sv_2approx,
     trim,
 )
-from kcut.generators import cliques_bridge, complete_graph, cycle_graph, star_graph
+from kcut.generators import (cliques_bridge, complete_graph, cycle_graph, gnp_graph,
+                             planted_instance, star_graph)
+from kcut.graph import MAX_WEIGHT, weight_matrix
 from kcut.partition import ClusterState, KTParams, regularize_threshold
+
+import partition_reference
+from helpers import border_agrees, borders_of_cut, conductance
 
 
 def two_k8_bridge():
@@ -42,23 +52,24 @@ def test_params_derivation():
 
 def test_regularize_high_degree_unchanged():
     g = complete_graph(6)
-    sub, removed, back = regularize(g, 2, 3)
+    sub, removed, back = regularize(weight_matrix(g), 2, 3)
     assert removed == []
-    assert sub == g
+    assert np.array_equal(sub, weight_matrix(g))
+    assert back.tolist() == list(range(6))
 
 
 def test_regularize_star_unchanged():
     g = star_graph(9)
-    sub, removed, _ = regularize(g, 2, 1)  # threshold 1/2, all degrees >= 1
+    sub, removed, _ = regularize(weight_matrix(g), 2, 1)  # threshold 1/2, all degrees >= 1
     assert removed == []
-    assert sub.n == 10
+    assert len(sub) == 10
 
 
 def test_regularize_two_k6_bridge():
     g = cliques_bridge(6, 2, 1)
-    sub, removed, _ = regularize(g, 2, 2)  # threshold 1, no degree < 1
+    sub, removed, _ = regularize(weight_matrix(g), 2, 2)  # threshold 1, no degree < 1
     assert removed == []
-    assert sub.n == g.n
+    assert len(sub) == g.n
 
 
 def test_regularize_removes_low_degree():
@@ -66,15 +77,16 @@ def test_regularize_removes_low_degree():
     # then the newly exposed chain vertex
     g = Graph.from_edges(8, [(u, v) for u in range(6) for v in range(u + 1, 6)]
                          + [(5, 6), (6, 7)])
-    sub, removed, back = regularize(g, 3, 6)
+    sub, removed, back = regularize(weight_matrix(g), 3, 6)
     assert removed == [7, 6]
-    assert sub.n == 6
+    assert len(sub) == 6
+    assert back.tolist() == list(range(6))
 
 
 def test_regularize_error_at_k_removals():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(KTInvariantError):
-        regularize(g, 2, 100)
+        regularize(weight_matrix(g), 2, 100)
 
 
 # ------------------------------------------------------------- conductance
@@ -83,6 +95,57 @@ def test_k8_exact_min_conductance():
     cond, subset = min_conductance_subset(complete_graph(8))
     assert cond == Fraction(16, 28)  # balanced bisection: 16 crossing, vol 28
     assert len(subset) == 4
+
+
+def _first_min_conductance(g):
+    """(conductance, subset) of the first minimal proper subset holding
+    vertex 0 in ascending bit-mask order, one exact Fraction per subset."""
+    best = None
+    for mask in range(1, (1 << g.n) - 1, 2):
+        subset = tuple(v for v in range(g.n) if mask >> v & 1)
+        cond = conductance(g, subset)
+        if best is None or cond < best[0]:
+            best = (cond, subset)
+    return best if best[0] != math.inf else (math.inf, (0,))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Random graphs on 2..12 vertices, often disconnected or edgeless, with
+    weights up to 3, up to 2^40, or up to the most that keeps the total
+    weight in int64."""
+    n = draw(st.integers(2, 12))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    cap = draw(st.sampled_from([3, 2**40, MAX_WEIGHT // len(pairs)]))
+    weights = draw(st.lists(st.integers(1, cap), min_size=len(chosen), max_size=len(chosen)))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
+@given(weighted_graphs())
+@settings(max_examples=150, deadline=None)
+def test_min_conductance_matches_fraction_reference(g):
+    assert min_conductance_subset(g) == _first_min_conductance(g)
+
+
+def test_min_conductance_exact_where_float_ratios_collide():
+    # {0,1} and {0,2} have conductances within 2^-58 of each other: one
+    # double, but {0,2} is smaller.  A float argmin would return {0,1}.
+    b = 2**58
+    g = Graph.from_edges(4, [(0, 1, b), (0, 2, b + 3), (0, 3, b), (1, 2, b + 2),
+                             (1, 3, b + 1), (2, 3, b)])
+    assert min_conductance_subset(g) == _first_min_conductance(g)
+    assert min_conductance_subset(g)[1] == (0, 2)
+    # Subset volumes above 2^63 wrap in int64; the result must not.
+    heavy = Graph.from_edges(4, [(u, v, 2**60 + u + 2 * v) for u, v in combinations(range(4), 2)])
+    assert min_conductance_subset(heavy) == _first_min_conductance(heavy)
+
+
+def test_min_conductance_domain_errors():
+    with pytest.raises(GraphError):
+        min_conductance_subset(Graph.from_edges(1, []))
+    with pytest.raises(GraphError):
+        min_conductance_subset(complete_graph(17))
 
 
 def test_is_expander_k8():
@@ -121,7 +184,7 @@ def test_expander_decompose_certifies_small_blocks():
 def test_trim_whole_component_unchanged():
     g = complete_graph(5)
     state = ClusterState(clusters=[list(range(5))], singletons=set())
-    out = trim(g, state)
+    out = trim(weight_matrix(g), state)
     assert out.clusters == [list(range(5))]
     assert out.singletons == set()
 
@@ -130,7 +193,7 @@ def test_trim_pendant_stays():
     # K5 plus pendant p: p keeps its whole degree inside the cluster
     g = Graph.from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5)])
     state = ClusterState(clusters=[list(range(6))], singletons=set())
-    assert trim(g, state).singletons == set()
+    assert trim(weight_matrix(g), state).singletons == set()
 
 
 def test_trim_threshold_non_strict():
@@ -141,14 +204,14 @@ def test_trim_threshold_non_strict():
               (1, 8), (2, 8), (3, 8), (3, 9), (4, 8), (4, 9)]
     g = Graph.from_edges(10, edges)
     state = ClusterState(clusters=[[0, 1, 2, 3, 4]], singletons=set())
-    out = trim(g, state)
+    out = trim(weight_matrix(g), state)
     assert 0 in out.singletons
 
 
 def test_shave_keeps_dense_core():
     g = complete_graph(6)
     state = ClusterState(clusters=[list(range(6))], singletons=set())
-    out = shave(g, state, epsilon=0.1)
+    out = shave(weight_matrix(g), state, epsilon=0.1)
     assert out.cores == [list(range(6))]
 
 
@@ -158,7 +221,7 @@ def test_shave_boundary_vertex():
     dense = [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]
     g = Graph.from_edges(11, inside + dense + [(0, 10)])
     state = ClusterState(clusters=[list(range(10))], singletons={10})
-    out = shave(g, state, epsilon=1 / 20)
+    out = shave(weight_matrix(g), state, epsilon=1 / 20)
     assert 0 in out.singletons
     assert 0 not in out.cores[0]
 
@@ -228,6 +291,65 @@ def test_kt_rejects_bad_inputs():
         kt_partition(cycle_graph(5), 2, 0)
     with pytest.raises(Exception):
         kt_partition(Graph.from_edges(2, [(0, 1, 2)]), 2, 1)
+
+
+# ---------------------------------------------- matrix stages = reference
+
+@st.composite
+def kt_inputs(draw):
+    """Simple gnp or planted graphs with n <= 40, a k and a lambda_bar
+    between 1 and twice the 2-approximation."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        g = gnp_graph(n, draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8])),
+                      draw(st.integers(0, 10**6)))
+    else:
+        k = draw(st.integers(2, 4))
+        size = draw(st.integers(3, 38 // k))
+        g, _ = planted_instance(k, size, draw(st.sampled_from([0.6, 0.8, 1.0])),
+                                draw(st.sampled_from([0.02, 0.05, 0.15])),
+                                draw(st.integers(0, 2)), seed=draw(st.integers(0, 10**6)))
+    k = draw(st.integers(2, min(5, g.n)))
+    approx = sv_2approx(g, k).value
+    return g, k, draw(st.integers(1, max(1, 2 * approx)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KTInvariantError:
+        return KTInvariantError
+
+
+@given(kt_inputs())
+@settings(max_examples=60, deadline=None)
+def test_kt_partition_equals_reference_stages(case):
+    g, k, lambda_bar = case
+    assert (_outcome(kt_partition, g, k, lambda_bar)
+            == _outcome(partition_reference.kt_partition, g, k, lambda_bar))
+
+
+@st.composite
+def decomposition_graphs(draw):
+    """G(n, p) with n <= 40 and weights 1..4, often disconnected, or a
+    planted instance of 3 clusters of 12 and 2 islands."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return planted_instance(3, 12, 0.7, 0.1, 2, seed=seed)[0]
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7]))
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v, rng.randint(1, 4))
+                                for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+@given(decomposition_graphs(),
+       st.sampled_from([Fraction(1, d) for d in (1, 2, 3, 4, 5, 8, 9, 13)] + [Fraction(2, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_expander_decompose_equals_reference(g, gamma):
+    expected = partition_reference.expander_decompose(g, gamma).blocks
+    assert expander_decompose(g, gamma).blocks == expected
+    assert expander_decompose(weight_matrix(g), gamma).blocks == expected
 
 
 # ---------------------------------------------------------------- borders

@@ -96,6 +96,15 @@ class Graph:
             adj[v].append((u, w))
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def components(self) -> "VertexPartition":
+        """Connected components as a vertex partition, by union-find over
+        the edges; computed once per Graph object."""
+        find, union, _ = union_find(self.n)
+        for u, v, _ in self.edges:
+            union(u, v)
+        return VertexPartition.from_labels([find(v) for v in range(self.n)], self.n)
+
     def min_degree(self) -> int:
         if self.n == 0:
             raise GraphError("min_degree of empty graph")
@@ -303,11 +312,8 @@ def union_find(n: int) -> tuple:
 
 
 def connected_components(g: Graph) -> VertexPartition:
-    """Connected components as a vertex partition."""
-    find, union, _ = union_find(g.n)
-    for u, v, _ in g.edges:
-        union(u, v)
-    return VertexPartition.from_labels([find(v) for v in range(g.n)], g.n)
+    """Connected components as a vertex partition (``g.components``)."""
+    return g.components
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple:

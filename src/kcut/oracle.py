@@ -10,10 +10,13 @@ check of it.  sv_2approx and stoer_wagner_mincut are the classical
 subroutines the pipeline itself uses.  stoer_wagner_mincut is a numpy
 Stoer-Wagner whose phases are the maximum-adjacency ordering exact_min_kcut
 uses; the library needs no graph package (the tests compare it with
-networkx's implementation).  It stops at the first phase that cuts a
-certified lower bound on lambda (1 on a connected graph, 2 without a
-weight-1 bridge, delta by Chartrand on a dense simple graph); later phases
-could only tie, and a tie never replaces the answer, so value and side are
+networkx's implementation).  Each phase offers its phase cut, its prefix
+cuts and, after contracting every edge whose attachment reaches the best
+cut so far (Nagamochi, Ono and Ibaraki), the degrees of the new
+super-vertices; a candidate replaces the best only when strictly smaller.
+It stops once the best cut reaches a certified lower bound on lambda (1 on
+a connected graph, 2 without a weight-1 bridge, delta by Chartrand on a
+dense simple graph); later candidates could only tie, so value and side are
 those of the full run.  Its result is memoised on the Graph object, and
 sv_2approx's first round runs on the input graph itself, so one solve
 computes the whole-graph min cut once and exact_min_kcut's lambda is free.
@@ -241,26 +244,41 @@ def brute_force_r_island(g: Graph, r: int,
 def stoer_wagner_mincut(g: Graph) -> tuple:
     """Exact global minimum weighted 2-cut; (0, component split) if disconnected.
 
-    Stoer-Wagner: each phase orders the current super-vertices by maximum
-    adjacency; the last one's attachment weight is the cut of the phase, and
-    it is then merged into the one before it, in place (the merged vertex is
-    marked dead, so later phases skip it).  The first phase with the
-    smallest cut gives the answer.  Vertex 0 is on side 0.
+    Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction, in place on the
+    weight matrix (merged vertices are marked dead, and later phases skip
+    them).  The best cut so far, lambda-hat, starts as the smallest weighted
+    degree.  Each phase orders the current super-vertices by maximum
+    adjacency v_1, ..., v_m and offers, in this order:
 
-    Every phase cut is a cut of g, so none is below lambda, and a later phase
-    only replaces the answer with a strictly smaller cut.  So once a phase
-    cuts a certified lower bound L <= lambda, the remaining phases cannot
-    change the result, and the loop stops there with the value and side of
-    the full run.  L is the largest of:
+    - the phase cut, the last vertex's attachment, then the certified floors
+      below;
+    - every prefix cut {v_1..v_i}, i < m, of value sum over j <= i of
+      deg(v_j) - 2 attach(v_j);
+    - after the merge, the degree of every new super-vertex.
+
+    The merge contracts every edge (v_i, v_j), i < j, whose q, the weight
+    from v_j to v_1..v_i, is at least lambda-hat: such an edge crosses no cut
+    below lambda-hat (Nagamochi and Ibaraki 1992), so every cut that could
+    still beat the best survives.  Each phase merges at least the last
+    vertex's last neighbour edge, as q = deg(v_m) >= lambda-hat there, and the
+    loop ends when two super-vertices are left, whose cut is a degree
+    already offered.  A candidate replaces the best only when it is strictly
+    smaller: degrees go by lowest super-vertex id, prefixes by shortest
+    prefix.  Vertex 0 is on side 0.
+
+    No candidate is below lambda, so once the best reaches a certified lower
+    bound L <= lambda no later candidate can replace it, and the loop stops
+    there with the value and side of the full run.  L is the largest of:
 
     - 1, once phase 1 has placed every vertex with a nonzero attachment
       (g is connected, and weights are positive);
     - 2, when g has no bridge of weight 1 (a cut of value 1 is one such
-      edge); checked by one depth-first search, only when the best phase
-      cut becomes 2;
+      edge); checked by one depth-first search, only once the best is 2;
     - delta, on a simple graph with minimum degree delta >= floor(n/2)
       (Chartrand 1966).
 
+    The floors are checked after the phase cut and again after the prefix
+    cuts, before any contraction work.
     The result is memoised on g itself (like its cached properties), so the
     whole-graph min cut is computed once however many layers ask for it.
     """
@@ -269,41 +287,132 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
         return memo
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
+    n = g.n
     w = weight_matrix(g)
-    delta = int(w.sum(axis=1).min())
-    lower = delta if g.simple and delta >= g.n // 2 else 1
-    dead = np.zeros(g.n, dtype=bool)
-    members = [[v] for v in range(g.n)]
-    best_value, best_side = None, None
-    for _ in range(g.n - 1):
+    deg = w.sum(axis=1)
+    rep = np.arange(n)   # the super-vertex of every vertex
+    best_value, best_side = int(deg.min()), rep == deg.argmin()
+    lower = best_value if g.simple and best_value >= n // 2 else 1
+    bridge_searched = False
+    dead = np.zeros(n, dtype=bool)
+    m = n   # super-vertices left
+    while m > 2:
         order, attach = _max_adjacency_phase(w, dead)
         if 0 in attach[1:]:
             # Only in the first phase, on a disconnected graph: the vertices
             # placed before the first zero are vertex 0's component.
-            best_value, best_side = 0, order[:attach.index(0, 1)]
+            best_value, best_side = 0, _inside(rep, order[:attach.index(0, 1)])
             break
-        s, t = order[-2], order[-1]
-        if best_value is None or attach[-1] < best_value:
-            best_value, best_side = attach[-1], members[t]
-            # best_value only falls, so the search runs at most once
-            if best_value == 2 and lower < 2 and not _has_unit_bridge(g):
-                lower = 2
+        if attach[-1] < best_value:
+            best_value, best_side = attach[-1], rep == order[-1]
+        if best_value == 2 and lower < 2 and not bridge_searched:
+            bridge_searched = True
+            lower = 1 if _has_unit_bridge(g) else 2
+        if best_value <= lower:
+            break
+        order, attach = np.array(order), np.array(attach)
+        # Prefix cuts; every partial sum is a cut value, so none wraps around.
+        prefix = (deg[order] - attach - attach).cumsum()
+        i = int(prefix[:-1].argmin())
+        if prefix[i] < best_value:
+            best_value, best_side = int(prefix[i]), _inside(rep, order[:i + 1])
             if best_value <= lower:
                 break
-        w[s] += w[t]
-        w[:, s] += w[:, t]
-        w[s, s] = 0
-        w[t] = 0
-        w[:, t] = 0
-        dead[t] = True
-        members[s].extend(members[t])
-    side = set(best_side)
-    labels = tuple(0 if (v in side) == (0 in side) else 1 for v in range(g.n))
+        root = _component_roots(m, *_contractible(w, order, best_value))
+        sup, src = _merge(w, order, root)
+        dead[src] = True
+        m = len(sup)
+        relabel = np.arange(n)
+        relabel[order] = order[root]
+        rep = relabel[rep]
+        if m == 1:
+            break
+        deg[sup] = w[sup].sum(axis=1)
+        i = int(deg[sup].argmin())
+        if deg[sup[i]] < best_value:
+            best_value = int(deg[sup[i]])
+            best_side = rep == sup[deg[sup] == best_value].min()
+    side = best_side.tolist()
+    labels = tuple(int(s != side[0]) for s in side)
     cut = KCut.from_labels(g, labels, 2)
     if cut.value != best_value:
         raise InvalidCutError(f"Stoer-Wagner reported {best_value}, its cut has value {cut.value}")
     vars(g)["_min_cut"] = result = (best_value, cut)
     return result
+
+
+def _inside(rep: np.ndarray, supers) -> np.ndarray:
+    """Mask of the vertices whose super-vertex is one of ``supers``."""
+    mask = np.zeros(len(rep), dtype=bool)
+    mask[supers] = True
+    return mask[rep]
+
+
+def _contractible(w: np.ndarray, order: np.ndarray, best: int) -> tuple:
+    """Positions (ii, jj), ii < jj, of the edges (v_i, v_j) of the
+    maximum-adjacency order ``order`` of the live vertices of ``w`` whose q,
+    the weight from v_j to v_1..v_i, is at least ``best``: the running sums
+    of the rows in that order, read in the columns of the vertices placed
+    after each row's."""
+    q = w.take(order[:-1], axis=0)
+    edge = q > 0
+    q.cumsum(axis=0, out=q)
+    ii, v = (edge & (q >= best)).nonzero()
+    pos = np.empty(len(w), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    jj = pos[v]
+    below = ii < jj
+    return ii[below], jj[below]
+
+
+def _component_roots(m: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Per position 0..m-1, the lowest position of its connected component
+    under the edges (ii, jj), ii < jj.  Each round points the higher root of
+    every edge whose ends have different roots at the lower one, then
+    compresses: pointers only ever go lower, so one pass in increasing
+    position leaves every position pointing at its root."""
+    root = np.arange(m)
+    hi, lo = jj, ii
+    while True:
+        root[hi] = lo
+        up = root.tolist()
+        for x in range(m):
+            up[x] = up[up[x]]
+        root = np.array(up)
+        a, b = root[ii], root[jj]
+        apart = (a != b).nonzero()[0]
+        if not len(apart):
+            return root
+        a, b = a[apart], b[apart]
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+
+
+def _merge(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:
+    """Contract, in place, each component of the live vertices ``order``
+    into its vertex of lowest position; ``root`` gives that position for
+    every position.  Rows, then columns, are summed, self-loops dropped, and
+    the merged vertices' rows and columns zeroed.
+
+    Returns (super-vertices, merged vertices), the super-vertices in
+    position order.
+    """
+    m = len(order)
+    roots = (root == np.arange(m)).nonzero()[0]
+    key = root.tolist()
+    members = order[sorted(range(m), key=key.__getitem__)]   # grouped by root
+    sizes = np.bincount(root, minlength=m)[roots]
+    starts = sizes.cumsum() - sizes
+    sup = order[roots]
+    rows = np.add.reduceat(w[members], starts)
+    block = np.add.reduceat(rows[:, members], starts, axis=1)
+    rows[:, members] = 0
+    rows[:, sup] = block
+    rows[np.arange(len(sup)), sup] = 0
+    w[sup] = rows
+    w[:, sup] = rows.T
+    src = order[root != np.arange(m)]
+    w[src] = 0
+    return sup, src
 
 
 def _has_unit_bridge(g: Graph) -> bool:

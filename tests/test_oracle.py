@@ -30,6 +30,7 @@ from kcut.generators import (
     cycle_graph,
     gnp_graph,
     path_graph,
+    planted_instance,
     star_graph,
 )
 from kcut.graph import weight_matrix
@@ -301,6 +302,34 @@ def test_sw_matches_networkx(g):
     assert cut.labels[0] == 0
 
 
+@st.composite
+def heavy_multigraphs(draw, max_n=40):
+    """Connected multigraphs: a random spanning tree, copies of some of its
+    pairs (merged by from_edges) and random extra pairs, with weights either
+    small, for ties, or up to 2^40."""
+    n = draw(st.integers(2, max_n))
+    weight = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
+    copies = draw(st.lists(st.sampled_from(edges), max_size=n))
+    edges += [(u, v, draw(weight)) for u, v, _ in copies]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    edges += [e for e in draw(st.lists(pair, max_size=3 * n)) if e[0] != e[1]]
+    return Graph.from_edges(n, edges)
+
+
+@given(heavy_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_sw_matches_networkx_and_brute_force_on_heavy_multigraphs(g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_weighted_edges_from(g.edges)
+    value, cut = stoer_wagner_mincut(g)
+    assert value == nx.stoer_wagner(ref)[0]
+    assert cut_value(g, cut) == value and cut.labels[0] == 0
+    if g.n <= 12:
+        assert value == brute_force_min_kcut(g, 2).value
+
+
 @given(st.data(), st.integers(2, 4), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_lambda_bound_matches_unbounded_search(data, k, seeded):
@@ -365,14 +394,16 @@ def count_phases(monkeypatch):
 def test_sw_floor_runs_on_past_a_phase_above_delta(monkeypatch):
     # K_5 minus (0,2), (1,3), (1,4): delta = deg(1) = 2 = floor(5/2), so
     # lambda = 2 is certified, but phase 1 (order 0, 1, 2, 3, 4) ends on
-    # vertex 4 with cut 3.  The loop must go on until a phase cuts 2.
+    # vertex 4 with cut 3.  The phase cut does not stop the loop; the degree
+    # cut {1}, the best from the start, does, and it is the side the full
+    # run on tripled(g) returns.
     g = Graph.from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert g.simple and min(g.degrees) == 2 == g.n // 2
     order, attach = _max_adjacency_phase(weight_matrix(g))
     assert order == [0, 1, 2, 3, 4] and attach[-1] == 3
     phases = count_phases(monkeypatch)
     value, cut = stoer_wagner_mincut(g)
-    assert value == 2 and len(phases) > 1
+    assert (value, cut.labels) == (2, (0, 1, 0, 0, 0)) and len(phases) == 1
     full_value, full_cut = stoer_wagner_mincut(tripled(g))
     assert (3 * value, cut.labels) == (full_value, full_cut.labels)
 
@@ -388,11 +419,13 @@ def test_sw_no_floor_below_half_n():
 
 
 def test_sw_floor_work_guard(monkeypatch):
-    # K_30: delta = 29 >= 15, and phase 1 already cuts 29, so one phase.
+    # K_30: delta = 29 >= 15, so the smallest degree is certified and phase 1
+    # ends the loop.
     # Three K_10s chained by 3 edges: delta = 9 < 15, so no Chartrand floor,
-    # and lambda = 3 is above the bridge floor 2, so nothing certifies it:
-    # all n - 1 = 29 phases.  A floor taken from delta below floor(n/2)
-    # would stop at phase 1.
+    # and lambda = 3 is above the bridge floor 2, so nothing certifies it.
+    # One s-t merge per phase took all n - 1 = 29 phases; merging every edge
+    # whose attachment reaches the best cut takes 3.  A floor taken from
+    # delta below floor(n/2) would stop at phase 1.
     phases = count_phases(monkeypatch)
     assert stoer_wagner_mincut(complete_graph(30))[0] == 29
     assert len(phases) == 1
@@ -400,7 +433,41 @@ def test_sw_floor_work_guard(monkeypatch):
     g = cliques_bridge(10, 3, 3)
     assert min(g.degrees) == 9 < g.n // 2
     assert stoer_wagner_mincut(g)[0] == 3
-    assert len(phases) == 29
+    assert len(phases) == 3
+
+
+@pytest.mark.parametrize("shape", [(4, 25, 0.9, 0.005, 0), (5, 20, 0.9, 0.002, 0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sw_contraction_work_guard_on_planted_graphs(monkeypatch, shape, seed):
+    # The planted exact_sparse shapes: n = 100, lambda >= 4, and no floor
+    # applies, so one s-t merge per phase ran all 99 phases.
+    g, _ = planted_instance(*shape, seed=seed)
+    phases = count_phases(monkeypatch)
+    value, cut = stoer_wagner_mincut(g)
+    assert len(phases) <= 8
+    ref = nx.Graph([(u, v) for u, v, _ in g.edges])
+    assert value == nx.stoer_wagner(ref)[0] == cut_value(g, cut)
+
+
+def test_sw_tie_break():
+    # Vertex 0 joined to 1, 2, 3 by weight 2, plus (1, 2) and (2, 3):
+    # degrees 6, 3, 4, 3, and the min cuts are {1} and {3}.  The smallest
+    # degree starts as the best, ties to the lowest id, and phase 1 (order
+    # 0, 1, 2, 3) ends on the cut {3}, which ties and does not replace it.
+    g = Graph.from_edges(4, [(0, 1, 2), (0, 2, 2), (0, 3, 2), (1, 2), (2, 3)])
+    assert _max_adjacency_phase(weight_matrix(g)) == ([0, 1, 2, 3], [0, 2, 3, 3])
+    value, cut = stoer_wagner_mincut(g)
+    assert (value, cut.labels) == (3, (0, 1, 0, 0))
+    # The weighted path 0-1-...-5 with weights 5, 2, 5, 2, 5: phase 1 places
+    # it in order, and its prefix cuts {0, 1} and {0, 1, 2, 3} both cut 2,
+    # below every degree; the shorter prefix is the answer.
+    g = Graph.from_edges(6, [(0, 1, 5), (1, 2, 2), (2, 3, 5), (3, 4, 2), (4, 5, 5)])
+    assert _max_adjacency_phase(weight_matrix(g))[0] == list(range(6))
+    value, cut = stoer_wagner_mincut(g)
+    assert (value, cut.labels) == (2, (0, 0, 1, 1, 1, 1))
+    # The answer here is the side {0}; vertex 0 still gets label 0.
+    g = Graph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 4)])
+    assert stoer_wagner_mincut(g) == (2, KCut.from_labels(g, (0, 1, 1), 2))
 
 
 @st.composite
@@ -439,7 +506,7 @@ def test_sw_stops_at_connectivity_and_bridge_floors(monkeypatch):
     # P_30: phase 1 cuts 1, and a connected graph has lambda >= 1.
     # C_30: phase 1 cuts 2, and no edge is a bridge, so lambda >= 2.
     # Two C_5s joined by the edge (0, 5): phase 1 cuts 2, but (0, 5) is a
-    # bridge, so the loop runs on to the phase that cuts 1.
+    # bridge, so the loop runs on past the phase cut to a cut of 1.
     phases = count_phases(monkeypatch)
     for g, lam in [(path_graph(30), 1), (cycle_graph(30), 2)]:
         phases.clear()
@@ -449,8 +516,9 @@ def test_sw_stops_at_connectivity_and_bridge_floors(monkeypatch):
     g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5)])
     phases.clear()
     assert _max_adjacency_phase(weight_matrix(g))[1][-1] == 2
+    # the phase cut 2 is not certified, and a prefix cut of phase 1 finds 1
     assert stoer_wagner_mincut(g)[0] == 1
-    assert len(phases) > 1
+    assert len(phases) == 1
     # a weight-2 bridge is no cut of value 1: two C_5s joined by (0, 5, 2)
     g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5, 2)])
     assert not kcut.oracle._has_unit_bridge(g)
@@ -477,12 +545,14 @@ def test_unit_bridge_search_matches_networkx(g):
 
 def test_sw_result_is_memoised_per_graph_object(monkeypatch):
     # A second call on the same object runs no phase; an equal but distinct
-    # Graph object computes its own.
+    # Graph object computes its own.  Four K_5s chained by 2 edges: phase 1
+    # finds a cut of 2, and phase 2's cut brings the search for a unit
+    # bridge, which certifies it.
     g = cliques_bridge(5, 4, 2)
     phases = count_phases(monkeypatch)
     first = stoer_wagner_mincut(g)
     ran = len(phases)
-    assert ran > 1 and stoer_wagner_mincut(g) is first
+    assert ran == 2 and stoer_wagner_mincut(g) is first
     assert len(phases) == ran
     twin = Graph(n=g.n, edges=g.edges, simple=g.simple)
     assert stoer_wagner_mincut(twin) == first

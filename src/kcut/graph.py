@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,7 +75,8 @@ class Graph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, 3) int64 array of (u, v, w) rows."""
-        arr = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        arr = np.fromiter(chain.from_iterable(self.edges), np.int64,
+                          3 * len(self.edges)).reshape(-1, 3)
         arr.flags.writeable = False
         return arr
 

@@ -2,9 +2,21 @@
 
 An r-island solution is a set of r vertices, each cut off as its own
 singleton, minimizing the total number of incident edges.  For r >= 3 the
-set is split into three equal subsets; triangles in a profile-filtered
-subset graph are detected with integer matrix products, enumerating the
-nine weight parameters that pin down the cut value exactly.
+set is split into three disjoint q-subsets (q = r/3 after padding).  Its cost
+is the three subset costs minus the edges between each two subsets, so the
+search guesses two of those pair weights and finds the triangles of the
+subset graph that fit the guess with one integer matrix product.
+
+One pair table per search holds the weight and the disjointness of every two
+q-subsets, with the subsets sorted by profile (edges inside, edges leaving)
+so that each profile class is a contiguous slice.  Two
+``np.maximum.reduceat`` calls turn it into the largest disjoint pair weight of
+every class pair, which bounds every class triple from below: the sum of its
+three class costs minus its three class-pair maxima.  The search walks only
+the triples whose bound can still reach the best value found, in ascending
+bound order, and prunes the weight guesses inside a triple the same way.  The
+table is built from integer gathers, not a product: the graph is simple, so
+every entry is a small exact integer (see ``_TripleSearch``).
 
 Before the search, vertices are pruned by degree.  In a simple graph a set S
 costs sum(deg(v) for v in S) - |E(S)|, and |E(S)| <= C(r, 2).  So a vertex v
@@ -16,7 +28,7 @@ are those of the unpruned search.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -33,6 +45,7 @@ from .graph import (
 
 STRASSEN_THRESHOLD = 256
 _STRASSEN_BASE = 64
+_GRID_CELLS = 1 << 18  # class triples bounded per numpy pass
 
 
 def matmul_strassen(a: np.ndarray, b: np.ndarray, base: int = _STRASSEN_BASE) -> np.ndarray:
@@ -103,17 +116,6 @@ def _solve_small(g: Graph, r: int) -> tuple:
     return best
 
 
-def _subset_stats(adj: np.ndarray, deg: np.ndarray, q: int, n: int) -> tuple:
-    subsets = list(combinations(range(n), q))
-    x = np.zeros((len(subsets), n), dtype=np.int64)
-    for i, s in enumerate(subsets):
-        x[i, list(s)] = 1
-    xa = x @ adj
-    w_in = (xa * x).sum(axis=1) // 2
-    w_sv = x @ deg - 2 * w_in
-    return subsets, x, xa, w_in, w_sv
-
-
 def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int) -> tuple:
     """(upper, kept) for a simple graph: the cost of the r lowest-degree
     vertices, which bounds the optimum, and the increasing ids of the vertices
@@ -131,107 +133,169 @@ def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int) -> tuple:
 
 
 class _TripleSearch:
-    """Subset statistics, profile classes and cached pair matrices for the
-    triple search over three disjoint q-subsets of the (padded) vertex set.
+    """The triple search over three disjoint q-subsets of the (padded) vertex
+    set, driven by one pair table.
 
     ``adj`` is the weight matrix among the searched vertices and ``deg`` their
     degrees in the whole graph, so subset costs count every incident edge.
+
+    The q-subsets are sorted by profile (w_in, w_sv), the edges inside a
+    subset and the edges leaving it, so each profile class is a contiguous
+    slice ``subsets[start[a]:start[a + 1]]`` whose members all cost
+    ``cost[a]`` = w_in + w_sv.  Three disjoint subsets from classes a, b, c
+    form an island set costing cost[a] + cost[b] + cost[c] minus the edges
+    between each two of them.
+
+    ``table`` holds those pair weights for every two subsets, in class order:
+    ``base`` + w(s, t) when s and t are disjoint and less than ``base`` when
+    they overlap.  With lift = q² + 1 and base = q·lift, each vertex of t
+    outside s adds lift on top of its edges to s, and the edges add at most
+    q² in all.  The table is the sum of q integer gathers in the smallest
+    unsigned dtype that holds base + q² (one byte up to q = 5, two up to
+    q = 39).  It needs no product, so it is exact as long as every weight is
+    0 or 1, which the constructor checks.
+
+    ``top[a, b]`` is the largest weight of a disjoint pair from classes a and
+    b (-1 when there is none), from two ``np.maximum.reduceat`` calls over
+    the table.  No island set from classes a <= b <= c costs less than
+    cost[a] + cost[b] + cost[c] - top[a, b] - top[b, c] - top[a, c], so
+    ``best_with_witnesses`` visits the class triples in ascending order of
+    that bound and stops at the first bound above the best value so far.
     """
 
     def __init__(self, adj: np.ndarray, deg: np.ndarray, r: int):
+        if adj.max(initial=0) > 1:
+            raise GraphError("the triple search needs a 0/1 weight matrix")
         self.pad = (-r) % 3
-        self.r3 = r + self.pad
-        self.q = self.r3 // 3
+        q = (r + self.pad) // 3
         self.real_n = len(deg)
-        self.n = self.real_n + self.pad  # dummies take the highest ids
-        self.adj = np.pad(adj, (0, self.pad))
-        self.deg = np.pad(deg, (0, self.pad))
-        self.subsets, self.x, self.xa, self.w_in, self.w_sv = _subset_stats(
-            self.adj, self.deg, self.q, self.n)
-        self.c = self.w_in + self.w_sv
-        profiles: dict = {}
-        for i, key in enumerate(zip(self.w_in.tolist(), self.w_sv.tolist())):
-            profiles.setdefault(key, []).append(i)
-        self.profile_keys = sorted(profiles)
-        self.profile_members = {k: np.array(v) for k, v in profiles.items()}
-        self._pair_cache: dict = {}
+        n = self.real_n + self.pad  # dummies take the highest ids
+        self.adj = np.zeros((n, n), dtype=np.int64)
+        self.adj[:self.real_n, :self.real_n] = adj
+        self.deg = np.zeros(n, dtype=np.int64)
+        self.deg[:self.real_n] = deg
+        subsets = np.fromiter(chain.from_iterable(combinations(range(n), q)),
+                              np.intp).reshape(-1, q)
+        w_in = np.zeros(len(subsets), dtype=np.int64)
+        for s, t in combinations(range(q), 2):
+            w_in += self.adj[subsets[:, s], subsets[:, t]]
+        w_sv = self.deg[subsets].sum(axis=1) - 2 * w_in
+        order = np.lexsort((w_sv, w_in))  # stable: by profile, then subset
+        self.subsets = subsets[order]
+        w_in, w_sv = w_in[order], w_sv[order]
+        first = np.flatnonzero(np.concatenate((
+            [True], (w_in[1:] != w_in[:-1]) | (w_sv[1:] != w_sv[:-1]))))
+        self.start = first.tolist() + [len(order)]
+        self.cost = w_in[first] + w_sv[first]
+        lift = q * q + 1
+        self.base = q * lift
+        small = self.adj.astype(np.min_scalar_type(self.base + q * q))
+        near = small[self.subsets[:, 0]]  # edges from each subset to each vertex
+        for t in range(1, q):
+            near += small[self.subsets[:, t]]
+        near += lift
+        near[np.arange(len(subsets))[:, None], self.subsets] -= lift
+        self.table = near[:, self.subsets[:, 0]]
+        for t in range(1, q):
+            self.table += near[:, self.subsets[:, t]]
+        top = np.maximum.reduceat(np.maximum.reduceat(self.table, first, axis=0),
+                                  first, axis=1).astype(np.int64)
+        self.top = np.where(top >= self.base, top - self.base, -1)
 
-    def pair_matrices(self, p1, p2) -> tuple:
-        """(pair-weight matrix, disjointness mask) for two profile classes."""
-        key = (p1, p2)
-        if key not in self._pair_cache:
-            f1 = self.profile_members[p1]
-            f2 = self.profile_members[p2]
-            w = matmul(self.xa[f1], self.x[f2].T)
-            overlap = matmul(self.x[f1], self.x[f2].T)
-            self._pair_cache[key] = (w, overlap == 0)
-        return self._pair_cache[key]
-
-    def sorted_triples(self):
-        keys = self.profile_keys
-        cost = {k: k[0] + k[1] for k in keys}
-        triples = []
-        for i1, k1 in enumerate(keys):
-            for i2 in range(i1, len(keys)):
-                k2 = keys[i2]
-                for i3 in range(i2, len(keys)):
-                    k3 = keys[i3]
-                    triples.append((cost[k1] + cost[k2] + cost[k3], k1, k2, k3))
-        triples.sort()
-        return triples
+    def _triples(self, upper: int):
+        """(bound, a, b, c) for every class triple a <= b <= c with disjoint
+        pairs in all three class pairs and a bound of at most ``upper``, in
+        ascending bound order (ties by class)."""
+        cost, top = self.cost, self.top
+        k = len(cost)
+        cls = np.arange(k)
+        pair = cost[:, None] + cost - top  # the (b, c) share of the bound
+        ok = top >= 0  # the class pair has a disjoint pair
+        pair_ok = ok & (cls[:, None] <= cls)
+        found = []
+        step = max(1, _GRID_CELLS // (k * k))
+        for a0 in range(0, k, step):
+            a = cls[a0:a0 + step]
+            ta = top[a]
+            bound = pair + (cost[a, None, None] - ta[:, :, None] - ta[:, None, :])
+            keep = ((bound <= upper) & pair_ok & (ok[a] & (a[:, None] <= cls))[:, :, None]
+                    & ok[a][:, None, :])
+            ia, ib, ic = np.nonzero(keep)
+            found.append((bound[ia, ib, ic], a[ia], ib, ic))
+        bound, a, b, c = (np.concatenate(col) for col in zip(*found))
+        order = np.argsort(bound, kind="stable")
+        return zip(*(col[order].tolist() for col in (bound, a, b, c)))
 
     def best_with_witnesses(self, upper: int) -> tuple:
         """One pass over the parameter guesses: the minimum cut value no
         larger than ``upper`` and every island set (sorted tuple) attaining it.
 
-        Pruning uses ``> best`` so that ties are still visited; the witness
-        list restarts whenever ``best`` drops.
+        A guess fixes the weights w12 and w23 of a class triple; one
+        ``matmul`` of the two guessed pair masks finds every subset pair
+        (s1, s3) joined through some s2, and the heaviest disjoint such pair
+        gives w13.  A set's value exceeds the triple's bound by what its three
+        weights give up against the class-pair maxima, so a guess runs only
+        while w12 and w23 together give up at most best - bound; guesses run
+        from the heaviest weights down.  Pruning uses ``> best`` so that ties
+        are still visited; the witness list restarts whenever ``best`` drops.
         """
         best = upper
         witnesses: list = []
-        max_pair = self.q * self.q
-        for c_sum, p1, p2, p3 in self.sorted_triples():
-            if c_sum - 3 * max_pair > best:
+        base = self.base
+        top = self.top.tolist()
+        for bound, a, b, c in self._triples(upper):
+            if bound > best:
                 break
-            w12, d12 = self.pair_matrices(p1, p2)
-            w23, d23 = self.pair_matrices(p2, p3)
-            w31, d31 = self.pair_matrices(p3, p1)
-            f1 = self.profile_members[p1]
-            f2 = self.profile_members[p2]
-            f3 = self.profile_members[p3]
-            for v12 in np.unique(w12[d12]) if d12.any() else []:
-                if c_sum - int(v12) - 2 * max_pair > best:
-                    continue
-                a12 = (d12 & (w12 == v12)).astype(np.int64)
-                for v23 in np.unique(w23[d23]) if d23.any() else []:
-                    if c_sum - int(v12) - int(v23) - max_pair > best:
+            ra, rb, rc = (slice(self.start[x], self.start[x + 1]) for x in (a, b, c))
+            t12, t23, t13 = self.table[ra, rb], self.table[rb, rc], self.table[ra, rc]
+            m12, m23, m13 = top[a][b], top[b][c], top[a][c]
+            apart13 = t13 >= base
+            guesses23 = self._masks(t23, m23, m23 - (best - bound))
+            for w12, a12 in self._masks(t12, m12, m12 - (best - bound)):
+                if m12 - w12 > best - bound:
+                    break
+                for w23, a23 in guesses23:
+                    if (m12 - w12) + (m23 - w23) > best - bound:
+                        break
+                    hits = (matmul(a12, a23) > 0) & apart13
+                    if not hits.any():
                         continue
-                    a23 = (d23 & (w23 == v23)).astype(np.int64)
-                    b = matmul(a12, a23)
-                    mask = (b > 0) & d31.T
-                    if not mask.any():
-                        continue
-                    v31 = int(w31.T[mask].max())
-                    value = c_sum - int(v12) - int(v23) - v31
+                    w13 = int(t13[hits].max()) - base
+                    value = bound + (m12 - w12) + (m23 - w23) + (m13 - w13)
                     if value > best:
                         continue
                     if value < best:
                         best = value
-                        witnesses = []
-                    for i1, i3 in zip(*np.nonzero(mask & (w31.T == v31))):
-                        mids = np.flatnonzero((a12[i1] > 0) & (a23[:, i3] > 0))
-                        s1 = self.subsets[f1[i1]]
-                        s3 = self.subsets[f3[i3]]
-                        for i2 in mids:
-                            s2 = self.subsets[f2[i2]]
-                            islands = tuple(sorted(set(s1) | set(s2) | set(s3)))
-                            direct = _island_cost(self.adj, self.deg, islands)
-                            if direct != value:
-                                raise InvalidCutError(
-                                    f"island set {islands} costs {direct}, its "
-                                    f"parameters give {value}")
-                            witnesses.append(islands)
+                        witnesses.clear()
+                    i1, i3 = np.nonzero(hits & (t13 == base + w13))
+                    pick, i2 = np.nonzero(a12[i1] & a23[:, i3].T)
+                    sets = np.sort(np.hstack((self.subsets[ra][i1[pick]],
+                                              self.subsets[rb][i2],
+                                              self.subsets[rc][i3[pick]])), axis=1)
+                    witnesses.extend(self._checked(sets, value))
         return best, witnesses
+
+    def _masks(self, block: np.ndarray, heaviest: int, lightest: int) -> list:
+        """(w, block == base + w) for every weight w from ``heaviest`` down to
+        ``lightest`` (at least 0) that some disjoint pair in the block has."""
+        found = []
+        for w in range(heaviest, max(lightest, 0) - 1, -1):
+            mask = block == self.base + w
+            if mask.any():
+                found.append((w, mask))
+        return found
+
+    def _checked(self, sets: np.ndarray, value: int) -> list:
+        """The island sets (rows of ``sets``) as tuples, after re-costing each
+        directly with one gather; a set whose cost is not ``value`` raises."""
+        inside = self.adj[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2)) // 2
+        direct = self.deg[sets].sum(axis=1) - inside
+        wrong = np.flatnonzero(direct != value)
+        if wrong.size:
+            islands = tuple(sets[wrong[0]].tolist())
+            raise InvalidCutError(f"island set {islands} costs {int(direct[wrong[0]])}, "
+                                  f"its parameters give {value}")
+        return list(map(tuple, sets.tolist()))
 
 
 def solve_r_island(g: Graph, r: int) -> tuple:

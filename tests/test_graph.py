@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,11 +30,11 @@ from helpers import conductance
 # ---------------------------------------------------------------- strategies
 
 @st.composite
-def graphs(draw, max_n=8, min_n=1):
+def graphs(draw, max_n=8, min_n=1, max_weight=4):
     n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+    weights = draw(st.lists(st.integers(1, max_weight), min_size=len(chosen), max_size=len(chosen)))
     return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
@@ -85,6 +86,24 @@ def test_parse_errors():
 @settings(max_examples=60, deadline=None)
 def test_parse_roundtrip(g):
     assert parse_graph(graph_to_text(g)) == g
+
+
+@given(graphs(max_weight=2**62))
+@settings(max_examples=60, deadline=None)
+def test_edge_array_rows_are_the_edges(g):
+    arr = g.edge_array
+    assert arr.dtype == np.int64
+    assert arr.shape == (len(g.edges), 3)
+    assert np.array_equal(arr, np.array(g.edges, dtype=np.int64).reshape(-1, 3))
+    assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_edge_array_of_edgeless_graph(n):
+    arr = Graph.from_edges(n, []).edge_array
+    assert arr.shape == (0, 3)
+    assert arr.dtype == np.int64
+    assert not arr.flags.writeable
 
 
 # ----------------------------------------------------------------- cut_value

@@ -6,6 +6,7 @@ import pytest
 
 from kcut import (
     Graph,
+    GraphError,
     KCut,
     brute_force_min_kcut,
     brute_force_r_island,
@@ -24,8 +25,14 @@ from kcut.generators import (
 )
 import kcut.islands
 from kcut.graph import weight_matrix
-from kcut.islands import STRASSEN_THRESHOLD, _island_candidates, matmul_strassen
+from kcut.islands import (
+    STRASSEN_THRESHOLD,
+    _island_candidates,
+    _TripleSearch,
+    matmul_strassen,
+)
 
+import islands_reference
 from helpers import matmul_cubic
 
 
@@ -141,6 +148,69 @@ def test_degree_prune_drops_hubs(r):
     _, kept = _island_candidates(adj, adj.sum(axis=1), r)
     assert len(kept) < g.n
     assert solve_r_island(g, r) == brute_force_r_island(g, r)
+
+
+# ------------------------------------------------- triple search vs reference
+
+def _cycle_power(n, d):
+    return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in range(1, d + 1)])
+
+
+def _complete_bipartite(a):
+    return Graph.from_edges(2 * a, [(u, a + v) for u in range(a) for v in range(a)])
+
+
+def _assert_matches_reference(g, r):
+    adj = weight_matrix(g)
+    deg = adj.sum(axis=1)
+    upper, kept = _island_candidates(adj, deg, r)
+    sub, sub_deg = adj[np.ix_(kept, kept)], deg[kept]
+    value, witnesses = _TripleSearch(sub, sub_deg, r).best_with_witnesses(upper)
+    ref_value, ref_witnesses = islands_reference.TripleSearch(
+        sub, sub_deg, r).best_with_witnesses(upper)
+    assert value == ref_value
+    assert sorted(witnesses) == sorted(ref_witnesses)
+    assert solve_r_island(g, r) == islands_reference.solve_r_island(g, r)
+
+
+@pytest.mark.parametrize("n, p, seed, r", [
+    (20, 0.7, 1, 3), (30, 0.85, 2, 4), (40, 0.9, 3, 5), (50, 0.7, 4, 4),
+    (60, 0.85, 5, 5), (45, 0.9, 6, 3), (25, 0.9, 7, 5), (35, 0.7, 8, 5),
+    (55, 0.9, 9, 4)])
+def test_triple_search_matches_reference_dense(n, p, seed, r):
+    _assert_matches_reference(gnp_graph(n, p, seed), r)
+
+
+@pytest.mark.parametrize("graph", [
+    _cycle_power(12, 2), _cycle_power(20, 3), _complete_bipartite(5)],
+    ids=["C12^2", "C20^3", "K5,5"])
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_triple_search_matches_reference_regular(graph, r):
+    # Every vertex passes the degree test, the profile classes are few and
+    # large, and many island sets tie for the optimum.
+    _assert_matches_reference(graph, r)
+
+
+@pytest.mark.parametrize("n, p, seed, r, calls", [
+    (50, 0.9, 8, 5, 101), (50, 0.85, 0, 4, 184)])
+def test_triple_search_matmul_calls(monkeypatch, n, p, seed, r, calls):
+    # The class-pair maxima bound every triple and guess; the reference
+    # search, which walks every class triple, makes 1,349 and 1,285 here.
+    count = [0]
+    real_matmul = kcut.islands.matmul
+
+    def counting_matmul(a, b):
+        count[0] += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(kcut.islands, "matmul", counting_matmul)
+    solve_r_island(gnp_graph(n, p, seed), r)
+    assert count[0] == calls
+
+
+def test_triple_search_rejects_weighted_matrix():
+    with pytest.raises(GraphError):
+        _TripleSearch(np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]]), np.array([2, 3, 1]), 3)
 
 
 # -------------------------------------------------------------- extend_border

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MAX_WEIGHT, Graph, GraphError, KCut, union_find
+from .graph import MAX_WEIGHT, Graph, GraphError, KCut, compress_roots, union_find
 from .rng import stream_outputs
 
 
@@ -136,19 +136,11 @@ def _contract_block(seeds: np.ndarray, edges: np.ndarray, ends: list,
         if nv > tau and width < len(ends):
             full = np.argsort(_clocks(seeds[t:t + 1], edges)[0], kind="stable")
             merge(t * n, full[width:].tolist(), nv)
-    roots = np.array(parent)
-    while True:
-        up = roots[roots]
-        if np.array_equal(up, roots):
-            break
-        roots = up
-    # Number each trial's super-vertices by their first (smallest) vertex.
-    idx = np.arange(len(roots))
-    head = np.full(len(roots), len(roots))
-    np.minimum.at(head, roots, idx)
-    head = head[roots]
-    rank = np.cumsum((head == idx).reshape(-1, n), axis=1) - 1
-    return rank.ravel()[head].reshape(-1, n)
+    # A root is the first vertex of its super-vertex: number each trial's
+    # super-vertices in the order of their roots.
+    roots = compress_roots(np.array(parent))
+    rank = np.cumsum((roots == np.arange(len(roots))).reshape(-1, n), axis=1) - 1
+    return rank.ravel()[roots].reshape(-1, n)
 
 
 def _labels_batch(seeds: np.ndarray, offset: int, nv: int, s: int) -> tuple:

@@ -1,9 +1,18 @@
 """Weighted multigraph substrate: parsing, cut evaluation, contraction,
-union-find, induced subgraphs.
+connected components, induced subgraphs.
 
 Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 "multigraph" only ever means integer weights >= 2.  All types are immutable
 after construction and every operation is a pure function.
+
+Connected components come from one labeller, ``component_roots``, used by
+``Graph.components`` (hence every solve's component check), the expander
+decomposition and Stoer-Wagner's contraction step.  The one union-find,
+``union_find``, serves the callers whose unions must run one at a time in a
+given order: the one-scan forest decomposition and Karger contraction, which
+reads its parent list through the labeller's ``compress_roots``.  Both keep
+every parent pointer at a lower vertex, so a root is the lowest vertex of
+its set.
 """
 from __future__ import annotations
 
@@ -100,17 +109,10 @@ class Graph:
 
     @cached_property
     def components(self) -> "VertexPartition":
-        """Connected components as a vertex partition, by union-find over
-        the edges; computed once per Graph object."""
-        find, union, _ = union_find(self.n)
-        for u, v, _ in self.edges:
-            union(u, v)
-        return VertexPartition.from_labels([find(v) for v in range(self.n)], self.n)
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise GraphError("min_degree of empty graph")
-        return min(self.degrees)
+        """Connected components as a vertex partition, labelled by
+        ``component_roots`` over the edges; computed once per Graph object."""
+        u, v, _ = self.edge_array.T
+        return VertexPartition.from_labels(component_roots(self.n, u, v).tolist(), self.n)
 
 
 def parse_graph(text: str) -> Graph:
@@ -291,9 +293,11 @@ def weight_matrix(g: Graph) -> np.ndarray:
 def union_find(n: int) -> tuple:
     """Disjoint sets over 0..n-1 as a (find, union, parent) triple.
 
-    ``find`` uses path halving.  ``union(a, b)`` hangs b's root under a's root
-    and returns whether the two were in different sets.  ``parent`` is the
-    live parent list the closures share: following it from v ends at find(v).
+    ``find`` uses path halving.  ``union(a, b)`` hangs the higher of the two
+    roots under the lower one and returns whether they were in different
+    sets, so every parent pointer goes to a lower vertex and a root is the
+    lowest vertex of its set.  ``parent`` is the live parent list the
+    closures share; ``compress_roots`` resolves it to the roots.
     """
     parent = list(range(n))
 
@@ -307,10 +311,43 @@ def union_find(n: int) -> tuple:
         ra, rb = find(a), find(b)
         if ra == rb:
             return False
-        parent[rb] = ra
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
         return True
 
     return find, union, parent
+
+
+def compress_roots(parent: np.ndarray) -> np.ndarray:
+    """The root of every vertex of a parent-pointer forest, by pointer
+    jumping: each round replaces every pointer by its parent's, so the rounds
+    grow with the log of the longest chain."""
+    while True:
+        up = parent[parent]
+        if not np.count_nonzero(up != parent):
+            return up
+        parent = up
+
+
+def component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per vertex 0..n-1, the lowest vertex of its connected component under
+    the edges (a[i], b[i]), in either orientation, with repeats allowed.
+
+    Each round hooks the higher root of every edge whose ends have different
+    roots under the lowest root across such an edge, then compresses.
+    Pointers only go lower, so every root is the lowest vertex of its tree.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        ra, rb = ra[apart], rb[apart]
+        if not len(ra):
+            return root
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        root = compress_roots(root)
 
 
 def connected_components(g: Graph) -> VertexPartition:

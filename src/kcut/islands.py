@@ -1,11 +1,14 @@
 """Deterministic r-island solving via subset-graph triangle detection.
 
 An r-island solution is a set of r vertices, each cut off as its own
-singleton, minimizing the total number of incident edges.  For r >= 3 the
-set is split into three disjoint q-subsets (q = r/3 after padding).  Its cost
-is the three subset costs minus the edges between each two subsets, so the
-search guesses two of those pair weights and finds the triangles of the
-subset graph that fit the guess with one integer matrix product.
+singleton, minimizing the total number of incident edges.  For r = 1 it is
+the first vertex of least degree, for r = 2 the lex-first pair (u, v) of
+least deg(u) + deg(v) - w(u, v), both read off the weight matrix.  For
+r >= 3 the set is split into three disjoint q-subsets (q = r/3 after
+padding).  Its cost is the three subset costs minus the edges between each
+two subsets, so the search guesses two of those pair weights and finds the
+triangles of the subset graph that fit the guess with one integer matrix
+product.
 
 One pair table per search holds the weight and the disjointness of every two
 q-subsets, with the subsets sorted by profile (edges inside, edges leaving)
@@ -99,21 +102,6 @@ def _island_cost(adj: np.ndarray, deg: np.ndarray, subset) -> int:
     idx = list(subset)
     internal = int(adj[np.ix_(idx, idx)].sum()) // 2
     return int(deg[idx].sum()) - internal
-
-
-def _solve_small(g: Graph, r: int) -> tuple:
-    """Direct enumeration for r in {1, 2}."""
-    deg = g.degrees
-    if r == 1:
-        best_v = min(range(g.n), key=lambda v: (deg[v], v))
-        return deg[best_v], (best_v,)
-    best = None
-    weight = {(u, v): w for u, v, w in g.edges}
-    for u, v in combinations(range(g.n), 2):
-        cost = deg[u] + deg[v] - weight.get((u, v), 0)
-        if best is None or cost < best[0]:
-            best = (cost, (u, v))
-    return best
 
 
 def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int) -> tuple:
@@ -314,23 +302,30 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         raise GraphError("r-island solving is defined for simple graphs")
     if not 1 <= r <= g.n - 1:
         raise ValueError(f"r must be in 1..n-1, got r={r} with n={g.n}")
-    if r <= 2:
-        return _solve_small(g, r)
     adj = weight_matrix(g)
     deg = adj.sum(axis=1)
+    if r == 1:
+        v = int(deg.argmin())
+        return int(deg[v]), (v,)
+    if r == 2:
+        # The strict upper triangle read row-major is lex order of the pairs.
+        u, v = np.triu_indices(g.n, 1)
+        cost = deg[u] + deg[v] - adj[u, v]
+        i = int(cost.argmin())
+        return int(cost[i]), (int(u[i]), int(v[i]))
     upper, kept = _island_candidates(adj, deg, r)
     search = _TripleSearch(adj[np.ix_(kept, kept)], deg[kept], r)
     value, witnesses = search.best_with_witnesses(upper)
-    best_key = None
-    for islands in witnesses:
-        dummies = sum(1 for v in islands if v >= search.real_n)
-        real = tuple(int(kept[v]) for v in islands if v < search.real_n)
-        key = (search.pad - dummies, real)
-        if best_key is None or key < best_key:
-            best_key = key
-    if best_key is None or best_key[0] != 0:
+    # Each witness is sorted and the dummies have the highest ids, so the
+    # witnesses with the most dummies end in them; the answer is the
+    # lex-smallest real part among those.
+    sets = np.array(witnesses, dtype=np.intp).reshape(-1, r + search.pad)
+    dummies = (sets >= search.real_n).sum(axis=1)
+    if not len(sets) or dummies.max() != search.pad:
         raise InvalidCutError("padding must be absorbed by dummy islands")
-    return value, best_key[1]
+    real = kept[sets[dummies == search.pad, :r]]
+    best = real[np.lexsort(real.T[::-1])[0]]
+    return value, tuple(best.tolist())
 
 
 def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:

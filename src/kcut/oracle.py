@@ -34,6 +34,7 @@ from .graph import (
     InvalidCutError,
     KCut,
     VertexPartition,
+    component_roots,
     connected_components,
     cut_value,
     induced_subgraph,
@@ -318,7 +319,7 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
             best_value, best_side = int(prefix[i]), _inside(rep, order[:i + 1])
             if best_value <= lower:
                 break
-        root = _component_roots(m, *_contractible(w, order, best_value))
+        root = component_roots(m, *_contractible(w, order, best_value))
         sup, src = _merge(w, order, root)
         dead[src] = True
         m = len(sup)
@@ -363,28 +364,6 @@ def _contractible(w: np.ndarray, order: np.ndarray, best: int) -> tuple:
     jj = pos[v]
     below = ii < jj
     return ii[below], jj[below]
-
-
-def _component_roots(m: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Per position 0..m-1, the lowest position of its connected component
-    under the edges (ii, jj), ii < jj.  Each round points the higher root of
-    every edge whose ends have different roots at the lower one, then
-    compresses: pointers only ever go lower, so one pass in increasing
-    position leaves every position pointing at its root."""
-    root = np.arange(m)
-    hi, lo = jj, ii
-    while True:
-        root[hi] = lo
-        up = root.tolist()
-        for x in range(m):
-            up[x] = up[up[x]]
-        root = np.array(up)
-        a, b = root[ii], root[jj]
-        apart = (a != b).nonzero()[0]
-        if not len(apart):
-            return root
-        a, b = a[apart], b[apart]
-        hi, lo = np.maximum(a, b), np.minimum(a, b)
 
 
 def _merge(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:

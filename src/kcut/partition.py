@@ -10,7 +10,8 @@ After sparsification every stage works on one dense int64 weight matrix
 and on vertex index arrays; no stage builds a ``Graph``.  A vertex's
 weight into its cluster is a row sum over a cluster mask, updated by one
 matrix row per removal.  The decomposition splits blocks on an explicit
-stack, finding components by a frontier search over the block's submatrix.
+stack, labelling components with ``graph.component_roots`` over the
+nonzeros of the block's submatrix.
 Blocks of at most 16 vertices are split at their exact minimum-conductance
 subset.  Its enumeration is meet-in-the-middle: the vertices split into a
 low half (holding vertex 0) and a high half; every half-subset's volume and
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, GraphError, VertexPartition, weight_matrix
+from .graph import Graph, GraphError, VertexPartition, component_roots, weight_matrix
 from .sparsify import ni_sparsify
 
 EXACT_CONDUCTANCE_LIMIT = 16
@@ -72,13 +73,6 @@ class ClusterState:
     cores: list = field(default_factory=list)
 
 
-def regularize_threshold(k: int, lambda_bar: int) -> Fraction:
-    # 2-approximation variant of the low-degree threshold: with
-    # lambda_bar <= 2*opt, removing k-1 vertices below lambda_bar/(2(k-1))
-    # would exhibit a k-cut cheaper than the optimum.
-    return Fraction(lambda_bar, 2 * (k - 1))
-
-
 def regularize(w: np.ndarray, k: int, lambda_bar: int) -> tuple:
     """Repeatedly delete the lowest-id vertex of degree below
     lambda_bar/(2(k-1)) from the simple graph with weight matrix ``w``.
@@ -94,6 +88,9 @@ def regularize(w: np.ndarray, k: int, lambda_bar: int) -> tuple:
     alive = np.ones(len(w), dtype=bool)
     removed = []
     while True:
+        # 2-approximation variant of the low-degree threshold: with
+        # lambda_bar <= 2*opt, removing k-1 vertices below lambda_bar/(2(k-1))
+        # would exhibit a k-cut cheaper than the optimum.
         low = np.flatnonzero(alive & (deg * (2 * (k - 1)) < lambda_bar))
         if len(low) == 0:
             break
@@ -238,29 +235,6 @@ def _fiedler_sweep(w: np.ndarray) -> tuple:
     return Fraction(int(bd[j]), int(denom[j])), np.sort(order[:j + 1])
 
 
-def _components(w: np.ndarray) -> list:
-    """Connected components of the graph with weight matrix ``w`` as sorted
-    index arrays, ordered by smallest member; a frontier search that grows
-    the reached set by one matrix-vector product per step."""
-    step = w.astype(np.float64)
-    np.fill_diagonal(step, 1.0)
-    unseen = np.ones(len(w), dtype=bool)
-    comps = []
-    while unseen.any():
-        reach = np.zeros(len(w))
-        reach[unseen.argmax()] = 1.0
-        size = 1
-        while True:
-            reach = (reach @ step > 0).astype(np.float64)
-            grown = int(reach.sum())
-            if grown == size:
-                break
-            size = grown
-        comps.append(reach.nonzero()[0])
-        unseen[comps[-1]] = False
-    return comps
-
-
 def expander_decompose(g, gamma: Fraction) -> VertexPartition:
     """Low-conductance-cut splitting of a Graph or of its weight matrix.
 
@@ -288,9 +262,10 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
             # volume on both sides, so the block is connected iff cond > 0.
             connected = connected or (cond > 0 and bool(sub.any(axis=1).all()))
         if not connected:
-            comps = _components(sub)
-            if len(comps) > 1:
-                stack.extend((idx[c], True) for c in reversed(comps))
+            roots = component_roots(len(idx), *sub.nonzero())
+            heads = np.flatnonzero(roots == np.arange(len(idx)))
+            if len(heads) > 1:
+                stack.extend((idx[roots == h], True) for h in heads[::-1])
                 continue
         if not small:
             cond, side = _fiedler_sweep(sub)

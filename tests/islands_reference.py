@@ -6,7 +6,9 @@ cache; it visits the class triples in ascending cost-sum order and bounds a
 triple only by the largest pair weight any two q-subsets can have, q².
 ``solve_r_island`` runs it on the vertices the library's degree test keeps,
 so the library search and this one must return the same value, the same
-lex-smallest island set and the same witness multiset.
+lex-smallest island set and the same witness multiset.  For r <= 2,
+``_solve_small`` enumerates the vertices and the vertex pairs one by one
+over ``Graph.degrees`` and ``Graph.edges``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,22 @@ from itertools import combinations
 import numpy as np
 
 from kcut.graph import Graph, GraphError, InvalidCutError, weight_matrix
-from kcut.islands import _island_candidates, _island_cost, _solve_small, matmul
+from kcut.islands import _island_candidates, _island_cost, matmul
+
+
+def _solve_small(g: Graph, r: int) -> tuple:
+    """Direct enumeration for r in {1, 2}."""
+    deg = g.degrees
+    if r == 1:
+        best_v = min(range(g.n), key=lambda v: (deg[v], v))
+        return deg[best_v], (best_v,)
+    best = None
+    weight = {(u, v): w for u, v, w in g.edges}
+    for u, v in combinations(range(g.n), 2):
+        cost = deg[u] + deg[v] - weight.get((u, v), 0)
+        if best is None or cost < best[0]:
+            best = (cost, (u, v))
+    return best
 
 
 def _subset_stats(adj: np.ndarray, deg: np.ndarray, q: int, n: int) -> tuple:

@@ -28,10 +28,14 @@ from kcut.partition import (
     KTInvariantError,
     KTParams,
     _report,
-    regularize_threshold,
     shatter,
 )
 from kcut.sparsify import ni_sparsify
+
+
+def regularize_threshold(k: int, lambda_bar: int) -> Fraction:
+    """The low-degree threshold lambda_bar/(2(k-1)) of ``regularize``."""
+    return Fraction(lambda_bar, 2 * (k - 1))
 
 
 def regularize(g: Graph, k: int, lambda_bar: int) -> tuple:
@@ -244,7 +248,7 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
             blocks.append(tuple(back))
         partition = VertexPartition.from_blocks(blocks, g.n)
         return partition, _report(partition, removed, 0, 0, 0, 0, KTParams.derive(2, k, 1))
-    params = KTParams.derive(hr.n, k, hr.min_degree())
+    params = KTParams.derive(hr.n, k, min(hr.degrees))
     decomp = expander_decompose(hr, params.gamma)
     state0 = ClusterState(clusters=[list(b) for b in decomp.blocks], singletons=set())
     state1 = trim(hr, state0)

@@ -23,6 +23,7 @@ from kcut import (
     parse_graph,
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_graph
+from kcut.graph import component_roots, union_find
 
 from helpers import conductance
 
@@ -215,6 +216,55 @@ def test_components_two_edges():
 def test_components_edgeless():
     g = Graph.from_edges(3, [])
     assert len(connected_components(g).blocks) == 3
+
+
+def _lowest_in_component(n, pairs):
+    """Reference labelling: a plain union-find over the pairs, then the
+    lowest vertex of every set."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    lowest = {}
+    for v in range(n):
+        lowest.setdefault(find(v), v)
+    return [lowest[find(v)] for v in range(n)]
+
+
+@st.composite
+def edge_lists(draw, max_n=30):
+    # Repeated pairs, both orientations and self-pairs are all allowed;
+    # isolated vertices and empty lists come for free.
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@given(edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_component_roots_match_union_find(case):
+    n, pairs = case
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    assert component_roots(n, a, b).tolist() == _lowest_in_component(n, pairs)
+
+
+@given(edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_union_find_roots_are_set_minima(case):
+    n, pairs = case
+    find, union, parent = union_find(n)
+    for a, b in pairs:
+        union(a, b)
+    assert all(p <= v for v, p in enumerate(parent))
+    assert [find(v) for v in range(n)] == _lowest_in_component(n, pairs)
 
 
 # --------------------------------------------------------------- conductance

@@ -120,6 +120,7 @@ def test_r_island_matches_oracle(r):
         ov, oi = brute_force_r_island(g, r)
         assert value == ov
         assert islands == oi
+        assert (value, islands) == islands_reference.solve_r_island(g, r)
         assert len(islands) == r
         # returned witness achieves the value
         deg = g.degrees
@@ -189,6 +190,13 @@ def test_triple_search_matches_reference_regular(graph, r):
     # Every vertex passes the degree test, the profile classes are few and
     # large, and many island sets tie for the optimum.
     _assert_matches_reference(graph, r)
+
+
+def test_r_island_k88_r5():
+    # 75,264 witnesses (3,136 distinct sets) tie for the optimum; the
+    # lex-smallest is taken over all of them at once.
+    g = _complete_bipartite(8)
+    assert solve_r_island(g, 5) == brute_force_r_island(g, 5)
 
 
 @pytest.mark.parametrize("n, p, seed, r, calls", [

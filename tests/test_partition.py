@@ -27,7 +27,7 @@ from kcut import (
 from kcut.generators import (cliques_bridge, complete_graph, cycle_graph, gnp_graph,
                              planted_instance, star_graph)
 from kcut.graph import MAX_WEIGHT, weight_matrix
-from kcut.partition import ClusterState, KTParams, regularize_threshold
+from kcut.partition import ClusterState, KTParams
 
 import partition_reference
 from helpers import border_agrees, borders_of_cut, conductance
@@ -43,7 +43,7 @@ def test_params_derivation():
     p = KTParams.derive(n=16, k=2, delta=3)
     assert p.epsilon == pytest.approx(1 / (2 * 4))
     assert p.gamma == Fraction(1, 3)
-    assert regularize_threshold(2, 4) == Fraction(4, 2)
+    assert partition_reference.regularize_threshold(2, 4) == Fraction(4, 2)
     assert 0 < p.epsilon < 1
     assert 0 < p.gamma <= 1
 

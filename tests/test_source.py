@@ -37,3 +37,21 @@ def test_library_does_not_import_networkx():
         if any(m.split(".")[0] == "networkx" for m in modules):
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_every_library_function_has_a_caller():
+    # A function that nothing in the library calls and the package does not
+    # export is dead code, or a test helper living in src/; dunder methods
+    # are called by the language itself, not by name.
+    defined, referenced = {}, set()
+    for name, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.setdefault(node.name, f"{name}:{node.lineno} {node.name}")
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+    uncalled = [where for func, where in sorted(defined.items())
+                if not (func.startswith("__") and func.endswith("__"))
+                and func not in kcut.__all__ and func not in referenced]
+    assert uncalled == []

@@ -68,7 +68,7 @@ def contract_random(g: Graph, tau: int, seeds: np.ndarray) -> np.ndarray:
     when n <= tau or g has no edges.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    n, m = g.n, len(g.edges)
+    n, m = g.n, len(g.edge_array)
     if n <= tau or m == 0 or len(seeds) == 0:
         return np.tile(np.arange(n), (len(seeds), 1))
     edges = g.edge_array
@@ -199,7 +199,7 @@ def enumerate_borders(g: Graph, params: BorderParams,
         # Every trial contracts to max(tau, #components) super-vertices after
         # one clock draw per edge.
         cmap = contract_random(g, tau, seeds)
-        offset, nv = len(g.edges), int(cmap.max()) + 1
+        offset, nv = len(g.edge_array), int(cmap.max()) + 1
     if s > nv:
         return []
     lab, onto = _labels_batch(seeds, offset, nv, s)

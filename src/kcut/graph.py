@@ -5,6 +5,19 @@ Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 "multigraph" only ever means integer weights >= 2.  All types are immutable
 after construction and every operation is a pure function.
 
+A graph's edges live in one of two forms, and the other is built from it on
+first use and then kept.  A graph built as ``Graph(n=, edges=, simple=)``
+(``from_edges``, ``parse_graph`` and the generators do) holds the tuple of
+(u, v, w) triples; its read-only (m, 3) int64 ``edge_array`` costs one
+``np.fromiter`` pass.  Every graph this library derives (``induced_subgraph``,
+``contract``, ``ni_sparsify``'s forest union) is built from arrays and holds
+only ``edge_array``; its ``edges`` tuple is built only when a Python loop asks
+for it (the exact search, the forests, the oracles, the CLI).  Equality and
+hashing go by (n, edges, simple) in either form.  Total weight, degrees and
+cut values are numpy reductions over ``edge_array``, in int64 only where
+``total_weight <= MAX_WEIGHT`` bounds every such sum, and in Python ints
+above that.
+
 Connected components come from one labeller, ``component_roots``, used by
 ``Graph.components`` (hence every solve's component check), the expander
 decomposition and Stoer-Wagner's contraction step.  The one union-find,
@@ -38,17 +51,47 @@ class InvalidCutError(GraphError):
     """A cut that violates the k-cut contract (empty part, bad labels)."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph; one entry per unordered pair, sorted by (u, v).
 
     ``simple`` is true iff every stored weight is 1 (i.e. the input had no
-    duplicate pairs and no weight above 1).
+    duplicate pairs and no weight above 1).  ``Graph(n=, edges=, simple=)``
+    takes the edge tuple as given; the graphs this module derives hold only
+    ``edge_array`` and build ``edges`` on demand (see the module docstring).
+    Immutable; equal and hashed by (n, edges, simple).
     """
 
     n: int
-    edges: tuple  # ((u, v, w), ...) with u < v
     simple: bool
+
+    def __init__(self, n: int, edges: tuple, simple: bool):
+        vars(self).update(n=n, edges=edges, simple=simple)
+
+    @classmethod
+    def _of_array(cls, n: int, arr: np.ndarray, simple: bool) -> "Graph":
+        """The graph whose edge rows, sorted and distinct with u < v and
+        weights in 1..MAX_WEIGHT, are the int64 array ``arr``."""
+        g = cls.__new__(cls)
+        arr.flags.writeable = False
+        vars(g).update(n=n, edge_array=arr, simple=simple)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges, self.simple) == (other.n, other.edges, other.simple)
+
+    def __hash__(self):
+        return hash((self.n, self.edges, self.simple))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, simple={self.simple!r})"
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple]) -> "Graph":
@@ -78,8 +121,9 @@ class Graph:
         return Graph(n=n, edges=edges, simple=simple)
 
     @cached_property
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
+    def edges(self) -> tuple:
+        """The edges as a tuple of (u, v, w) triples, u < v, sorted."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -90,22 +134,43 @@ class Graph:
         return arr
 
     @cached_property
+    def total_weight(self) -> int:
+        # The ufunc reductions skip ndarray.sum's and .max's Python wrappers,
+        # which cost more than the sums themselves on graphs of a few dozen
+        # edges.
+        w = self.edge_array[:, 2]
+        if len(w) and len(w) * int(np.maximum.reduce(w)) > MAX_WEIGHT:
+            return sum(w.tolist())   # the int64 sum could wrap around
+        return int(np.add.reduce(w))
+
+    @cached_property
     def degrees(self) -> tuple:
         """Weighted degree of every vertex."""
-        deg = [0] * self.n
-        for u, v, w in self.edges:
-            deg[u] += w
-            deg[v] += w
-        return tuple(deg)
+        if self.total_weight > MAX_WEIGHT:   # a degree could pass the int64 range
+            deg = [0] * self.n
+            for u, v, w in self.edge_array.tolist():
+                deg[u] += w
+                deg[v] += w
+            return tuple(deg)
+        u, v, w = self.edge_array.T
+        deg = np.zeros(self.n, dtype=np.int64)
+        np.add.at(deg, u, w)
+        np.add.at(deg, v, w)
+        return tuple(deg.tolist())
 
     @cached_property
     def adjacency(self) -> tuple:
         """Per-vertex tuple of (neighbor, weight) pairs, sorted by neighbor id."""
-        adj: list = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return tuple(tuple(sorted(a)) for a in adj)
+        # Rows (vertex, neighbor, weight): row 2i is edge i reversed, row
+        # 2i + 1 edge i itself.  A vertex's reversed rows (neighbors below
+        # it) all come before its own (neighbors above it), each group in
+        # ascending neighbor order, so a stable sort by vertex alone orders
+        # the rows by (vertex, neighbor).
+        rows = self.edge_array[:, (1, 0, 2, 0, 1, 2)].reshape(-1, 3)
+        rows = rows[rows[:, 0].argsort(kind="stable")]
+        pairs = list(zip(rows[:, 1].tolist(), rows[:, 2].tolist()))
+        stops = np.bincount(rows[:, 0], minlength=self.n).cumsum().tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + stops, stops))
 
     @cached_property
     def components(self) -> "VertexPartition":
@@ -203,7 +268,11 @@ class KCut:
             k = len(used)
         if used != set(range(k)):
             raise InvalidCutError(f"labels must use every part id in 0..{k - 1} at least once")
-        value = sum(w for u, v, w in g.edges if labels[u] != labels[v])
+        lab = np.fromiter(labels, np.int64, len(labels))
+        edges = g.edge_array
+        crossing = edges[:, 2][lab[edges[:, 0]] != lab[edges[:, 1]]]
+        value = (int(np.add.reduce(crossing)) if g.total_weight <= MAX_WEIGHT
+                 else sum(crossing.tolist()))
         return KCut(k=k, labels=labels, value=value)
 
     def canonical_key(self) -> tuple:
@@ -268,10 +337,30 @@ def contract(g: Graph, p: VertexPartition) -> tuple:
 
     Super-edge weight is the total weight between the two blocks; intra-block
     edges are discarded.  Blocks relabel densely in canonical block order.
+    The crossing edges merge by one ``np.unique`` over lo * nb + hi, which
+    is (lo, hi) order; a merged weight above MAX_WEIGHT raises as in
+    ``Graph.from_edges``.
     """
     cmap = p.to_block_index(g.n)
-    crossing = ((cmap[u], cmap[v], w) for u, v, w in g.edges if cmap[u] != cmap[v])
-    return Graph.from_edges(len(p.blocks), crossing), cmap
+    nb = len(p.blocks)
+    block = np.array(cmap, dtype=np.int64)
+    u, v, w = g.edge_array.T
+    bu, bv = block[u], block[v]
+    crossing = bu != bv
+    bu, bv, w = bu[crossing], bv[crossing], w[crossing]
+    keys, slot = np.unique(np.minimum(bu, bv) * nb + np.maximum(bu, bv), return_inverse=True)
+    if g.total_weight > MAX_WEIGHT:
+        merged = [0] * len(keys)
+        for i, x in zip(slot.tolist(), w.tolist()):
+            merged[i] += x
+        if max(merged, default=0) > MAX_WEIGHT:
+            raise GraphError(f"edge weight {max(merged)} overflows the 64-bit weight budget")
+        weights = np.array(merged, dtype=np.int64)
+    else:
+        weights = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(weights, slot, w)
+    arr = np.column_stack((keys // nb, keys % nb, weights))   # no keys when nb = 0
+    return Graph._of_array(nb, arr, bool((weights == 1).all())), cmap
 
 
 def weight_matrix(g: Graph) -> np.ndarray:
@@ -358,12 +447,19 @@ def connected_components(g: Graph) -> VertexPartition:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple:
     """Induced subgraph with dense relabeling; returns (graph, new-id -> old-id).
 
-    The relabeling is increasing, so g's edges keep u < v, stay sorted and
-    distinct: the Graph is built directly, without Graph.from_edges
-    re-validating and re-merging them, and is the graph from_edges would
-    build.  ``simple`` is recomputed from the kept weights.
+    The relabeling is increasing, so the kept rows of g's ``edge_array`` keep
+    u < v, stay sorted and distinct: they are relabeled through an index
+    array and a mask, and the result is the graph ``Graph.from_edges`` would
+    build.  ``simple`` is recomputed from the kept weights.  A vertex id
+    outside 0..n-1 raises GraphError.
     """
     verts = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = tuple((index[u], index[v], w) for u, v, w in g.edges if u in index and v in index)
-    return Graph(n=len(verts), edges=edges, simple=all(w == 1 for _, _, w in edges)), verts
+    if verts and not (0 <= verts[0] and verts[-1] < g.n):
+        raise GraphError(f"vertex id out of range 0..{g.n - 1}")
+    index = np.full(g.n, -1, dtype=np.int64)
+    index[verts] = np.arange(len(verts))
+    edges = g.edge_array
+    arr = edges[np.minimum(index[edges[:, 0]], index[edges[:, 1]]) >= 0]   # both ends kept
+    arr[:, 0] = index[arr[:, 0]]
+    arr[:, 1] = index[arr[:, 1]]
+    return Graph._of_array(len(verts), arr, g.simple or bool((arr[:, 2] == 1).all())), verts

@@ -216,7 +216,9 @@ class _TripleSearch:
 
     def best_with_witnesses(self, upper: int) -> tuple:
         """One pass over the parameter guesses: the minimum cut value no
-        larger than ``upper`` and every island set (sorted tuple) attaining it.
+        larger than ``upper`` and every island set attaining it, as the
+        sorted rows of one int array (a set appears once per way its three
+        subsets fit the class order).
 
         A guess fixes the weights w12 and w23 of a class triple; one
         ``matmul`` of the two guessed pair masks finds every subset pair
@@ -228,7 +230,7 @@ class _TripleSearch:
         are still visited; the witness list restarts whenever ``best`` drops.
         """
         best = upper
-        witnesses: list = []
+        witnesses = [np.empty((0, 3 * self.subsets.shape[1]), np.intp)]   # sets costing best
         base = self.base
         top = self.top.tolist()
         for bound, a, b, c in self._triples(upper):
@@ -260,8 +262,9 @@ class _TripleSearch:
                     sets = np.sort(np.hstack((self.subsets[ra][i1[pick]],
                                               self.subsets[rb][i2],
                                               self.subsets[rc][i3[pick]])), axis=1)
-                    witnesses.extend(self._checked(sets, value))
-        return best, witnesses
+                    self._check(sets, value)
+                    witnesses.append(sets)
+        return best, np.concatenate(witnesses)
 
     def _masks(self, block: np.ndarray, heaviest: int, lightest: int) -> list:
         """(w, block == base + w) for every weight w from ``heaviest`` down to
@@ -273,9 +276,9 @@ class _TripleSearch:
                 found.append((w, mask))
         return found
 
-    def _checked(self, sets: np.ndarray, value: int) -> list:
-        """The island sets (rows of ``sets``) as tuples, after re-costing each
-        directly with one gather; a set whose cost is not ``value`` raises."""
+    def _check(self, sets: np.ndarray, value: int) -> None:
+        """Re-cost each island set (row of ``sets``) directly with one
+        gather; a set whose cost is not ``value`` raises."""
         inside = self.adj[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2)) // 2
         direct = self.deg[sets].sum(axis=1) - inside
         wrong = np.flatnonzero(direct != value)
@@ -283,7 +286,6 @@ class _TripleSearch:
             islands = tuple(sets[wrong[0]].tolist())
             raise InvalidCutError(f"island set {islands} costs {int(direct[wrong[0]])}, "
                                   f"its parameters give {value}")
-        return list(map(tuple, sets.tolist()))
 
 
 def solve_r_island(g: Graph, r: int) -> tuple:
@@ -315,11 +317,10 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         return int(cost[i]), (int(u[i]), int(v[i]))
     upper, kept = _island_candidates(adj, deg, r)
     search = _TripleSearch(adj[np.ix_(kept, kept)], deg[kept], r)
-    value, witnesses = search.best_with_witnesses(upper)
+    value, sets = search.best_with_witnesses(upper)
     # Each witness is sorted and the dummies have the highest ids, so the
     # witnesses with the most dummies end in them; the answer is the
     # lex-smallest real part among those.
-    sets = np.array(witnesses, dtype=np.intp).reshape(-1, r + search.pad)
     dummies = (sets >= search.real_n).sum(axis=1)
     if not len(sets) or dummies.max() != search.pad:
         raise InvalidCutError("padding must be absorbed by dummy islands")

@@ -333,8 +333,7 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
         if deg[sup[i]] < best_value:
             best_value = int(deg[sup[i]])
             best_side = rep == sup[deg[sup] == best_value].min()
-    side = best_side.tolist()
-    labels = tuple(int(s != side[0]) for s in side)
+    labels = (best_side != best_side[0]).astype(np.int64).tolist()
     cut = KCut.from_labels(g, labels, 2)
     if cut.value != best_value:
         raise InvalidCutError(f"Stoer-Wagner reported {best_value}, its cut has value {cut.value}")

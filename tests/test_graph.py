@@ -23,7 +23,8 @@ from kcut import (
     parse_graph,
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_graph
-from kcut.graph import component_roots, union_find
+from kcut.graph import MAX_WEIGHT, component_roots, union_find, weight_matrix
+from kcut.sparsify import forest_decomposition, ni_sparsify
 
 from helpers import conductance
 
@@ -31,12 +32,39 @@ from helpers import conductance
 # ---------------------------------------------------------------- strategies
 
 @st.composite
-def graphs(draw, max_n=8, min_n=1, max_weight=4):
+def graphs(draw, max_n=8, min_n=1, max_weight=4, weights=None):
     n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    weights = draw(st.lists(st.integers(1, max_weight), min_size=len(chosen), max_size=len(chosen)))
-    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+    weight = weights if weights is not None else st.integers(1, max_weight)
+    drawn = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, drawn)])
+
+
+def heavy_graphs(max_n=9):
+    """Graphs with small weights, weights at the 64-bit limit and anything
+    between, so that totals, degrees and cut values fall both below and
+    above MAX_WEIGHT."""
+    return graphs(max_n=max_n, weights=st.one_of(
+        st.integers(1, 3), st.integers(MAX_WEIGHT - 2, MAX_WEIGHT), st.integers(1, MAX_WEIGHT)))
+
+
+def assert_same_graph(got, want):
+    """Equal in n, edges, simple and edge_array, and equally hashed."""
+    assert (got.n, got.edges, got.simple) == (want.n, want.edges, want.simple)
+    assert got.simple is want.simple
+    assert got.edge_array.dtype == np.int64
+    assert np.array_equal(got.edge_array, want.edge_array.reshape(-1, 3))
+    assert not got.edge_array.flags.writeable
+    assert got == want and hash(got) == hash(want)
+
+
+def python_degrees(g):
+    deg = [0] * g.n
+    for u, v, w in g.edges:
+        deg[u] += w
+        deg[v] += w
+    return tuple(deg)
 
 
 @st.composite
@@ -337,15 +365,16 @@ def induced_by_from_edges(g, vertices):
 
 
 @given(st.data(), st.booleans())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_induced_subgraph_matches_from_edges(data, unit_weights):
-    g = data.draw(graphs(max_n=12))
+    g = data.draw(st.one_of(graphs(max_n=12), heavy_graphs()))
     if unit_weights:
         g = Graph.from_edges(g.n, [(u, v) for u, v, _ in g.edges])
     subset = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
     sub, back = induced_subgraph(g, subset)
-    # Graph equality compares n, edges and simple.
-    assert (sub, back) == induced_by_from_edges(g, subset)
+    want, want_back = induced_by_from_edges(g, subset)
+    assert back == want_back
+    assert_same_graph(sub, want)
 
 
 def test_induced_subgraph_recomputes_simple():
@@ -358,3 +387,101 @@ def test_induced_subgraph_recomputes_simple():
         assert (sub, back) == induced_by_from_edges(g, subset)
     assert induced_subgraph(g, []) == (Graph(n=0, edges=(), simple=True), [])
     assert induced_subgraph(g, [3, 3]) == (Graph(n=1, edges=(), simple=True), [3])
+
+
+def test_induced_subgraph_rejects_unknown_vertex():
+    with pytest.raises(GraphError):
+        induced_subgraph(path_graph(3), [0, 3])
+    with pytest.raises(GraphError):
+        induced_subgraph(path_graph(3), [-1, 1])
+
+
+# ------------------------------------------------------------ derived graphs
+
+@given(heavy_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_contract_matches_from_edges(g, data):
+    labels = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
+    p = VertexPartition.from_labels(labels, g.n)
+    cmap = p.to_block_index(g.n)
+    crossing = [(cmap[u], cmap[v], w) for u, v, w in g.edges if cmap[u] != cmap[v]]
+    try:
+        want = Graph.from_edges(len(p.blocks), crossing)
+    except GraphError:
+        # A merged super-edge weight above MAX_WEIGHT: contract raises too.
+        with pytest.raises(GraphError):
+            contract(g, p)
+        return
+    gc, got_cmap = contract(g, p)
+    assert got_cmap == cmap
+    assert_same_graph(gc, want)
+
+
+def test_contract_rejects_merged_overflow():
+    g = Graph.from_edges(3, [(0, 1, MAX_WEIGHT), (0, 2, 1)])
+    p = VertexPartition.from_blocks([[0], [1, 2]], 3)
+    with pytest.raises(GraphError, match="overflows"):
+        contract(g, p)
+    with pytest.raises(GraphError, match="overflows"):
+        Graph.from_edges(2, [(0, 1, MAX_WEIGHT), (0, 1, 1)])
+
+
+@given(graphs(max_n=10, max_weight=1), st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_ni_sparsify_matches_from_edges(g, s):
+    union = Graph.from_edges(g.n, (e for f in forest_decomposition(g, s) for e in f))
+    assert_same_graph(ni_sparsify(g, s), union)
+
+
+@given(graphs(max_n=24, max_weight=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_adjacency_matches_per_edge_lists(g, data):
+    subset = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+    for h in (g, induced_subgraph(g, subset)[0]):
+        adj: list = [[] for _ in range(h.n)]
+        for u, v, w in h.edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        assert h.adjacency == tuple(tuple(sorted(a)) for a in adj)
+
+
+@given(heavy_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sums_match_python_ints(g, data):
+    labels = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
+    labels = canonical_labels(labels)
+    p = VertexPartition.from_labels(labels, g.n)
+    derived = [g, induced_subgraph(g, range(0, g.n, 2))[0]]
+    try:
+        derived.append(contract(g, p)[0])
+    except GraphError:
+        pass   # a merged weight overflows; covered by test_contract_matches_from_edges
+    for h in derived:
+        assert h.total_weight == sum(w for _, _, w in h.edges)
+        assert h.degrees == python_degrees(h)
+    cut = KCut.from_labels(g, labels)
+    assert cut.value == sum(w for u, v, w in g.edges if labels[u] != labels[v])
+    if g.total_weight > MAX_WEIGHT:
+        with pytest.raises(GraphError):
+            weight_matrix(g)
+
+
+def test_derived_graph_builds_its_edge_tuple_on_demand():
+    g = Graph.from_edges(6, [(0, 1), (1, 2, 3), (2, 3), (3, 4), (4, 5, 2), (0, 5), (1, 4)])
+    built = Graph(n=g.n, edges=g.edges, simple=g.simple)
+    # A tuple-built graph makes its array only when asked.
+    assert "edge_array" not in vars(built)
+    parts = [induced_subgraph(g, [1, 2, 3, 4])[0],
+             contract(g, VertexPartition.from_blocks([[0, 1], [2, 3], [4, 5]], 6))[0]]
+    for h in parts:
+        assert "edges" not in vars(h)
+        h.total_weight, h.degrees, h.components, h.adjacency, weight_matrix(h)
+        KCut.from_labels(h, [0] + [1] * (h.n - 1))
+        assert "edges" not in vars(h)
+        twin = Graph(n=h.n, edges=tuple(map(tuple, h.edge_array.tolist())), simple=h.simple)
+        assert h == twin and twin == h and hash(h) == hash(twin)
+        assert "edges" in vars(h)   # equality and hashing read the tuple
+        assert h.edges is vars(h)["edges"]
+    assert parts[0].edges == ((0, 1, 3), (0, 3, 1), (1, 2, 1), (2, 3, 1))
+    with pytest.raises(AttributeError):
+        parts[0].n = 3

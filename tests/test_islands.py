@@ -170,7 +170,7 @@ def _assert_matches_reference(g, r):
     ref_value, ref_witnesses = islands_reference.TripleSearch(
         sub, sub_deg, r).best_with_witnesses(upper)
     assert value == ref_value
-    assert sorted(witnesses) == sorted(ref_witnesses)
+    assert sorted(map(tuple, witnesses.tolist())) == sorted(ref_witnesses)
     assert solve_r_island(g, r) == islands_reference.solve_r_island(g, r)
 
 

@@ -167,8 +167,8 @@ def test_certificate_boundary_matches_forest_union():
 
 def test_certificate_skips_the_forests(monkeypatch):
     calls = []
-    forests = kcut.sparsify.forest_decomposition
-    monkeypatch.setattr(kcut.sparsify, "forest_decomposition",
+    forests = kcut.sparsify._forest_ids
+    monkeypatch.setattr(kcut.sparsify, "_forest_ids",
                         lambda g, s: calls.append(s) or forests(g, s))
     g = gnp_graph(30, 0.7, seed=3)
     t = max_min_degree(g)

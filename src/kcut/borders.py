@@ -189,8 +189,10 @@ def enumerate_borders(g: Graph, params: BorderParams,
         raise ValueError("need s >= 1 and trials >= 1")
     if g.total_weight > MAX_WEIGHT:
         raise GraphError("total edge weight overflows the 64-bit cut values")
+    if s > g.n:
+        return []
     if s == 1:
-        cuts = [KCut(k=1, labels=(0,) * g.n, value=0)] if g.n else []
+        cuts = [KCut(k=1, labels=(0,) * g.n, value=0)]
         return [c for c in cuts if max_value is None or c.value <= max_value]
     seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
     if g.n <= tau:

@@ -1,37 +1,27 @@
-"""Deterministic r-island solving via subset-graph triangle detection.
+"""Deterministic r-island solving by branch and bound.
 
 An r-island solution is a set of r vertices, each cut off as its own
-singleton, minimizing the total number of incident edges.  For r = 1 it is
-the first vertex of least degree, for r = 2 the lex-first pair (u, v) of
-least deg(u) + deg(v) - w(u, v), both read off the weight matrix.  For
-r >= 3 the set is split into three disjoint q-subsets (q = r/3 after
-padding).  Its cost is the three subset costs minus the edges between each
-two subsets, so the search guesses two of those pair weights and finds the
-triangles of the subset graph that fit the guess with one integer matrix
-product.
+singleton, minimizing the total number of incident edges.  In a simple graph
+a set S costs sum(deg(v) for v in S) - |E(S)|.
 
-One pair table per search holds the weight and the disjointness of every two
-q-subsets, with the subsets sorted by profile (edges inside, edges leaving)
-so that each profile class is a contiguous slice.  Two
-``np.maximum.reduceat`` calls turn it into the largest disjoint pair weight of
-every class pair, which bounds every class triple from below: the sum of its
-three class costs minus its three class-pair maxima.  The search walks only
-the triples whose bound can still reach the best value found, in ascending
-bound order, and prunes the weight guesses inside a triple the same way.  The
-table is built from integer gathers, not a product: the graph is simple, so
-every entry is a small exact integer (see ``_TripleSearch``).
+The paper finds these sets by triangle detection over q-subsets with fast
+matrix multiplication.  The library instead searches the vertex sets
+directly: take or skip each vertex in increasing id order, on an explicit
+stack, and prune a node whose lower bound reaches the best cost found.  The
+lower bound counts each vertex still to pick at its degree, less its edges to
+the chosen set and half its possible edges to the other picks (see
+``_branch_and_bound``).  The paper's triangle route is kept in the tests as
+the reference this search is checked against; ``matmul`` and
+``matmul_strassen``, its exact integer products, stay public.
 
-Before the search, vertices are pruned by degree.  In a simple graph a set S
-costs sum(deg(v) for v in S) - |E(S)|, and |E(S)| <= C(r, 2).  So a vertex v
-lies in a set no dearer than a known feasible set (the r lowest-degree
-vertices) only if deg(v) + (the r-1 smallest other degrees) - C(r, 2) is at
-most that set's cost.  Every optimal set passes, and the padding dummies
-(isolated, so free) are always kept: the value and the lex-smallest optimum
-are those of the unpruned search.
+Before the search, vertices are pruned by degree.  |E(S)| <= C(r, 2), so a
+vertex v lies in a set no dearer than a known feasible set (the r
+lowest-degree vertices) only if deg(v) + (the r-1 smallest other degrees) -
+C(r, 2) is at most that set's cost.  Every optimal set passes, so the value
+and the lex-smallest optimum are those of the unpruned search.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -39,7 +29,6 @@ import numpy as np
 from .graph import (
     Graph,
     GraphError,
-    InvalidCutError,
     KCut,
     canonical_labels,
     induced_subgraph,
@@ -48,7 +37,6 @@ from .graph import (
 
 STRASSEN_THRESHOLD = 256
 _STRASSEN_BASE = 64
-_GRID_CELLS = 1 << 18  # class triples bounded per numpy pass
 
 
 def matmul_strassen(a: np.ndarray, b: np.ndarray, base: int = _STRASSEN_BASE) -> np.ndarray:
@@ -120,185 +108,59 @@ def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int) -> tuple:
     return upper, np.flatnonzero(deg + rest - r * (r - 1) // 2 <= upper)
 
 
-class _TripleSearch:
-    """The triple search over three disjoint q-subsets of the (padded) vertex
-    set, driven by one pair table.
+def _branch_and_bound(adj: np.ndarray, deg: np.ndarray, r: int, best: int) -> tuple:
+    """(cost, ids) of the lex-smallest cheapest r-set if it costs less than
+    ``best``, else (``best``, None).
 
-    ``adj`` is the weight matrix among the searched vertices and ``deg`` their
-    degrees in the whole graph, so subset costs count every incident edge.
+    ``adj`` is the 0/1 weight matrix among the searched vertices and ``deg``
+    their degrees in the whole graph, so set costs count every incident edge.
 
-    The q-subsets are sorted by profile (w_in, w_sv), the edges inside a
-    subset and the edges leaving it, so each profile class is a contiguous
-    slice ``subsets[start[a]:start[a + 1]]`` whose members all cost
-    ``cost[a]`` = w_in + w_sv.  Three disjoint subsets from classes a, b, c
-    form an island set costing cost[a] + cost[b] + cost[c] minus the edges
-    between each two of them.
+    A node has taken the set S from the ids below ``i`` and leaves t picks to
+    the undecided ids R = {i, ...}.  A set T of t picks from R adds
+    sum(deg(v) - |N(v) ∩ S| for v in T) - |E(T)| to cost(S), and each v in T
+    has at most min(t-1, |N(v) ∩ R|) neighbours in T, so no completion costs
+    less than cost(S) plus the t smallest values of
+    deg(v) - |N(v) ∩ S| - min(t-1, |N(v) ∩ R|) / 2 over R.  That sum is
+    taken doubled, in integers.
 
-    ``table`` holds those pair weights for every two subsets, in class order:
-    ``base`` + w(s, t) when s and t are disjoint and less than ``base`` when
-    they overlap.  With lift = q² + 1 and base = q·lift, each vertex of t
-    outside s adds lift on top of its edges to s, and the edges add at most
-    q² in all.  The table is the sum of q integer gathers in the smallest
-    unsigned dtype that holds base + q² (one byte up to q = 5, two up to
-    q = 39).  It needs no product, so it is exact as long as every weight is
-    0 or 1, which the constructor checks.
-
-    ``top[a, b]`` is the largest weight of a disjoint pair from classes a and
-    b (-1 when there is none), from two ``np.maximum.reduceat`` calls over
-    the table.  No island set from classes a <= b <= c costs less than
-    cost[a] + cost[b] + cost[c] - top[a, b] - top[b, c] - top[a, c], so
-    ``best_with_witnesses`` visits the class triples in ascending order of
-    that bound and stops at the first bound above the best value so far.
+    Nodes are expanded "take i" before "skip i", so sets are reached in lex
+    order.  A node is pruned once its bound reaches ``best`` and a set
+    replaces the best only when it is strictly cheaper, so the first set
+    found at the least cost is the lex-smallest one.
     """
-
-    def __init__(self, adj: np.ndarray, deg: np.ndarray, r: int):
-        if adj.max(initial=0) > 1:
-            raise GraphError("the triple search needs a 0/1 weight matrix")
-        self.pad = (-r) % 3
-        q = (r + self.pad) // 3
-        self.real_n = len(deg)
-        n = self.real_n + self.pad  # dummies take the highest ids
-        self.adj = np.zeros((n, n), dtype=np.int64)
-        self.adj[:self.real_n, :self.real_n] = adj
-        self.deg = np.zeros(n, dtype=np.int64)
-        self.deg[:self.real_n] = deg
-        subsets = np.fromiter(chain.from_iterable(combinations(range(n), q)),
-                              np.intp).reshape(-1, q)
-        w_in = np.zeros(len(subsets), dtype=np.int64)
-        for s, t in combinations(range(q), 2):
-            w_in += self.adj[subsets[:, s], subsets[:, t]]
-        w_sv = self.deg[subsets].sum(axis=1) - 2 * w_in
-        order = np.lexsort((w_sv, w_in))  # stable: by profile, then subset
-        self.subsets = subsets[order]
-        w_in, w_sv = w_in[order], w_sv[order]
-        first = np.flatnonzero(np.concatenate((
-            [True], (w_in[1:] != w_in[:-1]) | (w_sv[1:] != w_sv[:-1]))))
-        self.start = first.tolist() + [len(order)]
-        self.cost = w_in[first] + w_sv[first]
-        lift = q * q + 1
-        self.base = q * lift
-        small = self.adj.astype(np.min_scalar_type(self.base + q * q))
-        near = small[self.subsets[:, 0]]  # edges from each subset to each vertex
-        for t in range(1, q):
-            near += small[self.subsets[:, t]]
-        near += lift
-        near[np.arange(len(subsets))[:, None], self.subsets] -= lift
-        self.table = near[:, self.subsets[:, 0]]
-        for t in range(1, q):
-            self.table += near[:, self.subsets[:, t]]
-        top = np.maximum.reduceat(np.maximum.reduceat(self.table, first, axis=0),
-                                  first, axis=1).astype(np.int64)
-        self.top = np.where(top >= self.base, top - self.base, -1)
-
-    def _triples(self, upper: int):
-        """(bound, a, b, c) for every class triple a <= b <= c with disjoint
-        pairs in all three class pairs and a bound of at most ``upper``, in
-        ascending bound order (ties by class)."""
-        cost, top = self.cost, self.top
-        k = len(cost)
-        cls = np.arange(k)
-        pair = cost[:, None] + cost - top  # the (b, c) share of the bound
-        ok = top >= 0  # the class pair has a disjoint pair
-        pair_ok = ok & (cls[:, None] <= cls)
-        found = []
-        step = max(1, _GRID_CELLS // (k * k))
-        for a0 in range(0, k, step):
-            a = cls[a0:a0 + step]
-            ta = top[a]
-            bound = pair + (cost[a, None, None] - ta[:, :, None] - ta[:, None, :])
-            keep = ((bound <= upper) & pair_ok & (ok[a] & (a[:, None] <= cls))[:, :, None]
-                    & ok[a][:, None, :])
-            ia, ib, ic = np.nonzero(keep)
-            found.append((bound[ia, ib, ic], a[ia], ib, ic))
-        bound, a, b, c = (np.concatenate(col) for col in zip(*found))
-        order = np.argsort(bound, kind="stable")
-        return zip(*(col[order].tolist() for col in (bound, a, b, c)))
-
-    def best_with_witnesses(self, upper: int) -> tuple:
-        """One pass over the parameter guesses: the minimum cut value no
-        larger than ``upper`` and every island set attaining it, as the
-        sorted rows of one int array (a set appears once per way its three
-        subsets fit the class order).
-
-        A guess fixes the weights w12 and w23 of a class triple; one
-        ``matmul`` of the two guessed pair masks finds every subset pair
-        (s1, s3) joined through some s2, and the heaviest disjoint such pair
-        gives w13.  A set's value exceeds the triple's bound by what its three
-        weights give up against the class-pair maxima, so a guess runs only
-        while w12 and w23 together give up at most best - bound; guesses run
-        from the heaviest weights down.  Pruning uses ``> best`` so that ties
-        are still visited; the witness list restarts whenever ``best`` drops.
-        """
-        best = upper
-        witnesses = [np.empty((0, 3 * self.subsets.shape[1]), np.intp)]   # sets costing best
-        base = self.base
-        top = self.top.tolist()
-        for bound, a, b, c in self._triples(upper):
-            if bound > best:
-                break
-            ra, rb, rc = (slice(self.start[x], self.start[x + 1]) for x in (a, b, c))
-            t12, t23, t13 = self.table[ra, rb], self.table[rb, rc], self.table[ra, rc]
-            m12, m23, m13 = top[a][b], top[b][c], top[a][c]
-            apart13 = t13 >= base
-            guesses23 = self._masks(t23, m23, m23 - (best - bound))
-            for w12, a12 in self._masks(t12, m12, m12 - (best - bound)):
-                if m12 - w12 > best - bound:
-                    break
-                for w23, a23 in guesses23:
-                    if (m12 - w12) + (m23 - w23) > best - bound:
-                        break
-                    hits = (matmul(a12, a23) > 0) & apart13
-                    if not hits.any():
-                        continue
-                    w13 = int(t13[hits].max()) - base
-                    value = bound + (m12 - w12) + (m23 - w23) + (m13 - w13)
-                    if value > best:
-                        continue
-                    if value < best:
-                        best = value
-                        witnesses.clear()
-                    i1, i3 = np.nonzero(hits & (t13 == base + w13))
-                    pick, i2 = np.nonzero(a12[i1] & a23[:, i3].T)
-                    sets = np.sort(np.hstack((self.subsets[ra][i1[pick]],
-                                              self.subsets[rb][i2],
-                                              self.subsets[rc][i3[pick]])), axis=1)
-                    self._check(sets, value)
-                    witnesses.append(sets)
-        return best, np.concatenate(witnesses)
-
-    def _masks(self, block: np.ndarray, heaviest: int, lightest: int) -> list:
-        """(w, block == base + w) for every weight w from ``heaviest`` down to
-        ``lightest`` (at least 0) that some disjoint pair in the block has."""
-        found = []
-        for w in range(heaviest, max(lightest, 0) - 1, -1):
-            mask = block == self.base + w
-            if mask.any():
-                found.append((w, mask))
-        return found
-
-    def _check(self, sets: np.ndarray, value: int) -> None:
-        """Re-cost each island set (row of ``sets``) directly with one
-        gather; a set whose cost is not ``value`` raises."""
-        inside = self.adj[sets[:, :, None], sets[:, None, :]].sum(axis=(1, 2)) // 2
-        direct = self.deg[sets].sum(axis=1) - inside
-        wrong = np.flatnonzero(direct != value)
-        if wrong.size:
-            islands = tuple(sets[wrong[0]].tolist())
-            raise InvalidCutError(f"island set {islands} costs {int(direct[wrong[0]])}, "
-                                  f"its parameters give {value}")
+    m = len(deg)
+    undecided = np.cumsum(adj[::-1], axis=0)[::-1]  # [i, v] = |N(v) ∩ {i, ...}|
+    found = None
+    stack = [(0, (), 0, np.zeros(m, dtype=np.int64))]
+    while stack:
+        i, chosen, cost, to_chosen = stack.pop()
+        t = r - len(chosen)
+        if t == 0:
+            if cost < best:
+                best, found = cost, chosen
+            continue
+        if m - i < t:
+            continue
+        rest = 2 * (deg[i:] - to_chosen[i:]) - np.minimum(t - 1, undecided[i, i:])
+        bound = 2 * cost + int(np.partition(rest, t - 1)[:t].sum())
+        if (bound + 1) // 2 >= best:
+            continue
+        stack.append((i + 1, chosen, cost, to_chosen))
+        stack.append((i + 1, chosen + (i,), cost + int(deg[i] - to_chosen[i]),
+                      to_chosen + adj[i]))
+    return best, found
 
 
 def solve_r_island(g: Graph, r: int) -> tuple:
     """Exact minimum (r+1)-cut with exactly r singleton components.
 
     Returns (value, island tuple); ties take the lex-smallest island set.
-    r >= 3 searches only the vertices that pass the degree test of the module
-    docstring against the cost of the r lowest-degree vertices, with their
-    whole-graph degrees.  The test is exact because the graph is simple (at
-    most C(r, 2) edges inside the set) and an optimal set can always give its
-    padding slots to the dummies: r >= 3 pads with isolated dummy vertices to
-    a multiple of 3, and the free dummy islands are preferred at ties and
-    stripped from the answer.
+    The branch and bound of ``_branch_and_bound`` runs on the vertices that
+    pass the degree test of the module docstring, with their whole-graph
+    degrees, and starts from one above the cost of the r lowest-degree
+    vertices, so that set or a cheaper one is always found.  The test is
+    exact because the graph is simple: at most C(r, 2) edges lie inside the
+    set.
     """
     if not g.simple:
         raise GraphError("r-island solving is defined for simple graphs")
@@ -306,27 +168,9 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         raise ValueError(f"r must be in 1..n-1, got r={r} with n={g.n}")
     adj = weight_matrix(g)
     deg = adj.sum(axis=1)
-    if r == 1:
-        v = int(deg.argmin())
-        return int(deg[v]), (v,)
-    if r == 2:
-        # The strict upper triangle read row-major is lex order of the pairs.
-        u, v = np.triu_indices(g.n, 1)
-        cost = deg[u] + deg[v] - adj[u, v]
-        i = int(cost.argmin())
-        return int(cost[i]), (int(u[i]), int(v[i]))
     upper, kept = _island_candidates(adj, deg, r)
-    search = _TripleSearch(adj[np.ix_(kept, kept)], deg[kept], r)
-    value, sets = search.best_with_witnesses(upper)
-    # Each witness is sorted and the dummies have the highest ids, so the
-    # witnesses with the most dummies end in them; the answer is the
-    # lex-smallest real part among those.
-    dummies = (sets >= search.real_n).sum(axis=1)
-    if not len(sets) or dummies.max() != search.pad:
-        raise InvalidCutError("padding must be absorbed by dummy islands")
-    real = kept[sets[dummies == search.pad, :r]]
-    best = real[np.lexsort(real.T[::-1])[0]]
-    return value, tuple(best.tolist())
+    value, islands = _branch_and_bound(adj[np.ix_(kept, kept)], deg[kept], r, upper + 1)
+    return value, tuple(kept[list(islands)].tolist())
 
 
 def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:

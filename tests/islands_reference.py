@@ -1,14 +1,18 @@
-"""The r-island triple search as a walk over every profile-class triple.
+"""The paper's r-island route: triangle detection over q-subsets.
 
-``TripleSearch`` computes the pair-weight and disjointness block of each
-class pair on first use (two ``matmul`` calls) and keeps it in a per-search
-cache; it visits the class triples in ascending cost-sum order and bounds a
-triple only by the largest pair weight any two q-subsets can have, q².
-``solve_r_island`` runs it on the vertices the library's degree test keeps,
-so the library search and this one must return the same value, the same
-lex-smallest island set and the same witness multiset.  For r <= 2,
-``_solve_small`` enumerates the vertices and the vertex pairs one by one
-over ``Graph.degrees`` and ``Graph.edges``.
+The r-set is padded with isolated dummy vertices to a multiple of 3 and
+split into three disjoint q-subsets.  Its cost is the three subset costs
+minus the edges between each two subsets, so the search guesses two of those
+pair weights and finds the triangles of the subset graph that fit the guess
+with one integer ``matmul``.  ``TripleSearch`` computes the pair-weight and
+disjointness block of each profile-class pair on first use (two ``matmul``
+calls) and keeps it in a per-search cache; it visits the class triples in
+ascending cost-sum order and bounds a triple only by the largest pair weight
+any two q-subsets can have, q².  ``solve_r_island`` runs it on the vertices
+the library's degree test keeps, so it must return the library's value and
+lex-smallest island set.  For r <= 2, ``_solve_small`` enumerates the
+vertices and the vertex pairs one by one over ``Graph.degrees`` and
+``Graph.edges``.
 """
 from __future__ import annotations
 

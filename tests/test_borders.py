@@ -369,6 +369,17 @@ def test_single_part_round_is_closed_form(monkeypatch, n, tau):
     assert calls == []
 
 
+@pytest.mark.parametrize("n, tau", [(4, 20), (14, 6)], ids=["identity", "contracted"])
+def test_more_parts_than_vertices_draws_nothing(monkeypatch, n, tau):
+    calls = []
+    monkeypatch.setattr(kcut.borders, "contract_random", lambda *args: calls.append(args))
+    monkeypatch.setattr(kcut.borders, "stream_outputs", lambda *args: calls.append(args))
+    g = gnp_graph(n, 0.5, 6)
+    params = BorderParams(s=n + 1, beta=1.0, tau=tau, trials=500, seed=3)
+    assert enumerate_borders(g, params) == []
+    assert calls == []
+
+
 @pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
 def test_one_contract_call_per_round(monkeypatch, n, tau):
     calls = []

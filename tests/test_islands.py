@@ -3,16 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcut import (
     Graph,
-    GraphError,
     KCut,
     brute_force_min_kcut,
     brute_force_r_island,
     cut_value,
     extend_border,
     matmul,
+    min_kcut,
     solve_r_island,
 )
 from kcut.generators import (
@@ -28,7 +30,6 @@ from kcut.graph import weight_matrix
 from kcut.islands import (
     STRASSEN_THRESHOLD,
     _island_candidates,
-    _TripleSearch,
     matmul_strassen,
 )
 
@@ -129,7 +130,7 @@ def test_r_island_matches_oracle(r):
 
 
 def test_padding_boundaries():
-    # r = 4 pads by 2, r = 5 pads by 1, r = 3 pads by 0
+    # r = 3, 4 and 5 cover every residue of r mod 3
     g = gnp_graph(9, 0.6, 77)
     for r in (3, 4, 5):
         assert solve_r_island(g, r) == brute_force_r_island(g, r)
@@ -151,7 +152,7 @@ def test_degree_prune_drops_hubs(r):
     assert solve_r_island(g, r) == brute_force_r_island(g, r)
 
 
-# ------------------------------------------------- triple search vs reference
+# ------------------------------------ branch and bound vs triple-search reference
 
 def _cycle_power(n, d):
     return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in range(1, d + 1)])
@@ -161,25 +162,14 @@ def _complete_bipartite(a):
     return Graph.from_edges(2 * a, [(u, a + v) for u in range(a) for v in range(a)])
 
 
-def _assert_matches_reference(g, r):
-    adj = weight_matrix(g)
-    deg = adj.sum(axis=1)
-    upper, kept = _island_candidates(adj, deg, r)
-    sub, sub_deg = adj[np.ix_(kept, kept)], deg[kept]
-    value, witnesses = _TripleSearch(sub, sub_deg, r).best_with_witnesses(upper)
-    ref_value, ref_witnesses = islands_reference.TripleSearch(
-        sub, sub_deg, r).best_with_witnesses(upper)
-    assert value == ref_value
-    assert sorted(map(tuple, witnesses.tolist())) == sorted(ref_witnesses)
-    assert solve_r_island(g, r) == islands_reference.solve_r_island(g, r)
-
-
 @pytest.mark.parametrize("n, p, seed, r", [
     (20, 0.7, 1, 3), (30, 0.85, 2, 4), (40, 0.9, 3, 5), (50, 0.7, 4, 4),
     (60, 0.85, 5, 5), (45, 0.9, 6, 3), (25, 0.9, 7, 5), (35, 0.7, 8, 5),
     (55, 0.9, 9, 4)])
 def test_triple_search_matches_reference_dense(n, p, seed, r):
-    _assert_matches_reference(gnp_graph(n, p, seed), r)
+    # The library's branch and bound against the paper's triple search.
+    g = gnp_graph(n, p, seed)
+    assert solve_r_island(g, r) == islands_reference.solve_r_island(g, r)
 
 
 @pytest.mark.parametrize("graph", [
@@ -187,38 +177,47 @@ def test_triple_search_matches_reference_dense(n, p, seed, r):
     ids=["C12^2", "C20^3", "K5,5"])
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_triple_search_matches_reference_regular(graph, r):
-    # Every vertex passes the degree test, the profile classes are few and
-    # large, and many island sets tie for the optimum.
-    _assert_matches_reference(graph, r)
+    # Every vertex passes the degree test and many island sets tie for the
+    # optimum, so the lex-smallest one must be the first the search reaches.
+    assert solve_r_island(graph, r) == islands_reference.solve_r_island(graph, r)
+
+
+@st.composite
+def _simple_graphs(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(_simple_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_r_island_matches_brute_force_and_reference(g, data):
+    r = data.draw(st.integers(1, g.n - 1), label="r")
+    found = solve_r_island(g, r)
+    assert found == brute_force_r_island(g, r)
+    if r <= 6:  # the reference takes seconds per call beyond
+        assert found == islands_reference.solve_r_island(g, r)
 
 
 def test_r_island_k88_r5():
-    # 75,264 witnesses (3,136 distinct sets) tie for the optimum; the
-    # lex-smallest is taken over all of them at once.
+    # 3,136 distinct sets tie for the optimum.
     g = _complete_bipartite(8)
     assert solve_r_island(g, 5) == brute_force_r_island(g, 5)
 
 
-@pytest.mark.parametrize("n, p, seed, r, calls", [
-    (50, 0.9, 8, 5, 101), (50, 0.85, 0, 4, 184)])
-def test_triple_search_matmul_calls(monkeypatch, n, p, seed, r, calls):
-    # The class-pair maxima bound every triple and guess; the reference
-    # search, which walks every class triple, makes 1,349 and 1,285 here.
-    count = [0]
-    real_matmul = kcut.islands.matmul
-
-    def counting_matmul(a, b):
-        count[0] += 1
-        return real_matmul(a, b)
-
-    monkeypatch.setattr(kcut.islands, "matmul", counting_matmul)
-    solve_r_island(gnp_graph(n, p, seed), r)
-    assert count[0] == calls
+@pytest.mark.parametrize("n", [60, 100])
+def test_r_island_long_cycle_r10(n):
+    # The pair table of the triangle route would need hundreds of GiB here.
+    assert solve_r_island(cycle_graph(n), 10) == (11, tuple(range(10)))
 
 
-def test_triple_search_rejects_weighted_matrix():
-    with pytest.raises(GraphError):
-        _TripleSearch(np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]]), np.array([2, 3, 1]), 3)
+@pytest.mark.parametrize("n, p, k, value", [
+    (40, 0.5, 9, 105), (60, 0.5, 9, 176), (30, 0.6, 12, 143)])
+def test_min_kcut_with_many_islands(n, p, k, value):
+    # Each solve ends in one r-island call with r = k - 1 on the whole graph,
+    # which took seconds to minutes on the triangle route.
+    assert min_kcut(gnp_graph(n, p, 1), k).value == value
 
 
 # -------------------------------------------------------------- extend_border

@@ -22,6 +22,8 @@ and the lex-smallest optimum are those of the unpruned search.
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -180,8 +182,7 @@ def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:
         raise ValueError("island count must be nonnegative")
     if i == 0:
         return border_cut
-    parts = border_cut.parts()
-    hosts = [(pid, p) for pid, p in enumerate(parts) if len(p) >= 2]
+    hosts = [p for p in border_cut.parts() if len(p) >= 2]
     cache: dict = {}
 
     def host_solve(part: tuple, cnt: int):
@@ -193,13 +194,15 @@ def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:
         return cache[key]
 
     best = None
-    for comp in _compositions(i, [len(p) - 1 for _, p in hosts]):
+    for picks in combinations_with_replacement(range(len(hosts)), i):
+        # Host h carves cnt islands, and keeps at least one vertex.
+        comp = Counter(picks)
+        if any(cnt >= len(hosts[h]) for h, cnt in comp.items()):
+            continue
         labels = list(border_cut.labels)
         next_label = border_cut.k
-        for (pid, part), cnt in zip(hosts, comp):
-            if cnt == 0:
-                continue
-            _, islands = host_solve(part, cnt)
+        for h, cnt in comp.items():
+            _, islands = host_solve(hosts[h], cnt)
             for v in islands:
                 labels[v] = next_label
                 next_label += 1
@@ -209,26 +212,3 @@ def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:
             best = (key, cut)
     return best[1] if best is not None else None
 
-
-def _compositions(total: int, caps: list):
-    """All ways to write total as a sum over positions with per-position caps."""
-    if total == 0:
-        yield tuple(0 for _ in caps)
-        return
-    if not caps:
-        return
-
-    def rec(pos: int, left: int, acc: list):
-        if pos == len(caps):
-            if left == 0:
-                yield tuple(acc)
-            return
-        remaining_cap = sum(caps[pos:])
-        if left > remaining_cap:
-            return
-        for take in range(0, min(caps[pos], left) + 1):
-            acc.append(take)
-            yield from rec(pos + 1, left - take, acc)
-            acc.pop()
-
-    yield from rec(0, total, [])

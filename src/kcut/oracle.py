@@ -15,11 +15,12 @@ cuts and, after contracting every edge whose attachment reaches the best
 cut so far (Nagamochi, Ono and Ibaraki), the degrees of the new
 super-vertices; a candidate replaces the best only when strictly smaller.
 It stops once the best cut reaches a certified lower bound on lambda (1 on
-a connected graph, 2 without a weight-1 bridge, delta by Chartrand on a
-dense simple graph); later candidates could only tie, so value and side are
-those of the full run.  Its result is memoised on the Graph object, and
-sv_2approx's first round runs on the input graph itself, so one solve
-computes the whole-graph min cut once and exact_min_kcut's lambda is free.
+a connected graph, 2 without a weight-1 bridge); later candidates could only
+tie, so value and side are those of the full run.  On a dense simple graph
+Chartrand's floor, delta, holds before phase 1, and no phase runs.  Its
+result is memoised on the Graph object, and sv_2approx's first round runs
+on the input graph itself, so one solve computes the whole-graph min cut
+once and exact_min_kcut's lambda is free.
 """
 from __future__ import annotations
 
@@ -271,14 +272,15 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     bound L <= lambda no later candidate can replace it, and the loop stops
     there with the value and side of the full run.  L is the largest of:
 
+    - delta, on a simple graph with minimum degree delta >= floor(n/2)
+      (Chartrand 1966), which also makes g connected; checked before
+      phase 1, so no phase runs;
     - 1, once phase 1 has placed every vertex with a nonzero attachment
       (g is connected, and weights are positive);
     - 2, when g has no bridge of weight 1 (a cut of value 1 is one such
-      edge); checked by one depth-first search, only once the best is 2;
-    - delta, on a simple graph with minimum degree delta >= floor(n/2)
-      (Chartrand 1966).
+      edge); checked by one depth-first search, only once the best is 2.
 
-    The floors are checked after the phase cut and again after the prefix
+    The last two are checked after the phase cut and again after the prefix
     cuts, before any contraction work.
     The result is memoised on g itself (like its cached properties), so the
     whole-graph min cut is computed once however many layers ask for it.
@@ -293,11 +295,12 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     deg = w.sum(axis=1)
     rep = np.arange(n)   # the super-vertex of every vertex
     best_value, best_side = int(deg.min()), rep == deg.argmin()
-    lower = best_value if g.simple and best_value >= n // 2 else 1
+    chartrand = g.simple and best_value >= n // 2
+    lower = 1
     bridge_searched = False
     dead = np.zeros(n, dtype=bool)
     m = n   # super-vertices left
-    while m > 2:
+    while m > 2 and not chartrand:
         order, attach = _max_adjacency_phase(w, dead)
         if 0 in attach[1:]:
             # Only in the first phase, on a disconnected graph: the vertices
@@ -306,7 +309,7 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
             break
         if attach[-1] < best_value:
             best_value, best_side = attach[-1], rep == order[-1]
-        if best_value == 2 and lower < 2 and not bridge_searched:
+        if best_value == 2 and not bridge_searched:
             bridge_searched = True
             lower = 1 if _has_unit_bridge(g) else 2
         if best_value <= lower:

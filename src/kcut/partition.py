@@ -7,9 +7,11 @@ operates on.
 
 After sparsification every stage works on one dense int64 weight matrix
 (that of the sparsified graph, then its regularized principal submatrix)
-and on vertex index arrays; no stage builds a ``Graph``.  A vertex's
-weight into its cluster is a row sum over a cluster mask, updated by one
-matrix row per removal.  The decomposition splits blocks on an explicit
+and on vertex index arrays; no stage builds a ``Graph``.  Trimming,
+shaving and shattering take and return one int64 label per vertex: its
+cluster (or core) index, or -1 for a singleton.  A vertex's weight into
+its cluster is a row sum over a same-label mask, updated by one matrix row
+per removal.  The decomposition splits blocks on an explicit
 stack, labelling components with ``graph.component_roots`` over the
 nonzeros of the block's submatrix.
 Blocks of at most 16 vertices are split at their exact minimum-conductance
@@ -26,7 +28,7 @@ every block of at most 16 vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,15 +64,6 @@ class KTParams:
     def derive(n: int, k: int, delta: int) -> "KTParams":
         eps = 1.0 / (k * math.log2(n)) if n >= 2 else 1.0
         return KTParams(k=k, epsilon=eps, gamma=Fraction(1, max(delta, 1)))
-
-
-@dataclass
-class ClusterState:
-    """Clusters C_i, singleton set S, and (after shaving) cores A_i."""
-
-    clusters: list            # list of sorted vertex lists
-    singletons: set
-    cores: list = field(default_factory=list)
 
 
 def regularize(w: np.ndarray, k: int, lambda_bar: int) -> tuple:
@@ -278,23 +271,15 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
     return VertexPartition.from_blocks(blocks, len(w))
 
 
-def _cluster_labels(n: int, clusters: list) -> np.ndarray:
-    """Per-vertex cluster index, -1 outside every cluster."""
-    lab = np.full(n, -1)
-    lab[[v for c in clusters for v in c]] = np.repeat(
-        np.arange(len(clusters)), [len(c) for c in clusters])
-    return lab
-
-
 def _weight_inside(w: np.ndarray, lab: np.ndarray) -> np.ndarray:
     """Each vertex's weight into its own cluster: row sums of ``w`` over the
     same-label mask (meaningless where lab is -1)."""
     return np.where(lab[:, None] == lab, w, 0).sum(axis=1)
 
 
-def trim(w: np.ndarray, state: ClusterState) -> ClusterState:
-    """Move vertices keeping at most 2/5 of their degree inside their cluster
-    to the singleton set until a fixpoint.
+def trim(w: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Relabel -1 (singleton) every vertex keeping at most 2/5 of its degree
+    inside its cluster, until a fixpoint; returns a new label array.
 
     A removal only lowers the others' weight inside their clusters, so the
     fixpoint (in each cluster, the largest subset in which every vertex keeps
@@ -302,66 +287,43 @@ def trim(w: np.ndarray, state: ClusterState) -> ClusterState:
     as the definition reads, or, as here, every failing vertex per round.
     """
     deg = w.sum(axis=1)
-    lab = _cluster_labels(len(w), state.clusters)
+    lab = lab.copy()
     inside = _weight_inside(w, lab)
     while True:
-        out = ((lab >= 0) & (inside * 5 <= 2 * deg)).nonzero()[0]
+        out = np.flatnonzero((lab >= 0) & (inside * 5 <= 2 * deg))
         if len(out) == 0:
-            break
+            return lab
         inside -= np.where(lab[out, None] == lab, w[out], 0).sum(axis=0)
         lab[out] = -1
-    labels = lab.tolist()
-    return ClusterState(
-        clusters=[sorted(v for v in c if labels[v] == i)
-                  for i, c in enumerate(state.clusters)],
-        singletons=set(state.singletons).union(
-            v for i, c in enumerate(state.clusters) for v in c if labels[v] != i),
-        cores=list(state.cores),
-    )
 
 
-def shave(w: np.ndarray, state: ClusterState, epsilon: float) -> ClusterState:
-    """One simultaneous pass: vertices losing at least an epsilon fraction of
-    their degree outside their cluster move to the singletons; the remainder
-    of each cluster becomes its core."""
-    inside = _weight_inside(w, _cluster_labels(len(w), state.clusters))
-    keep = (inside > (1.0 - epsilon) * w.sum(axis=1)).tolist()
-    singles = set(state.singletons)
-    cores = []
-    for c in state.clusters:
-        cores.append([v for v in c if keep[v]])
-        singles.update(v for v in c if not keep[v])
-    return ClusterState(clusters=list(state.clusters), singletons=singles, cores=cores)
+def shave(w: np.ndarray, lab: np.ndarray, epsilon: float) -> np.ndarray:
+    """Core labels after one simultaneous pass: a vertex keeps its cluster
+    label iff it keeps more than a (1 - epsilon) share of its degree inside
+    its cluster; every other vertex becomes -1."""
+    keep = _weight_inside(w, lab) > (1.0 - epsilon) * w.sum(axis=1)
+    return np.where(keep, lab, -1)
 
 
-def shatter(state: ClusterState, k: int) -> ClusterState:
-    """Dissolve every core with at most k vertices into singletons."""
-    singles = set(state.singletons)
-    cores = []
-    for core in state.cores:
-        if 0 < len(core) <= k:
-            singles.update(core)
-            cores.append([])
-        else:
-            cores.append(list(core))
-    return ClusterState(clusters=list(state.clusters), singletons=singles, cores=cores)
+def shatter(core: np.ndarray, k: int) -> np.ndarray:
+    """Relabel -1 every core of at most k vertices."""
+    size = np.bincount(core + 1)    # slot 0 counts the -1 labels
+    return np.where(size[core + 1] <= k, -1, core)
 
 
-def _validate_state(w: np.ndarray, post_trim: ClusterState, post_shave: ClusterState,
-                    post_shatter: ClusterState, params: KTParams) -> None:
+def _validate_state(w: np.ndarray, trimmed: np.ndarray, core: np.ndarray,
+                    shattered: np.ndarray, params: KTParams) -> None:
     deg = w.sum(axis=1)
-    lab = _cluster_labels(len(w), post_trim.clusters)
-    bad = np.flatnonzero((lab >= 0) & (_weight_inside(w, lab) * 5 <= 2 * deg))
+    inside = _weight_inside(w, trimmed)
+    bad = np.flatnonzero((trimmed >= 0) & (inside * 5 <= 2 * deg))
     if len(bad):
         raise KTInvariantError(f"trim fixpoint violated at vertex {bad[0]}")
-    inside = _weight_inside(w, _cluster_labels(len(w), post_shave.clusters))
-    in_core = _cluster_labels(len(w), post_shave.cores) >= 0
-    bad = np.flatnonzero(in_core & (inside <= (1.0 - params.epsilon) * deg))
+    bad = np.flatnonzero((core >= 0) & (inside <= (1.0 - params.epsilon) * deg))
     if len(bad):
         raise KTInvariantError(f"shave condition violated at vertex {bad[0]}")
-    for core in post_shatter.cores:
-        if 0 < len(core) <= params.k:
-            raise KTInvariantError("shatter left a small core alive")
+    alive = shattered[shattered >= 0]
+    if (np.bincount(alive)[alive] <= params.k).any():
+        raise KTInvariantError("shatter left a small core alive")
 
 
 def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
@@ -382,22 +344,21 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
     delta = int(wr.sum(axis=1).min())
     params = KTParams.derive(len(wr), k, delta)
     decomp = expander_decompose(wr, params.gamma)
-    state0 = ClusterState(clusters=[list(b) for b in decomp.blocks], singletons=set())
-    state1 = trim(wr, state0)
-    trimmed = len(state1.singletons)
-    state2 = shave(wr, state1, params.epsilon)
-    shaved = len(state2.singletons) - trimmed
-    state3 = shatter(state2, k)
-    shattered = len(state3.singletons) - trimmed - shaved
+    index = np.array(decomp.to_block_index(len(wr)))
+    lab = trim(wr, index)
+    core = shave(wr, lab, params.epsilon)
+    final = shatter(core, k)
 
-    _validate_state(wr, state1, state2, state3, params)
-    _validate_decomposition(wr, decomp, params.gamma)
+    _validate_state(wr, lab, core, final, params)
+    _validate_decomposition(wr, index, params.gamma)
 
-    back = back.tolist()
-    blocks = [tuple(back[v] for v in core) for core in state3.cores if core]
-    blocks += [(back[v],) for v in sorted(state3.singletons)]
-    blocks += [(v,) for v in removed]
-    partition = VertexPartition.from_blocks(blocks, g.n)
+    # Core labels are below len(wr); every other vertex v is its own block g.n + v.
+    labels = np.arange(g.n, 2 * g.n)
+    kept = final >= 0
+    labels[back[kept]] = final[kept]
+    partition = VertexPartition.from_labels(labels.tolist(), g.n)
+    singles = [0] + [np.count_nonzero(x < 0) for x in (lab, core, final)]
+    trimmed, shaved, shattered = np.diff(singles).tolist()
     report = _report(partition, removed, len(decomp.blocks), trimmed, shaved, shattered, params)
     return partition, report
 
@@ -416,11 +377,10 @@ def _report(partition, removed, clusters, trimmed, shaved, shattered, params) ->
     }
 
 
-def _validate_decomposition(w: np.ndarray, decomp: VertexPartition, gamma: Fraction) -> None:
-    """Re-check the decomposition independently: the weight it cuts against
-    the edge budget, and every block of at most 16 vertices by exact
-    enumeration on its submatrix."""
-    index = np.array(decomp.to_block_index(len(w)))
+def _validate_decomposition(w: np.ndarray, index: np.ndarray, gamma: Fraction) -> None:
+    """Re-check the decomposition with per-vertex block ``index``
+    independently: the weight it cuts against the edge budget, and every
+    block of at most 16 vertices by exact enumeration on its submatrix."""
     upper = np.triu(w)
     inter = int(upper[index[:, None] != index].sum())
     m = int(upper.sum())
@@ -429,9 +389,9 @@ def _validate_decomposition(w: np.ndarray, decomp: VertexPartition, gamma: Fract
         if inter > budget:
             raise KTInvariantError(
                 f"decomposition cut {inter} edges, budget {budget:.2f}")
-    for block in decomp.blocks:
+    size = np.bincount(index)
+    for block in np.split(np.argsort(index, kind="stable"), np.cumsum(size)[:-1]):
         if 1 < len(block) <= EXACT_CONDUCTANCE_LIMIT:
-            b = np.array(block)
-            cond, _ = _min_conductance(w[b[:, None], b])
+            cond, _ = _min_conductance(w[block[:, None], block])
             if cond < gamma:
-                raise KTInvariantError(f"block {block} is not a {gamma}-expander")
+                raise KTInvariantError(f"block {tuple(block.tolist())} is not a {gamma}-expander")

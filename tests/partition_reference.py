@@ -2,13 +2,16 @@
 
 These are the per-vertex, per-edge forms of ``regularize``,
 ``min_conductance_subset``, the Fiedler sweep, the recursive
-``expander_decompose``, ``trim``, ``shave`` and the invariant checks;
-``kt_partition`` here chains them as the library chains its matrix stages,
-so the two must return the same partition and report, or both raise.
+``expander_decompose``, ``trim``, ``shave``, ``shatter`` and the invariant
+checks, over a set-based ``ClusterState`` in place of the library's label
+arrays; ``kt_partition`` here chains them as the library chains its matrix
+stages, so the two must return the same partition and report, or both
+raise.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +27,20 @@ from kcut.graph import (
 from kcut.partition import (
     DECOMPOSITION_EDGE_CONST,
     EXACT_CONDUCTANCE_LIMIT,
-    ClusterState,
     KTInvariantError,
     KTParams,
     _report,
-    shatter,
 )
 from kcut.sparsify import ni_sparsify
+
+
+@dataclass
+class ClusterState:
+    """Clusters C_i, singleton set S, and (after shaving) cores A_i."""
+
+    clusters: list            # list of sorted vertex lists
+    singletons: set
+    cores: list = field(default_factory=list)
 
 
 def regularize_threshold(k: int, lambda_bar: int) -> Fraction:
@@ -231,6 +241,19 @@ def shave(g: Graph, state: ClusterState, epsilon: float) -> ClusterState:
             else:
                 core.append(v)
         cores.append(core)
+    return ClusterState(clusters=list(state.clusters), singletons=singles, cores=cores)
+
+
+def shatter(state: ClusterState, k: int) -> ClusterState:
+    """Dissolve every core with at most k vertices into singletons."""
+    singles = set(state.singletons)
+    cores = []
+    for core in state.cores:
+        if 0 < len(core) <= k:
+            singles.update(core)
+            cores.append([])
+        else:
+            cores.append(list(core))
     return ClusterState(clusters=list(state.clusters), singletons=singles, cores=cores)
 
 

@@ -1,5 +1,6 @@
 """Island discovery: matmul routes, r-island solving, border extension."""
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kcut import (
     KCut,
     brute_force_min_kcut,
     brute_force_r_island,
+    canonical_labels,
     cut_value,
     extend_border,
     matmul,
@@ -255,3 +257,37 @@ def test_extend_value_recomputed():
         if ext is not None:
             assert ext.value == cut_value(g, ext)
             assert ext.k == 2 + i
+
+
+@st.composite
+def borders(draw):
+    """A G(n, p) graph with n <= 10, a border cut with up to 4 parts, and an
+    island count from 1 to n."""
+    n = draw(st.integers(2, 10))
+    g = gnp_graph(n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 10**6)))
+    labels = canonical_labels(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return g, KCut.from_labels(g, labels), draw(st.integers(1, n))
+
+
+@given(borders())
+@settings(max_examples=150, deadline=None)
+def test_extend_equals_every_placement(case):
+    # Every way to cut i singletons out of the border's non-singleton parts,
+    # each part keeping a vertex: extend_border's value is the least, and it
+    # returns None exactly when there is no such placement.
+    g, cut, i = case
+    hosts = [v for p in cut.parts() if len(p) >= 2 for v in p]
+    best = None
+    for islands in combinations(hosts, i):
+        labels = list(cut.labels)
+        for j, v in enumerate(islands):
+            labels[v] = cut.k + j
+        if len(set(labels)) < cut.k + i:
+            continue
+        value = sum(w for u, v, w in g.edges if labels[u] != labels[v])
+        best = value if best is None else min(best, value)
+    ext = extend_border(g, cut, i)
+    if best is None:
+        assert ext is None
+    else:
+        assert (ext.k, ext.value, cut_value(g, ext)) == (cut.k + i, best, best)

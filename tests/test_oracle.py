@@ -393,17 +393,17 @@ def count_phases(monkeypatch):
 
 def test_sw_floor_runs_on_past_a_phase_above_delta(monkeypatch):
     # K_5 minus (0,2), (1,3), (1,4): delta = deg(1) = 2 = floor(5/2), so
-    # lambda = 2 is certified, but phase 1 (order 0, 1, 2, 3, 4) ends on
-    # vertex 4 with cut 3.  The phase cut does not stop the loop; the degree
-    # cut {1}, the best from the start, does, and it is the side the full
-    # run on tripled(g) returns.
+    # lambda = 2 is certified before any phase, though phase 1 (order
+    # 0, 1, 2, 3, 4) would end on vertex 4 with cut 3.  The degree cut {1},
+    # the best from the start, is final, and it is the side the full run on
+    # tripled(g) returns.
     g = Graph.from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert g.simple and min(g.degrees) == 2 == g.n // 2
     order, attach = _max_adjacency_phase(weight_matrix(g))
     assert order == [0, 1, 2, 3, 4] and attach[-1] == 3
     phases = count_phases(monkeypatch)
     value, cut = stoer_wagner_mincut(g)
-    assert (value, cut.labels) == (2, (0, 1, 0, 0, 0)) and len(phases) == 1
+    assert (value, cut.labels) == (2, (0, 1, 0, 0, 0)) and len(phases) == 0
     full_value, full_cut = stoer_wagner_mincut(tripled(g))
     assert (3 * value, cut.labels) == (full_value, full_cut.labels)
 
@@ -419,8 +419,8 @@ def test_sw_no_floor_below_half_n():
 
 
 def test_sw_floor_work_guard(monkeypatch):
-    # K_30: delta = 29 >= 15, so the smallest degree is certified and phase 1
-    # ends the loop.
+    # K_30: delta = 29 >= 15, so the smallest degree is certified and no
+    # phase runs.
     # Three K_10s chained by 3 edges: delta = 9 < 15, so no Chartrand floor,
     # and lambda = 3 is above the bridge floor 2, so nothing certifies it.
     # One s-t merge per phase took all n - 1 = 29 phases; merging every edge
@@ -428,7 +428,7 @@ def test_sw_floor_work_guard(monkeypatch):
     # delta below floor(n/2) would stop at phase 1.
     phases = count_phases(monkeypatch)
     assert stoer_wagner_mincut(complete_graph(30))[0] == 29
-    assert len(phases) == 1
+    assert len(phases) == 0
     phases.clear()
     g = cliques_bridge(10, 3, 3)
     assert min(g.degrees) == 9 < g.n // 2

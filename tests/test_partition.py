@@ -27,7 +27,7 @@ from kcut import (
 from kcut.generators import (cliques_bridge, complete_graph, cycle_graph, gnp_graph,
                              planted_instance, star_graph)
 from kcut.graph import MAX_WEIGHT, weight_matrix
-from kcut.partition import ClusterState, KTParams
+from kcut.partition import KTParams
 
 import partition_reference
 from helpers import border_agrees, borders_of_cut, conductance
@@ -183,17 +183,15 @@ def test_expander_decompose_certifies_small_blocks():
 
 def test_trim_whole_component_unchanged():
     g = complete_graph(5)
-    state = ClusterState(clusters=[list(range(5))], singletons=set())
-    out = trim(weight_matrix(g), state)
-    assert out.clusters == [list(range(5))]
-    assert out.singletons == set()
+    lab = np.zeros(5, dtype=np.int64)
+    assert trim(weight_matrix(g), lab).tolist() == [0] * 5
 
 
 def test_trim_pendant_stays():
     # K5 plus pendant p: p keeps its whole degree inside the cluster
     g = Graph.from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5)])
-    state = ClusterState(clusters=[list(range(6))], singletons=set())
-    assert trim(weight_matrix(g), state).singletons == set()
+    lab = np.zeros(6, dtype=np.int64)
+    assert trim(weight_matrix(g), lab).tolist() == [0] * 6
 
 
 def test_trim_threshold_non_strict():
@@ -203,16 +201,14 @@ def test_trim_threshold_non_strict():
     edges += [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
               (1, 8), (2, 8), (3, 8), (3, 9), (4, 8), (4, 9)]
     g = Graph.from_edges(10, edges)
-    state = ClusterState(clusters=[[0, 1, 2, 3, 4]], singletons=set())
-    out = trim(weight_matrix(g), state)
-    assert 0 in out.singletons
+    lab = np.array([0] * 5 + [-1] * 5)
+    assert trim(weight_matrix(g), lab)[0] == -1
 
 
 def test_shave_keeps_dense_core():
     g = complete_graph(6)
-    state = ClusterState(clusters=[list(range(6))], singletons=set())
-    out = shave(weight_matrix(g), state, epsilon=0.1)
-    assert out.cores == [list(range(6))]
+    lab = np.zeros(6, dtype=np.int64)
+    assert shave(weight_matrix(g), lab, epsilon=0.1).tolist() == [0] * 6
 
 
 def test_shave_boundary_vertex():
@@ -220,21 +216,63 @@ def test_shave_boundary_vertex():
     inside = [(0, i) for i in range(1, 10)]
     dense = [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]
     g = Graph.from_edges(11, inside + dense + [(0, 10)])
-    state = ClusterState(clusters=[list(range(10))], singletons={10})
-    out = shave(weight_matrix(g), state, epsilon=1 / 20)
-    assert 0 in out.singletons
-    assert 0 not in out.cores[0]
+    lab = np.array([0] * 10 + [-1])
+    assert shave(weight_matrix(g), lab, epsilon=1 / 20)[0] == -1
 
 
 def test_shatter_thresholds():
-    state = ClusterState(clusters=[[0, 1], [2, 3, 4]], singletons=set(),
-                         cores=[[0, 1], [2, 3, 4]])
-    out = shatter(state, 2)
-    assert out.cores == [[], [2, 3, 4]]
-    assert out.singletons == {0, 1}
-    # all cores empty: unchanged
-    empty = ClusterState(clusters=[[0]], singletons={0}, cores=[[]])
-    assert shatter(empty, 3).singletons == {0}
+    assert shatter(np.array([0, 0, 1, 1, 1]), 2).tolist() == [-1, -1, 1, 1, 1]
+    # no core left: unchanged
+    assert shatter(np.array([-1]), 3).tolist() == [-1]
+    assert shatter(np.zeros(0, dtype=np.int64), 3).tolist() == []
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Simple graphs on 1..14 vertices with an arbitrary labelling: labels
+    -1..top, so clusters of one vertex are common and top = -1 leaves
+    every vertex a singleton."""
+    n = draw(st.integers(1, 14))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    top = draw(st.integers(-1, n - 1))
+    lab = draw(st.lists(st.integers(-1, top), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), np.array(lab, dtype=np.int64)
+
+
+def _reference_labels(n, ids, groups):
+    """Label array giving the vertices of groups[i] the label ids[i], others -1."""
+    lab = np.full(n, -1)
+    for c, group in zip(ids, groups):
+        lab[group] = c
+    return lab.tolist()
+
+
+@given(labelled_graphs(), st.sampled_from([1 / 20, 0.1, 0.25, 0.5]), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_stages_equal_reference(case, epsilon, k):
+    g, lab = case
+    w = weight_matrix(g)
+    ids = sorted(set(lab.tolist()) - {-1})
+    state = partition_reference.ClusterState(
+        clusters=[np.flatnonzero(lab == c).tolist() for c in ids],
+        singletons=set(np.flatnonzero(lab < 0).tolist()))
+    inputs = [w.copy(), lab.copy()]
+    trimmed = trim(w, lab)
+    state = partition_reference.trim(g, state)
+    assert trimmed.tolist() == _reference_labels(g.n, ids, state.clusters)
+    inputs.append(trimmed.copy())
+    core = shave(w, trimmed, epsilon)
+    state = partition_reference.shave(g, state, epsilon)
+    assert core.tolist() == _reference_labels(g.n, ids, state.cores)
+    inputs.append(core.copy())
+    final = shatter(core, k)
+    state = partition_reference.shatter(state, k)
+    assert final.tolist() == _reference_labels(g.n, ids, state.cores)
+    assert set(np.flatnonzero(final < 0).tolist()) == state.singletons
+    # No stage writes to its inputs.
+    for before, after in zip(inputs, [w, lab, trimmed, core]):
+        assert np.array_equal(before, after)
 
 
 # ------------------------------------------------------------ kt_partition

@@ -40,12 +40,12 @@ def test_library_does_not_import_networkx():
 
 
 def test_every_library_function_has_a_caller():
-    # A function that nothing in the library calls and the package does not
-    # export is dead code, or a test helper living in src/; dunder methods
-    # are called by the language itself, not by name.
+    # A function or class that nothing in the library references and the
+    # package does not export is dead code, or a test helper living in src/;
+    # dunder methods are called by the language itself, not by name.
     defined, referenced = {}, set()
     for name, node in _nodes():
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.setdefault(node.name, f"{name}:{node.lineno} {node.name}")
         elif isinstance(node, ast.Name):
             referenced.add(node.id)

@@ -8,8 +8,11 @@ the identity when n <= tau, otherwise a row of one ``contract_random`` call
 that contracts every trial of the round, each spending the first m outputs
 of its stream on edge clocks.  Either way every trial has the same number
 of super-vertices and its label draws start at the same stream output (0,
-or m), so all trials are labelled, lifted, canonicalized and evaluated as
-one vectorized numpy batch.
+or m), so all trials are labelled and lifted as one vectorized numpy batch.
+A cut's value does not depend on how its parts are numbered, so the batch
+is scored on its raw lifted labels and filtered by ``max_value`` first; only
+the surviving trials are canonicalized and deduplicated, and a round in
+which none survives does neither.
 
 For s = 1 every trial yields the same cut, all vertices in one part with
 value 0, so that cut is built directly and no trial is run.
@@ -180,6 +183,22 @@ def _canonicalize_batch(lab: np.ndarray, s: int) -> np.ndarray:
     return np.take_along_axis(inv, lab, axis=1)
 
 
+def _lift_and_score(lab: np.ndarray, cmap: np.ndarray, s: int,
+                    edges: np.ndarray) -> tuple:
+    """Each row of super-vertex labels ``lab`` (values 0..s) lifted through
+    its row of ``cmap`` (one row shared by all when cmap has one), in the
+    narrowest signed integer dtype that holds s, and the weight of the edges
+    whose ends the lifted row labels differently.  The values are exact int64
+    sums while the total edge weight is at most MAX_WEIGHT."""
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if s <= np.iinfo(t).max)
+    lifted = np.take_along_axis(lab.astype(dtype), cmap, axis=1)
+    # Gathering whole rows of the transposed labels is faster than gathering
+    # single entries of every row.
+    by_vertex = np.ascontiguousarray(lifted.T)
+    return lifted, edges[:, 2] @ (by_vertex[edges[:, 0]] != by_vertex[edges[:, 1]])
+
+
 def enumerate_borders(g: Graph, params: BorderParams,
                       max_value: Optional[int] = None) -> list:
     """Deduplicated candidate s-cuts from seeded contraction trials, sorted by
@@ -205,14 +224,12 @@ def enumerate_borders(g: Graph, params: BorderParams,
     if s > nv:
         return []
     lab, onto = _labels_batch(seeds, offset, nv, s)
-    lifted = np.take_along_axis(lab, cmap, axis=1)[onto]
-    canon = np.unique(_canonicalize_batch(lifted, s), axis=0)
-    edges = g.edge_array
-    values = ((canon[:, edges[:, 0]] != canon[:, edges[:, 1]]) * edges[:, 2]).sum(axis=1)
-    if max_value is not None:
-        keep = values <= max_value
-        canon, values = canon[keep], values[keep]
+    lifted, values = _lift_and_score(lab, cmap, s, g.edge_array)
+    keep = onto if max_value is None else onto & (values <= max_value)
+    if not keep.any():
+        return []
+    canon, first = np.unique(_canonicalize_batch(lifted[keep], s), axis=0, return_index=True)
     cuts = [KCut(k=s, labels=tuple(row), value=val)
-            for row, val in zip(canon.tolist(), values.tolist())]
+            for row, val in zip(canon.tolist(), values[keep][first].tolist())]
     cuts.sort(key=lambda c: (c.value, c.labels))
     return cuts

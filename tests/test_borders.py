@@ -20,11 +20,12 @@ from kcut import (
     tau_for,
 )
 import kcut.borders
-from kcut.borders import _canonicalize_batch, _clock_prefix, _labels_batch
+from kcut.borders import _canonicalize_batch, _clock_prefix, _labels_batch, _lift_and_score
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, gnp_graph, path_graph
-from kcut.graph import VertexPartition, canonical_labels, contract, cut_value, union_find
+from kcut.graph import MAX_WEIGHT, VertexPartition, canonical_labels, contract, cut_value, union_find
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
+import borders_reference
 from helpers import cut_survives, random_s_cut, wilson_lower
 
 
@@ -394,6 +395,105 @@ def test_one_contract_call_per_round(monkeypatch, n, tau):
         enumerate_borders(g, BorderParams(s=s, beta=1.0, tau=tau, trials=300, seed=5))
     # one batch of every trial's seed per contracted round, none without contraction
     assert calls == ([[5 ^ t for t in range(300)]] * 2 if n > tau else [])
+
+
+# ------------------------------------- score-first vs canonicalize-first
+
+@st.composite
+def contracted_graphs(draw):
+    """G(n, p) contracted along a random labelling, so merged edges weigh
+    more than 1."""
+    n = draw(st.integers(2, 24))
+    base = gnp_graph(n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 10**6)))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return contract(base, VertexPartition.from_labels(labels, n))[0]
+
+
+@given(contracted_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_enumerate_equals_canonicalize_first_reference(g, data):
+    s = data.draw(st.integers(2, 5), label="s")
+    identity = data.draw(st.booleans(), label="identity")
+    tau = (data.draw(st.integers(g.n, g.n + 3), label="tau") if identity or g.n <= s
+           else data.draw(st.integers(s, g.n - 1), label="tau"))
+    params = BorderParams(s=s, beta=1.0, tau=tau, trials=data.draw(st.integers(1, 80)),
+                          seed=data.draw(st.integers(0, 2**64 - 1)))
+    values = [c.value for c in borders_reference.enumerate_borders(g, params)]
+    max_value = data.draw(st.sampled_from(
+        [None, values[len(values) // 2] if values else 0, min(values, default=0) - 1]),
+        label="max_value")
+    assert (enumerate_borders(g, params, max_value)
+            == borders_reference.enumerate_borders(g, params, max_value))
+
+
+@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
+def test_no_survivor_canonicalizes_nothing(monkeypatch, n, tau):
+    calls = []
+
+    def spy(lab, s):
+        calls.append(len(lab))
+        return _canonicalize_batch(lab, s)
+
+    monkeypatch.setattr(kcut.borders, "_canonicalize_batch", spy)
+    g = gnp_graph(n, 0.5, 6)
+    params = BorderParams(s=3, beta=1.0, tau=tau, trials=300, seed=5)
+    cuts = borders_reference.enumerate_borders(g, params)
+    assert enumerate_borders(g, params, max_value=cuts[0].value - 1) == []
+    assert calls == []
+    # only the trials that pass max_value are canonicalized
+    least = [c for c in cuts if c.value == cuts[0].value]
+    assert enumerate_borders(g, params, max_value=cuts[0].value) == least
+    assert 0 < calls[0] < 300
+
+
+@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
+def test_trials_without_onto_labels_are_dropped(monkeypatch, n, tau):
+    # A trial that never draws an onto labelling holds the sentinel label s
+    # and costs 0; it must not pass any max_value.
+    def some_fail(seeds, offset, nv, s):
+        lab, onto = _labels_batch(seeds, offset, nv, s)
+        lab[::2], onto[::2] = s, False
+        return lab, onto
+
+    monkeypatch.setattr(kcut.borders, "_labels_batch", some_fail)
+    monkeypatch.setattr(borders_reference, "_labels_batch", some_fail)
+    g = gnp_graph(n, 0.5, 6)
+    params = BorderParams(s=3, beta=1.0, tau=tau, trials=300, seed=5)
+    for max_value in (None, 0, 5):
+        assert (enumerate_borders(g, params, max_value)
+                == borders_reference.enumerate_borders(g, params, max_value))
+    assert enumerate_borders(g, params)
+
+
+@pytest.mark.parametrize("tau", [10, 4], ids=["identity", "contracted"])
+def test_values_exact_at_max_weight(tau):
+    g = Graph.from_edges(6, [(0, 1, MAX_WEIGHT - 6), (1, 2, 1), (2, 3, 2),
+                             (3, 4, 1), (4, 5, 1), (5, 0, 1)])
+    assert g.total_weight == MAX_WEIGHT
+    for s in (2, 3, 4):
+        cuts = enumerate_borders(g, BorderParams(s=s, beta=1.0, tau=tau, trials=400, seed=2))
+        assert cuts
+        for c in cuts:
+            assert c.value == cut_value(g, c)
+        # without contraction the heavy edge is cut, up to a cut of every edge
+        assert tau < g.n or cuts[-1].value > MAX_WEIGHT - 6
+    assert tau < g.n or cuts[-1].value == MAX_WEIGHT
+
+
+@pytest.mark.parametrize("s, dtype", [(2, np.int8), (127, np.int8), (128, np.int16),
+                                      (300, np.int16), (40_000, np.int32)])
+def test_lift_and_score_dtype_holds_s(s, dtype):
+    # Above s = 256 labels 0 and 256 would share one int8, so too narrow a
+    # dtype would miss the edges between them; the sentinel s must fit too.
+    edges = np.array([[0, 1, 5], [1, 2, 7], [2, 3, 11], [0, 3, 13]])
+    lab = np.array([[0, min(256, s - 1), 0, 1], [s - 1, s - 1, 0, 0], [s, s, s, s]])
+    for cmap in (np.arange(4)[None, :], np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 0, 1, 1]])):
+        lifted, values = _lift_and_score(lab, cmap, s, edges)
+        assert lifted.dtype == dtype
+        expect = np.take_along_axis(lab, cmap, axis=1)
+        assert (lifted == expect).all()
+        assert values.tolist() == [sum(w for a, b, w in edges.tolist() if row[a] != row[b])
+                                   for row in expect.tolist()]
 
 
 # ------------------------------------------------------------------- wilson

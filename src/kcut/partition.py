@@ -21,9 +21,12 @@ boundary come from small matrix products with a table of subset bits, and
 the weight between the two halves' subsets is tabulated by doubling over
 the high half.  The (high subset, low subset) grid is in ascending
 subset-mask order, and its sums are exact int64 arithmetic.  Larger blocks
-take the best prefix of the Fiedler-vector order, from cumulative sums over
-the permuted matrix.  The final check re-runs the exact enumeration on
-every block of at most 16 vertices.
+are accepted when their degrees certify conductance >= gamma: the lighter
+side of any cut has at most (total weight) // (minimum degree) vertices,
+too few to keep much of their degree inside it.  Otherwise they take the
+best prefix of the Fiedler-vector order, from cumulative sums over the
+permuted matrix.  The final check re-runs the exact enumeration on every
+block of at most 16 vertices.
 """
 from __future__ import annotations
 
@@ -206,11 +209,28 @@ def is_expander(g: Graph, gamma: Fraction) -> bool:
     return cond >= gamma
 
 
-def _fiedler_sweep(w: np.ndarray) -> tuple:
+def _degree_certified(deg: np.ndarray, wmax: int, gamma: Fraction) -> bool:
+    """Whether the row sums ``deg`` of a block whose entries are at most
+    ``wmax`` prove every proper subset has conductance >= gamma, and so that
+    the block is connected.
+
+    With total the block's total weight and delta its minimum degree, the
+    side S of a cut with vol S <= total has |S| <= total // delta vertices,
+    each with at most wmax * (|S| - 1) of its degree inside S, so the cut's
+    conductance is at least 1 - wmax * (total // delta - 1) / delta.
+    """
+    delta = int(deg.min())
+    if delta < 1:
+        return False
+    s_max = int(deg.sum(dtype=np.uint64)) // 2 // delta
+    return gamma.denominator * (delta - wmax * (s_max - 1)) >= gamma.numerator * delta
+
+
+def _fiedler_sweep(w: np.ndarray, deg: np.ndarray) -> tuple:
     """Best prefix cut of the Fiedler-vector order of the graph with weight
-    matrix ``w``; returns (conductance, sorted index array)."""
+    matrix ``w`` and row sums ``deg``; returns (conductance, sorted index
+    array)."""
     n = len(w)
-    deg = w.sum(axis=1)
     dinv = 1.0 / np.sqrt(np.maximum(deg.astype(np.float64), 1e-12))
     lap = np.eye(n) - (w.astype(np.float64) * dinv).T * dinv
     _, vecs = np.linalg.eigh(lap)
@@ -232,13 +252,16 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
     """Low-conductance-cut splitting of a Graph or of its weight matrix.
 
     Blocks of size <= 16 are certified gamma-expanders exactly; larger
-    blocks stop when the spectral sweep finds no cut below gamma.  Blocks
-    are split depth-first on an explicit stack: each component, then each
-    side of a cut, in the order the recursive definition visits them.
+    blocks are accepted when their degrees certify conductance >= gamma,
+    and otherwise take the best Fiedler prefix, stopping when it is not
+    below gamma.  Blocks are split depth-first on an explicit stack: each
+    component, then each side of a cut, in the order the recursive
+    definition visits them.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     w = weight_matrix(g) if isinstance(g, Graph) else g
+    wmax = int(w.max()) if len(w) else 0
     blocks = []
     # (block, known to be connected): a component needs no second search.
     stack = [(np.arange(len(w)), False)] if len(w) else []
@@ -254,6 +277,11 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
             # Without isolated vertices a zero-boundary proper subset has
             # volume on both sides, so the block is connected iff cond > 0.
             connected = connected or (cond > 0 and bool(sub.any(axis=1).all()))
+        else:
+            deg = sub.sum(axis=1)
+            if _degree_certified(deg, wmax, gamma):
+                blocks.append(idx.tolist())
+                continue
         if not connected:
             roots = component_roots(len(idx), *sub.nonzero())
             heads = np.flatnonzero(roots == np.arange(len(idx)))
@@ -261,7 +289,7 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
                 stack.extend((idx[roots == h], True) for h in heads[::-1])
                 continue
         if not small:
-            cond, side = _fiedler_sweep(sub)
+            cond, side = _fiedler_sweep(sub, deg)
         if cond < gamma:
             rest = np.ones(len(idx), dtype=bool)
             rest[side] = False

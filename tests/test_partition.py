@@ -24,10 +24,11 @@ from kcut import (
     sv_2approx,
     trim,
 )
+import kcut.partition
 from kcut.generators import (cliques_bridge, complete_graph, cycle_graph, gnp_graph,
                              planted_instance, star_graph)
 from kcut.graph import MAX_WEIGHT, weight_matrix
-from kcut.partition import KTParams
+from kcut.partition import KTParams, _degree_certified, _min_conductance
 
 import partition_reference
 from helpers import border_agrees, borders_of_cut, conductance
@@ -388,6 +389,75 @@ def test_expander_decompose_equals_reference(g, gamma):
     expected = partition_reference.expander_decompose(g, gamma).blocks
     assert expander_decompose(g, gamma).blocks == expected
     assert expander_decompose(weight_matrix(g), gamma).blocks == expected
+
+
+@st.composite
+def dense_matrices(draw):
+    """Weight matrices on 2..16 vertices, simple or with weights 1..4, most
+    of them dense enough for the degree certificate, some with an isolated
+    vertex."""
+    n = draw(st.integers(2, 16))
+    p = draw(st.sampled_from([0.5, 0.8, 0.9, 1.0]))
+    top = draw(st.sampled_from([1, 4]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    w = np.zeros((n, n), dtype=np.int64)
+    for u, v in combinations(range(n), 2):
+        if rng.random() < p:
+            w[u, v] = w[v, u] = rng.randint(1, top)
+    if draw(st.integers(0, 4)) == 0:
+        v = draw(st.integers(0, n - 1))
+        w[v] = w[:, v] = 0
+    return w
+
+
+@given(dense_matrices(), st.integers(1, 16))
+@settings(max_examples=300, deadline=None)
+def test_degree_certificate_is_sound(w, d):
+    gamma = Fraction(1, d)
+    certified = _degree_certified(w.sum(axis=1), int(w.max()), gamma)
+    if not w.any(axis=1).all():
+        assert not certified
+    if certified:
+        assert _min_conductance(w)[0] >= gamma
+
+
+def test_degree_certificate_is_tight_on_cliques():
+    # K_n's minimum conductance is that of a balanced cut, 1 - (n//2 - 1)/(n - 1):
+    # exactly the certificate's bound, so it holds at that gamma and not above.
+    for n in range(2, 17):
+        w = weight_matrix(complete_graph(n))
+        cond = _min_conductance(w)[0]
+        assert cond == 1 - Fraction(n // 2 - 1, n - 1)
+        assert _degree_certified(w.sum(axis=1), 1, cond)
+        if cond < 1:
+            assert not _degree_certified(w.sum(axis=1), 1, cond + Fraction(1, 10**6))
+
+
+def _inverse_min_degree(g):
+    return Fraction(1, max(int(weight_matrix(g).sum(axis=1).min()), 1))
+
+
+@given(st.integers(17, 60), st.sampled_from([0.7, 0.85, 1.0]), st.integers(0, 10**6),
+       st.sampled_from([None, Fraction(1, 4), Fraction(2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_certified_blocks_equal_reference(n, p, seed, gamma):
+    # Dense simple graphs, where the degree certificate accepts most large
+    # blocks (gamma None is 1/min degree, as kt_partition derives it).
+    g = gnp_graph(n, p, seed)
+    gamma = gamma or _inverse_min_degree(g)
+    expected = partition_reference.expander_decompose(g, gamma).blocks
+    assert expander_decompose(g, gamma).blocks == expected
+    assert expander_decompose(weight_matrix(g), gamma).blocks == expected
+
+
+def test_certified_block_skips_sweep_and_components(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the degree certificate should have accepted the block")
+    monkeypatch.setattr(kcut.partition, "_fiedler_sweep", forbidden)
+    monkeypatch.setattr(kcut.partition, "component_roots", forbidden)
+    for seed in range(5):
+        g = gnp_graph(60, 0.85, seed)
+        assert expander_decompose(g, _inverse_min_degree(g)).blocks == (tuple(range(60)),)
 
 
 # ---------------------------------------------------------------- borders

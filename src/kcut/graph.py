@@ -21,11 +21,13 @@ above that.
 Connected components come from one labeller, ``component_roots``, used by
 ``Graph.components`` (hence every solve's component check), the expander
 decomposition and Stoer-Wagner's contraction step.  The one union-find,
-``union_find``, serves the callers whose unions must run one at a time in a
-given order: the one-scan forest decomposition and Karger contraction, which
-reads its parent list through the labeller's ``compress_roots``.  Both keep
-every parent pointer at a lower vertex, so a root is the lowest vertex of
-its set.
+``union_find``, serves Karger contraction, whose unions must run one at a
+time in a given order and which reads its parent list through the labeller's
+``compress_roots``; both keep every parent pointer at a lower vertex, so a
+root is the lowest vertex of its set.  The one-scan forest decomposition
+(``sparsify``) runs the same path-halving find and union inline on one
+parent list per forest: it probes a few forests per edge, and a call to a
+``union_find`` closure per probe costs about as much as the probe itself.
 """
 from __future__ import annotations
 

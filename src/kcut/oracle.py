@@ -275,13 +275,18 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     - delta, on a simple graph with minimum degree delta >= floor(n/2)
       (Chartrand 1966), which also makes g connected; checked before
       phase 1, so no phase runs;
-    - 1, once phase 1 has placed every vertex with a nonzero attachment
-      (g is connected, and weights are positive);
+    - 1, when g is connected (weights are positive);
     - 2, when g has no bridge of weight 1 (a cut of value 1 is one such
       edge); checked by one depth-first search, only once the best is 2.
 
-    The last two are checked after the phase cut and again after the prefix
-    cuts, before any contraction work.
+    When delta <= 2 (and Chartrand does not apply), both are read before
+    phase 1: ``g.components`` gives connectivity (a disconnected g returns 0
+    and vertex 0's component, as phase 1 would), and at delta = 2 the bridge
+    search runs at once; if they certify delta, no phase runs.  At delta >= 3
+    no floor can certify the best before a phase, so connectivity is left to
+    phase 1, which has placed every vertex with a nonzero attachment when g
+    is connected, and the floors are checked after the phase cut and again
+    after the prefix cuts, before any contraction work.
     The result is memoised on g itself (like its cached properties), so the
     whole-graph min cut is computed once however many layers ask for it.
     """
@@ -295,12 +300,20 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     deg = w.sum(axis=1)
     rep = np.arange(n)   # the super-vertex of every vertex
     best_value, best_side = int(deg.min()), rep == deg.argmin()
-    chartrand = g.simple and best_value >= n // 2
+    certified = g.simple and best_value >= n // 2   # Chartrand
     lower = 1
     bridge_searched = False
+    if n > 2 and best_value <= 2 and not certified:
+        blocks = g.components.blocks
+        if len(blocks) > 1:
+            best_value, best_side = 0, _inside(rep, list(blocks[0]))
+        elif best_value == 2:
+            bridge_searched = True
+            lower = 1 if _has_unit_bridge(g) else 2
+        certified = best_value <= lower
     dead = np.zeros(n, dtype=bool)
     m = n   # super-vertices left
-    while m > 2 and not chartrand:
+    while m > 2 and not certified:
         order, attach = _max_adjacency_phase(w, dead)
         if 0 in attach[1:]:
             # Only in the first phase, on a disconnected graph: the vertices

@@ -367,8 +367,9 @@ def test_sw_total_weight_beyond_int64_is_rejected():
 def tripled(g):
     """g with every weight tripled: never simple, so Stoer-Wagner gets no
     degree floor, and every cut is a multiple of 3, never 1 or 2, so no
-    connectivity or bridge floor either; every phase makes the same
-    comparisons and ties as on g, and on a connected g all n - 1 run."""
+    connectivity or bridge floor either (unless an isolated vertex keeps
+    delta at 0); every phase makes the same comparisons and ties as on g,
+    and on a connected g all n - 1 run."""
     return Graph.from_edges(g.n, [(u, v, 3 * w) for u, v, w in g.edges])
 
 
@@ -503,15 +504,16 @@ def test_sw_small_lambda_floor_matches_full_run(g):
 
 
 def test_sw_stops_at_connectivity_and_bridge_floors(monkeypatch):
-    # P_30: phase 1 cuts 1, and a connected graph has lambda >= 1.
-    # C_30: phase 1 cuts 2, and no edge is a bridge, so lambda >= 2.
-    # Two C_5s joined by the edge (0, 5): phase 1 cuts 2, but (0, 5) is a
-    # bridge, so the loop runs on past the phase cut to a cut of 1.
+    # P_30: delta = 1, and a connected graph has lambda >= 1.
+    # C_30: delta = 2, and no edge is a bridge, so lambda >= 2.
+    # Both floors are read before phase 1 when delta <= 2, so no phase runs.
+    # Two C_5s joined by the edge (0, 5): delta = 2, but (0, 5) is a bridge,
+    # so phase 1 runs on past its phase cut 2 to a cut of 1.
     phases = count_phases(monkeypatch)
     for g, lam in [(path_graph(30), 1), (cycle_graph(30), 2)]:
         phases.clear()
         assert stoer_wagner_mincut(g)[0] == lam
-        assert len(phases) == 1
+        assert len(phases) == 0
     ring = [(v, (v + 1) % 5) for v in range(5)]
     g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5)])
     phases.clear()
@@ -523,6 +525,34 @@ def test_sw_stops_at_connectivity_and_bridge_floors(monkeypatch):
     g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5, 2)])
     assert not kcut.oracle._has_unit_bridge(g)
     assert stoer_wagner_mincut(g)[0] == 2
+
+
+@pytest.mark.parametrize("g", [
+    # two disjoint paths: delta = 1
+    Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]),
+    # the paths interleaved, so vertex 0's component is not a prefix
+    Graph.from_edges(8, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (5, 7)]),
+    # a cycle and an isolated vertex: delta = 0, at vertex 2
+    Graph.from_edges(6, [(0, 1), (1, 3), (3, 4), (4, 5), (5, 0)]),
+    # an isolated vertex 0
+    Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 1)]),
+])
+def test_sw_disconnected_below_three_runs_no_phase(monkeypatch, g):
+    # delta <= 2: the component labelling shows g is disconnected before
+    # phase 1, and the answer is vertex 0's component, which phase 1 places
+    # before its first zero attachment.  tripled(g) has delta = 3 unless g
+    # has an isolated vertex, and then its phase 1 finds the same side.
+    assert min(g.degrees) <= 2 and len(g.components.blocks) > 1
+    order, attach = _max_adjacency_phase(weight_matrix(g))
+    side = set(order[:attach.index(0, 1)])
+    phases = count_phases(monkeypatch)
+    value, cut = stoer_wagner_mincut(g)
+    assert len(phases) == 0
+    assert (value, cut.labels) == (0, tuple(int(v not in side) for v in range(g.n)))
+    phases.clear()
+    full_value, full_cut = stoer_wagner_mincut(tripled(g))
+    assert len(phases) == (min(g.degrees) > 0)
+    assert (full_value, full_cut.labels) == (value, cut.labels)
 
 
 def test_unit_bridge_search_needs_no_recursion():
@@ -561,13 +591,13 @@ def test_sw_result_is_memoised_per_graph_object(monkeypatch):
 
 def test_min_kcut_computes_the_whole_graph_min_cut_once(monkeypatch):
     # C_1100, k=2: sv_2approx's first round runs Stoer-Wagner on the graph
-    # itself, which stops after phase 1 on the bridge floor; exact_min_kcut
+    # itself, which the bridge floor certifies before phase 1; exact_min_kcut
     # takes lambda = 2 from the memo, and its root bound ceil(2 * 2 / 2) = 2
     # meets the 2-approximation, so it builds no maximum-adjacency order.
     phases = count_phases(monkeypatch)
     report = min_kcut(cycle_graph(1100), 2)
     assert (report.branch, report.value) == ("exact", 2)
-    assert len(phases) == 1
+    assert len(phases) == 0
 
 
 def reference_max_adjacency_order(g):

@@ -1,4 +1,5 @@
 """Forest-decomposition sparsification."""
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -83,6 +84,63 @@ def test_one_scan_equals_passes_and_nests(g, s):
                    if comps[i + 1][u] == comps[i + 1][v])
     taken = {e for f in forests for e in f}
     assert all(comps[-1][u] == comps[-1][v] for u, v, w in g.edges if (u, v, w) not in taken)
+
+
+def forest_ids_and_bounds(g, forests, s):
+    """Per edge in sorted order, the index of the forest holding it (s for
+    none), and its bound min(c(u), c(v), s), c(x) the earlier edges at x."""
+    where = {e: i for i, f in enumerate(forests) for e in f}
+    count = [0] * g.n
+    ids, bounds = [], []
+    for e in g.edges:
+        u, v, _ = e
+        ids.append(where.get(e, s))
+        bounds.append(min(count[u], count[v], s))
+        count[u] += 1
+        count[v] += 1
+    return ids, bounds
+
+
+@pytest.mark.parametrize("n, p, seed", [(40, 0.9, 1), (60, 0.8, 2), (100, 0.8, 3)])
+def test_one_scan_equals_passes_near_the_degree_bound(n, p, seed):
+    # Dense graphs with s just below t = max_min_degree(g), at t - 5, at the
+    # smallest degree and at t / 2.  At every s some id lies 2 or more below
+    # its bound, so the downward search reaches its bisection; from the
+    # smallest degree down, the forests also reject edges.
+    g = gnp_graph(n, p, seed)
+    t, delta = max_min_degree(g), min(g.degrees)
+    rejecting = []
+    for s in (t - 1, t - 5, delta, t // 2):
+        forests = forest_decomposition(g, s)
+        assert forests == forests_by_passes(g, s)
+        ids, bounds = forest_ids_and_bounds(g, forests, s)
+        assert all(i <= b for i, b in zip(ids, bounds))
+        assert max(b - i for i, b in zip(ids, bounds)) >= 2
+        if s in ids:
+            rejecting.append(s)
+    assert rejecting == [delta, t // 2]
+
+
+def test_forests_past_the_largest_degree_are_empty():
+    # Only forests that take an edge get a parent list: s = 10^5 on P_3
+    # peaks at about 8 MB (the output's 10^5 empty forests), where one
+    # union-find per forest took about 80 MB.
+    g = path_graph(3)
+    tracemalloc.start()
+    try:
+        forests = forest_decomposition(g, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert len(forests) == 10**5
+    assert forests[0] == g.edges and not any(forests[1:])
+    g = gnp_graph(20, 0.5, seed=4)
+    s = 10 * max(g.degrees)
+    forests = forest_decomposition(g, s)
+    assert len(forests) == s and not any(forests[max(g.degrees):])
+    assert forests[:max(g.degrees)] == forest_decomposition(g, max(g.degrees))
+    assert forests == forests_by_passes(g, s)
 
 
 def test_rejects_non_simple():

@@ -15,10 +15,12 @@ the reference this search is checked against; ``matmul`` and
 ``matmul_strassen``, its exact integer products, stay public.
 
 Before the search, vertices are pruned by degree.  |E(S)| <= C(r, 2), so a
-vertex v lies in a set no dearer than a known feasible set (the r
-lowest-degree vertices) only if deg(v) + (the r-1 smallest other degrees) -
-C(r, 2) is at most that set's cost.  Every optimal set passes, so the value
-and the lex-smallest optimum are those of the unpruned search.
+vertex v lies in a set costing at most a bound only if deg(v) + (the r-1
+smallest other degrees) - C(r, 2) is at most that bound.  The bound is the
+cost of a known feasible set (the r lowest-degree vertices), or a caller's
+cap when that is smaller, for a caller that only wants sets costing at most
+the cap.  Every optimal set within the bound passes, so the value and the
+lex-smallest optimum are those of the unpruned search.
 """
 from __future__ import annotations
 
@@ -94,18 +96,24 @@ def _island_cost(adj: np.ndarray, deg: np.ndarray, subset) -> int:
     return int(deg[idx].sum()) - internal
 
 
-def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int) -> tuple:
-    """(upper, kept) for a simple graph: the cost of the r lowest-degree
-    vertices, which bounds the optimum, and the increasing ids of the vertices
-    that can lie in an r-island set costing at most that.
+def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int,
+                       max_value: Optional[int] = None) -> tuple:
+    """(upper, kept) for a simple graph: upper is the cost of the r
+    lowest-degree vertices, which bounds the optimum, or ``max_value`` when
+    that is smaller, and kept the increasing ids of the vertices that can lie
+    in an r-island set costing at most upper.
 
     The test is deg(v) + (sum of the r-1 smallest degrees other than v) -
-    C(r, 2) <= upper.  It always passes when deg(v) is among the r smallest,
-    as upper is at least their sum minus C(r, 2); for every other v, the r-1
-    smallest other degrees are the r-1 smallest overall.
+    C(r, 2) <= upper.  For v outside the r smallest degrees, the r-1
+    smallest other degrees are the r-1 smallest overall.  For v among them,
+    the sum taken may hold deg(v) in place of the r-th smallest degree, so
+    it is at most the true one and the test can only keep more; without a
+    cap it always passes there, as upper is at least their sum minus C(r, 2).
     """
     order = np.argsort(deg, kind="stable")
     upper = _island_cost(adj, deg, order[:r])
+    if max_value is not None:
+        upper = min(upper, max_value)
     rest = int(deg[order[:r - 1]].sum())
     return upper, np.flatnonzero(deg + rest - r * (r - 1) // 2 <= upper)
 
@@ -153,16 +161,18 @@ def _branch_and_bound(adj: np.ndarray, deg: np.ndarray, r: int, best: int) -> tu
     return best, found
 
 
-def solve_r_island(g: Graph, r: int) -> tuple:
+def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None) -> Optional[tuple]:
     """Exact minimum (r+1)-cut with exactly r singleton components.
 
     Returns (value, island tuple); ties take the lex-smallest island set.
+    With ``max_value`` the same result is returned when its value is at most
+    ``max_value``, and None otherwise.
     The branch and bound of ``_branch_and_bound`` runs on the vertices that
     pass the degree test of the module docstring, with their whole-graph
-    degrees, and starts from one above the cost of the r lowest-degree
-    vertices, so that set or a cheaper one is always found.  The test is
-    exact because the graph is simple: at most C(r, 2) edges lie inside the
-    set.
+    degrees, and starts from one above the smaller of ``max_value`` and the
+    cost of the r lowest-degree vertices, so that set or a cheaper one is
+    found whenever it is within the cap.  The test is exact because the
+    graph is simple: at most C(r, 2) edges lie inside the set.
     """
     if not g.simple:
         raise GraphError("r-island solving is defined for simple graphs")
@@ -170,27 +180,41 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         raise ValueError(f"r must be in 1..n-1, got r={r} with n={g.n}")
     adj = weight_matrix(g)
     deg = adj.sum(axis=1)
-    upper, kept = _island_candidates(adj, deg, r)
+    upper, kept = _island_candidates(adj, deg, r, max_value)
     value, islands = _branch_and_bound(adj[np.ix_(kept, kept)], deg[kept], r, upper + 1)
+    if islands is None:   # only when the cap is below the optimum
+        return None
     return value, tuple(kept[list(islands)].tolist())
 
 
-def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:
+def extend_border(g: Graph, border_cut: KCut, i: int,
+                  max_value: Optional[int] = None) -> Optional[KCut]:
     """Carve i islands out of the border's non-singleton parts, trying every
-    composition of i over the hosts; returns the best resulting (k+i)-cut."""
+    composition of i over the hosts; returns the best resulting (k+i)-cut,
+    or None when no composition fits.
+
+    With ``max_value`` the same cut is returned when its value is at most
+    ``max_value``, and None otherwise.  Carving adds each host's island cost
+    (within the host) to the border's value, so each host is solved with the
+    cap ``max_value`` minus the border's value, and a composition with a
+    host over its cap is skipped.
+    """
     if i < 0:
         raise ValueError("island count must be nonnegative")
+    if max_value is not None and border_cut.value > max_value:
+        return None
     if i == 0:
         return border_cut
+    host_cap = None if max_value is None else max_value - border_cut.value
     hosts = [p for p in border_cut.parts() if len(p) >= 2]
     cache: dict = {}
 
-    def host_solve(part: tuple, cnt: int):
+    def host_islands(part: tuple, cnt: int) -> Optional[tuple]:
         key = (part, cnt)
         if key not in cache:
             sub, back = induced_subgraph(g, part)
-            val, islands = solve_r_island(sub, cnt)
-            cache[key] = (val, tuple(back[v] for v in islands))
+            solved = solve_r_island(sub, cnt, max_value=host_cap)
+            cache[key] = None if solved is None else tuple(back[v] for v in solved[1])
         return cache[key]
 
     best = None
@@ -199,10 +223,12 @@ def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:
         comp = Counter(picks)
         if any(cnt >= len(hosts[h]) for h, cnt in comp.items()):
             continue
+        found = [host_islands(hosts[h], cnt) for h, cnt in comp.items()]
+        if None in found:
+            continue
         labels = list(border_cut.labels)
         next_label = border_cut.k
-        for h, cnt in comp.items():
-            _, islands = host_solve(hosts[h], cnt)
+        for islands in found:
             for v in islands:
                 labels[v] = next_label
                 next_label += 1
@@ -210,5 +236,7 @@ def extend_border(g: Graph, border_cut: KCut, i: int) -> Optional[KCut]:
         key = (cut.value, cut.labels)
         if best is None or key < best[0]:
             best = (key, cut)
-    return best[1] if best is not None else None
+    if best is None or (max_value is not None and best[1].value > max_value):
+        return None
+    return best[1]
 

@@ -65,6 +65,14 @@ def _zero_value_kcut(g: Graph, k: int, comps: VertexPartition) -> KCut:
     return KCut.from_labels(g, labels, k)
 
 
+def kcut_lower_bound(parts: int, lam: int) -> int:
+    """ceil(parts * lam / 2): the least weight that ``parts`` parts, each
+    with boundary at least ``lam``, can cut, as each cut edge bounds at most
+    two of them.  With ``lam`` the global min cut, no k-cut costs less than
+    ``kcut_lower_bound(k, lam)``, and a k-cut meeting it is optimal."""
+    return -(-parts * lam // 2)
+
+
 def _min_kcut_search(g: Graph, k: int, order: Sequence[int], prune: bool = True,
                      incumbent: Optional[KCut] = None, lam: int = 0) -> KCut:
     """Restricted-growth-string enumeration of k-part partitions.
@@ -93,7 +101,7 @@ def _min_kcut_search(g: Graph, k: int, order: Sequence[int], prune: bool = True,
         earlier[b].append((a, w))
     back = [sum(w for _, w in e) for e in earlier]   # weight to earlier positions
     # need[u]: weight still to be cut once u parts are open
-    need = [-(-(k - u) * lam // 2) for u in range(k + 1)]
+    need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
     best_val = incumbent.value if incumbent is not None else g.total_weight + 1
     best_labels = None
     labels = [0] * n
@@ -165,9 +173,9 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     ceil((k - used) * lambda / 2)``, lambda being the global min cut from
     stoer_wagner_mincut (0 on a disconnected graph); when sv_2approx(g) made
     the incumbent, its first round computed lambda on this Graph object, and
-    the call is a memo hit.  At the root the bound is the certificate opt >= ceil(k *
-    lambda / 2): when the incumbent meets it, the incumbent is returned
-    before the maximum-adjacency order is built.
+    the call is a memo hit.  At the root the bound is the certificate
+    opt >= ``kcut_lower_bound(k, lambda)``: when the incumbent meets it, the
+    incumbent is returned before the maximum-adjacency order is built.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
@@ -181,7 +189,7 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     elif incumbent.value != (actual := cut_value(g, incumbent)):
         raise ValueError(f"incumbent claims value {incumbent.value}, its cut has value {actual}")
     lam = stoer_wagner_mincut(g)[0]
-    if -(-k * lam // 2) >= incumbent.value:
+    if kcut_lower_bound(k, lam) >= incumbent.value:
         return incumbent   # the root bound closes the search
     return _min_kcut_search(g, k, _max_adjacency_order(g), incumbent=incumbent, lam=lam)
 

@@ -1,9 +1,12 @@
 """End-to-end minimum k-cut solver.
 
-Branches on the 2-approximation value: small values go to the exact solver,
-large ones through partition contraction, per-island-count border
-enumeration, and island extension, with the 2-approximate cut always kept
-as a safety floor.
+Branches on the 2-approximation value: small values, and values that the
+root bound ceil(k * lambda / 2) already certifies optimal, go to the exact
+solver (which then returns the 2-approximate cut at once); large ones go
+through partition contraction, per-island-count border enumeration, and
+island extension, with the 2-approximate cut always kept as a safety floor.
+Island extension is capped at the best value found so far, so it only
+searches for cuts that could still replace it.
 """
 from __future__ import annotations
 
@@ -16,12 +19,13 @@ from .borders import BorderParams, default_trials, enumerate_borders, tau_for
 from .graph import (Graph, GraphError, InvalidCutError, KCut, canonical_labels,
                     connected_components, contract)
 from .islands import extend_border
-from .oracle import _zero_value_kcut, exact_min_kcut, sv_2approx
+from .oracle import (_zero_value_kcut, exact_min_kcut, kcut_lower_bound,
+                     stoer_wagner_mincut, sv_2approx)
 from .partition import kt_partition
 from .rng import mix64
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
-_THRESHOLD_CONST = 10    # exact branch iff lambda_bar <= 10 * n^(1/(t+1))
+_THRESHOLD_CONST = 10    # lambda_bar <= 10 * n^(1/(t+1)) sends a solve to the exact branch
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,13 @@ class SolveReport:
 
 
 def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveReport:
-    """Solve minimum k-cut on a simple graph; see module docstring."""
+    """Solve minimum k-cut on a simple graph; see module docstring.
+
+    Unforced, the exact branch runs when lambda_bar <= 10 * n^(1/(t+1)) or
+    when ceil(k * lambda / 2) >= lambda_bar, lambda being the global min cut
+    that sv_2approx memoised on g; the second always holds at k = 2.  A
+    forced branch runs whatever the bounds say.
+    """
     if not g.simple:
         raise GraphError("the pipeline accepts simple graphs only")
     if not 2 <= k <= g.n:
@@ -94,7 +104,9 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
 
     threshold = _THRESHOLD_CONST * g.n ** (1.0 / (cfg.t + 1))
     go_exact = cfg.force_branch == "exact" or (
-        cfg.force_branch is None and lambda_bar <= threshold)
+        cfg.force_branch is None and (
+            lambda_bar <= threshold
+            or kcut_lower_bound(k, stoer_wagner_mincut(g)[0]) >= lambda_bar))
 
     if go_exact:
         cut = exact_min_kcut(g, k, incumbent=sv_cut)
@@ -131,7 +143,8 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
             lifted_labels = canonical_labels(
                 tuple(cand.labels[cmap[v]] for v in range(g.n)))
             lifted = KCut.from_labels(g, lifted_labels, s)
-            ext = extend_border(g, lifted, i)
+            # Inclusive cap: an equal value with a smaller key still wins.
+            ext = extend_border(g, lifted, i, max_value=best_key[0])
             extended += 1
             if ext is None:
                 continue

@@ -202,6 +202,33 @@ def test_r_island_matches_brute_force_and_reference(g, data):
         assert found == islands_reference.solve_r_island(g, r)
 
 
+@given(_simple_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_capped_r_island_is_uncapped_within_cap(g, data):
+    # Caps below, at and above the optimum: the uncapped result when it is
+    # within the cap, None otherwise.
+    r = data.draw(st.integers(1, g.n - 1), label="r")
+    found = solve_r_island(g, r)
+    assert found == brute_force_r_island(g, r)
+    cap = found[0] + data.draw(st.integers(-4, 3), label="offset")
+    assert solve_r_island(g, r, max_value=cap) == (found if found[0] <= cap else None)
+
+
+def test_cap_shrinks_the_prefilter():
+    # The optimum costs 194 and the r lowest-degree vertices 196; a cap at the
+    # optimum drops the vertices only the weaker bound let through.
+    g = gnp_graph(50, 0.9, 8)
+    adj = weight_matrix(g)
+    deg = adj.sum(axis=1)
+    upper, kept = _island_candidates(adj, deg, 5)
+    capped_upper, capped = _island_candidates(adj, deg, 5, 194)
+    assert (upper, capped_upper) == (196, 194)
+    assert len(capped) < len(kept) == 37
+    assert set(capped.tolist()) <= set(kept.tolist())
+    assert solve_r_island(g, 5, max_value=194) == solve_r_island(g, 5) == (194, (0, 3, 4, 14, 32))
+    assert solve_r_island(g, 5, max_value=193) is None
+
+
 def test_r_island_k88_r5():
     # 3,136 distinct sets tie for the optimum.
     g = _complete_bipartite(8)
@@ -259,6 +286,21 @@ def test_extend_value_recomputed():
             assert ext.k == 2 + i
 
 
+def test_extend_cap_edges():
+    g = cycle_graph(6)
+    cut = KCut.from_labels(g, (0, 0, 0, 1, 1, 1), 2)
+    assert extend_border(g, cut, 0, max_value=2) is cut
+    assert extend_border(g, cut, 0, max_value=1) is None
+    assert extend_border(g, cut, 1, max_value=1) is None   # below the border
+    # Each host of P4's middle cut (value 1) carves one island for 1, within
+    # its own cap of 2 - 1, but the two together cost 3.
+    g = path_graph(4)
+    cut = KCut.from_labels(g, (0, 0, 1, 1), 2)
+    assert extend_border(g, cut, 2).value == 3
+    assert extend_border(g, cut, 2, max_value=3).value == 3
+    assert extend_border(g, cut, 2, max_value=2) is None
+
+
 @st.composite
 def borders(draw):
     """A G(n, p) graph with n <= 10, a border cut with up to 4 parts, and an
@@ -269,13 +311,9 @@ def borders(draw):
     return g, KCut.from_labels(g, labels), draw(st.integers(1, n))
 
 
-@given(borders())
-@settings(max_examples=150, deadline=None)
-def test_extend_equals_every_placement(case):
-    # Every way to cut i singletons out of the border's non-singleton parts,
-    # each part keeping a vertex: extend_border's value is the least, and it
-    # returns None exactly when there is no such placement.
-    g, cut, i = case
+def _best_placement(g, cut, i):
+    """Least value over every way to cut i singletons out of the border's
+    non-singleton parts, each part keeping a vertex; None if there is none."""
     hosts = [v for p in cut.parts() if len(p) >= 2 for v in p]
     best = None
     for islands in combinations(hosts, i):
@@ -286,8 +324,35 @@ def test_extend_equals_every_placement(case):
             continue
         value = sum(w for u, v, w in g.edges if labels[u] != labels[v])
         best = value if best is None else min(best, value)
+    return best
+
+
+@given(borders())
+@settings(max_examples=150, deadline=None)
+def test_extend_equals_every_placement(case):
+    # extend_border's value is the least placement's, and it returns None
+    # exactly when there is no placement.
+    g, cut, i = case
+    best = _best_placement(g, cut, i)
     ext = extend_border(g, cut, i)
     if best is None:
         assert ext is None
     else:
         assert (ext.k, ext.value, cut_value(g, ext)) == (cut.k + i, best, best)
+
+
+@given(borders(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_capped_extend_is_uncapped_within_cap(case, data):
+    # Caps from below the border's own value to above the best placement.
+    # The strategy's borders have up to 4 parts, so many have several hosts
+    # and a nonzero value, which each host's cap is taken from.
+    g, cut, i = case
+    best = _best_placement(g, cut, i)
+    top = cut.value + 2 if best is None else best + 2
+    cap = data.draw(st.integers(min(cut.value, top) - 2, top), label="cap")
+    capped = extend_border(g, cut, i, max_value=cap)
+    if best is None or best > cap:
+        assert capped is None
+    else:
+        assert capped == extend_border(g, cut, i) and capped.value == best

@@ -2,8 +2,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kcut.oracle
+import kcut.partition
 import kcut.pipeline
 from kcut import (
     Graph,
@@ -12,10 +15,11 @@ from kcut import (
     cut_value,
     exact_min_kcut,
     min_kcut,
+    stoer_wagner_mincut,
     sv_2approx,
 )
 from kcut.generators import cliques_bridge, cycle_graph, gnp_graph
-from kcut.oracle import _min_kcut_search
+from kcut.oracle import _min_kcut_search, kcut_lower_bound
 from kcut.pipeline import PipelineConfig
 
 
@@ -136,3 +140,77 @@ def test_two_k5_bridge_k3_sparsify():
     oracle = brute_force_min_kcut(g, 3).value
     rep = min_kcut(g, 3, PipelineConfig(seed=5, force_branch="sparsify"))
     assert rep.value == oracle == 5
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the sparsify route ran")
+
+
+def test_k2_root_certificate_routes_to_exact(monkeypatch):
+    # lambda_bar = 68 is far above the threshold (46.4 at n = 100), but at
+    # k = 2 the 2-approximation is Stoer-Wagner, so ceil(2 * lambda / 2)
+    # certifies it before the partition.
+    misses = []
+
+    def counted(g):
+        misses.append("_min_cut" not in vars(g))
+        return stoer_wagner_mincut(g)
+
+    monkeypatch.setattr(kcut.oracle, "stoer_wagner_mincut", counted)
+    monkeypatch.setattr(kcut.pipeline, "stoer_wagner_mincut", counted)
+    monkeypatch.setattr(kcut.pipeline, "kt_partition", _raise)
+    monkeypatch.setattr(kcut.partition, "ni_sparsify", _raise)
+    g = gnp_graph(100, 0.8, 4)
+    rep = min_kcut(g, 2)
+    assert rep.branch == "exact" and not rep.fallback
+    assert rep.value == rep.lambda_bar == 68
+    assert rep.partition_stats is None and rep.border_stats == []
+    assert sum(misses) == 1   # one Stoer-Wagner run, every later call a memo hit
+    assert rep.cut == sv_2approx(gnp_graph(100, 0.8, 4), 2)
+
+
+def test_forced_sparsify_ignores_root_certificate(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return kcut.partition.kt_partition(*args)
+
+    monkeypatch.setattr(kcut.pipeline, "kt_partition", counted)
+    rep = min_kcut(gnp_graph(100, 0.8, 4), 2, PipelineConfig(force_branch="sparsify"))
+    assert rep.branch == "sparsify"
+    assert calls == [(2, 68)]
+    assert rep.partition_stats is not None and len(rep.border_stats) == 2
+
+
+def test_island_cap_changes_no_sparsify_output(monkeypatch):
+    # The pipeline caps each extension at the best value so far; lifting the
+    # cap must give the same report, ties on value included.
+    cases = [(planted_three_k8_instance(), 4), (cliques_bridge(5, 2, 1), 3)]
+    cases += [(gnp_graph(n, p, seed), k) for n, p, seed, k in
+              [(12, 0.5, 3, 3), (14, 0.8, 4, 4), (16, 0.6, 5, 5), (20, 0.9, 6, 6)]]
+    runs = [(g, k, PipelineConfig(seed=s, force_branch="sparsify", trial_cap=300))
+            for g, k in cases for s in (1, 2)]
+    capped = [min_kcut(*run) for run in runs]
+    uncapped_extend = kcut.pipeline.extend_border
+    monkeypatch.setattr(kcut.pipeline, "extend_border",
+                        lambda g, border, i, max_value: uncapped_extend(g, border, i))
+    for rep, run in zip(capped, runs):
+        free = min_kcut(*run)
+        assert (rep.value, rep.cut, rep.fallback) == (free.value, free.cut, free.fallback)
+        assert rep.border_stats == free.border_stats
+
+
+@given(st.integers(4, 14), st.sampled_from([0.3, 0.5, 0.8]),
+       st.integers(0, 10**6), st.integers(2, 4))
+@settings(max_examples=80, deadline=None)
+def test_unforced_value_is_optimal_and_certified_cut_is_sv(n, p, seed, k):
+    g = gnp_graph(n, p, seed)
+    assume(len(g.components.blocks) == 1)
+    rep = min_kcut(g, k)
+    assert rep.value == brute_force_min_kcut(g, k).value
+    fresh = gnp_graph(n, p, seed)
+    sv = sv_2approx(fresh, k)
+    if kcut_lower_bound(k, stoer_wagner_mincut(fresh)[0]) >= sv.value:
+        assert rep.branch == "exact"
+        assert rep.cut == sv

@@ -25,8 +25,19 @@ are accepted when their degrees certify conductance >= gamma: the lighter
 side of any cut has at most (total weight) // (minimum degree) vertices,
 too few to keep much of their degree inside it.  Otherwise they take the
 best prefix of the Fiedler-vector order, from cumulative sums over the
-permuted matrix.  The final check re-runs the exact enumeration on every
-block of at most 16 vertices.
+permuted matrix.  At gamma = 1 a larger block is accepted only as a star,
+and split at its lightest edge when the sweep finds no cut below 1.  The
+final check re-runs the exact enumeration on every block of at most 16
+vertices.
+
+At gamma = 1 (regularized minimum degree 1) and k >= 3 the partition is
+certified from degrees alone.  A block with two disjoint edges is not a
+1-expander: the edge whose ends have the smaller volume is a side S with
+vol S <= total weight and boundary vol S - 2.  So every accepted block is
+a star, a triangle, K2 or one vertex.  With epsilon <= 1/3, shave keeps
+only the star leaves of degree 1, and shatter dissolves every core of at
+most k vertices.  Unless some vertex has k or more neighbours of degree 1,
+``kt_partition`` therefore returns n singletons without decomposing.
 """
 from __future__ import annotations
 
@@ -248,15 +259,39 @@ def _fiedler_sweep(w: np.ndarray, deg: np.ndarray) -> tuple:
     return Fraction(int(bd[j]), int(denom[j])), np.sort(order[:j + 1])
 
 
+def _is_star(w: np.ndarray) -> bool:
+    """Whether the connected graph with weight matrix ``w`` (n > 2) is a star:
+    n - 1 edges, all at one vertex."""
+    nz = np.count_nonzero(w, axis=1)
+    return int(nz.max()) == len(w) - 1 and int(nz.sum()) == 2 * (len(w) - 1)
+
+
+def _lightest_edge_cut(w: np.ndarray, deg: np.ndarray) -> tuple:
+    """The side {a, b} of the edge with the smallest deg a + deg b, lowest
+    ids on ties, of the graph with weight matrix ``w`` and row sums ``deg``:
+    (conductance, sorted index array).  It is below 1 whenever the graph
+    has two disjoint edges, as one of them has volume <= total weight."""
+    a, b = np.nonzero(np.triu(w, 1))
+    vol = deg[a] + deg[b]
+    i = int(vol.argmin())
+    total = int(deg.sum(dtype=np.uint64)) // 2
+    cut = int(vol[i]) - 2 * int(w[a[i], b[i]])
+    return Fraction(cut, min(int(vol[i]), 2 * total - int(vol[i]))), np.array([a[i], b[i]])
+
+
 def expander_decompose(g, gamma: Fraction) -> VertexPartition:
     """Low-conductance-cut splitting of a Graph or of its weight matrix.
 
     Blocks of size <= 16 are certified gamma-expanders exactly; larger
     blocks are accepted when their degrees certify conductance >= gamma,
     and otherwise take the best Fiedler prefix, stopping when it is not
-    below gamma.  Blocks are split depth-first on an explicit stack: each
-    component, then each side of a cut, in the order the recursive
-    definition visits them.
+    below gamma.  At gamma = 1 a larger block is accepted only if it is a
+    star, which is a 1-expander; any other connected block has two disjoint
+    edges, so when the sweep finds no cut below 1 it is split at its
+    lightest edge (``_lightest_edge_cut``).  Every accepted block at
+    gamma = 1 is thus a proven 1-expander.  Blocks are split depth-first on
+    an explicit stack: each component, then each side of a cut, in the
+    order the recursive definition visits them.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
@@ -289,7 +324,12 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
                 stack.extend((idx[roots == h], True) for h in heads[::-1])
                 continue
         if not small:
+            if gamma == 1 and _is_star(sub):
+                blocks.append(idx.tolist())
+                continue
             cond, side = _fiedler_sweep(sub, deg)
+            if gamma == 1 and cond >= 1:
+                cond, side = _lightest_edge_cut(sub, deg)
         if cond < gamma:
             rest = np.ones(len(idx), dtype=bool)
             rest[side] = False
@@ -354,8 +394,46 @@ def _validate_state(w: np.ndarray, trimmed: np.ndarray, core: np.ndarray,
         raise KTInvariantError("shatter left a small core alive")
 
 
+def _singletons_certified(w: np.ndarray, deg: np.ndarray, k: int) -> bool:
+    """Whether the regularized simple graph with weight matrix ``w`` and
+    degrees ``deg`` is certified to partition into singletons at k: minimum
+    degree 1 (gamma = 1), k >= 3, and no vertex with k or more neighbours
+    of degree 1 (see ``kt_partition``)."""
+    if k < 3 or deg.min() != 1:
+        return False
+    return bool((w[:, deg == 1].sum(axis=1) < k).all())
+
+
 def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
-    """Full partitioning pipeline; returns (partition of V(g), report dict)."""
+    """Full partitioning pipeline; returns (partition of V(g), report dict).
+
+    Singleton certificate.  When the regularized graph has minimum degree
+    1 (so gamma = 1), k >= 3 and no vertex has k or more neighbours of
+    degree 1, the partition is every vertex alone, and it is returned
+    without decomposing; the report's ``clusters``, ``trimmed``, ``shaved``
+    and ``shattered`` are then None, since those stages did not run.
+    Proof that the full run returns the same:
+
+    - A block with two disjoint edges is not a 1-expander: of the two, the
+      edge whose ends have the smaller volume is a side S with
+      vol S <= total weight and boundary vol S - 2 < vol S.  So every
+      1-expander block is a star (K2 included), a triangle or one vertex.
+      Every block ``expander_decompose`` accepts at gamma = 1 is a
+      1-expander: small blocks by exact enumeration, large ones by the
+      degree certificate or as stars (see there).
+    - epsilon = 1/(k log2 n) <= 1/3.  A star leaf has one neighbour in its
+      block, so it keeps more than (1 - epsilon) of its degree inside only
+      if its degree is 1; shave makes every other leaf a singleton.
+    - So a core of a star block holds its centre and pendant leaves of the
+      centre, and it has more than k vertices only if the centre has k or
+      more neighbours of degree 1.  Triangles, K2 and single vertices have
+      at most 3 <= k vertices.  Every core thus has at most k vertices,
+      and shatter dissolves it.
+
+    The full run's checks hold there too: at gamma = 1 the decomposition
+    budget 10 m log2 m is above the m edges it could cut, and the stage
+    postconditions are what the stages compute.
+    """
     if not g.simple:
         raise GraphError("kt_partition is defined for simple graphs")
     if lambda_bar < 1:
@@ -369,8 +447,11 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
         partition = VertexPartition.from_blocks(blocks, g.n)
         report = _report(partition, removed, 0, 0, 0, 0, KTParams.derive(2, k, 1))
         return partition, report
-    delta = int(wr.sum(axis=1).min())
-    params = KTParams.derive(len(wr), k, delta)
+    deg = wr.sum(axis=1)
+    params = KTParams.derive(len(wr), k, int(deg.min()))
+    if _singletons_certified(wr, deg, k):
+        partition = VertexPartition(tuple((v,) for v in range(g.n)))
+        return partition, _report(partition, removed, None, None, None, None, params)
     decomp = expander_decompose(wr, params.gamma)
     index = np.array(decomp.to_block_index(len(wr)))
     lab = trim(wr, index)

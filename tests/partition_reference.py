@@ -151,11 +151,27 @@ def _fiedler_sweep(g: Graph) -> tuple:
     return best[0], tuple(sorted(order[: best[1] + 1]))
 
 
+def _is_star(g: Graph) -> bool:
+    """Whether the connected graph ``g`` is a star: n - 1 edges, all at one vertex."""
+    return len(g.edges) == g.n - 1 and max(len(a) for a in g.adjacency) == g.n - 1
+
+
+def _lightest_edge(g: Graph) -> tuple:
+    """(conductance, subset) of the ends of the edge with the smallest
+    endpoint degree sum, lowest ids on ties."""
+    deg = g.degrees
+    u, v, w = min(g.edges, key=lambda e: (deg[e[0]] + deg[e[1]], e[0], e[1]))
+    vol = deg[u] + deg[v]
+    return Fraction(vol - 2 * w, min(vol, 2 * g.total_weight - vol)), (u, v)
+
+
 def expander_decompose(g: Graph, gamma: Fraction) -> VertexPartition:
     """Recursive low-conductance-cut splitting.
 
     Blocks of size <= 16 are certified gamma-expanders exactly; larger
-    blocks stop when the spectral sweep finds no cut below gamma.
+    blocks stop when the spectral sweep finds no cut below gamma, except
+    that at gamma = 1 a block that is not a star is cut at its lightest
+    edge instead.
     """
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
@@ -175,6 +191,8 @@ def expander_decompose(g: Graph, gamma: Fraction) -> VertexPartition:
             cond, subset = min_conductance_subset(sub)
         else:
             cond, subset = _fiedler_sweep(sub)
+            if gamma == 1 and cond >= 1 and not _is_star(sub):
+                cond, subset = _lightest_edge(sub)
         if cond < gamma:
             side = set(subset)
             recurse([back[v] for v in range(sub.n) if v in side])

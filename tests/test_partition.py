@@ -29,6 +29,7 @@ from kcut.generators import (cliques_bridge, complete_graph, cycle_graph, gnp_gr
                              planted_instance, star_graph)
 from kcut.graph import MAX_WEIGHT, weight_matrix
 from kcut.partition import KTParams, _degree_certified, _min_conductance
+from kcut.sparsify import ni_sparsify
 
 import partition_reference
 from helpers import border_agrees, borders_of_cut, conductance
@@ -360,12 +361,132 @@ def _outcome(fn, *args):
         return KTInvariantError
 
 
+def _singletons_certified(g, k, lambda_bar):
+    """Whether the singleton certificate applies, read from the reference's
+    regularized graph: minimum degree 1, k >= 3, and no vertex with k or
+    more neighbours of degree 1."""
+    try:
+        h, _, _ = partition_reference.regularize(ni_sparsify(g, lambda_bar), k, lambda_bar)
+    except KTInvariantError:
+        return False
+    if h.n <= 1 or k < 3 or min(h.degrees) != 1:
+        return False
+    return all(sum(h.degrees[u] == 1 for u, _ in nbrs) < k for nbrs in h.adjacency)
+
+
+_SKIPPED_STAGES = {"clusters": None, "trimmed": None, "shaved": None, "shattered": None}
+
+
+def check_kt_equals_reference(g, k, lambda_bar):
+    """kt_partition equals the reference's full run: the whole report when
+    the full run happens, and under the singleton certificate the partition
+    and the report with the four skipped stage counts None.  Returns
+    whether the certificate applied."""
+    got = _outcome(kt_partition, g, k, lambda_bar)
+    expected = _outcome(partition_reference.kt_partition, g, k, lambda_bar)
+    if not _singletons_certified(g, k, lambda_bar):
+        assert got == expected
+        return False
+    assert got[0] == expected[0]
+    assert got[0].blocks == tuple((v,) for v in range(g.n))
+    stages = {**expected[1]["stages"], **_SKIPPED_STAGES}
+    assert got[1] == {**expected[1], "stages": stages}
+    return True
+
+
 @given(kt_inputs())
 @settings(max_examples=60, deadline=None)
 def test_kt_partition_equals_reference_stages(case):
-    g, k, lambda_bar = case
-    assert (_outcome(kt_partition, g, k, lambda_bar)
-            == _outcome(partition_reference.kt_partition, g, k, lambda_bar))
+    check_kt_equals_reference(*case)
+
+
+@st.composite
+def pendant_graphs(draw):
+    """Graphs with vertices of degree 1 and a k in 3..5: random trees,
+    paths with 0..k pendants per vertex, and planted instances with islands
+    hung on one edge; lambda_bar is drawn up to the 2-approximation."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    k = draw(st.integers(3, 5))
+    shape = draw(st.sampled_from(["tree", "path", "planted"]))
+    if shape == "tree":
+        n = draw(st.integers(k, 40))
+        g = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+    elif shape == "path":
+        length = draw(st.integers(k, 12))
+        edges = [(v, v + 1) for v in range(length - 1)]
+        n = length
+        for v in range(length):
+            for _ in range(rng.randint(0, k)):
+                edges.append((v, n))
+                n += 1
+        g = Graph.from_edges(n, edges)
+    else:
+        g, _ = planted_instance(k, draw(st.integers(6, 12)), draw(st.sampled_from([0.5, 0.9])),
+                                draw(st.sampled_from([0.01, 0.03])), draw(st.integers(1, 3)),
+                                seed=rng.randrange(10**6))
+    approx = sv_2approx(g, k).value
+    return g, k, draw(st.integers(1, max(1, approx)))
+
+
+@given(pendant_graphs())
+@settings(max_examples=80, deadline=None)
+def test_singleton_certificate_equals_full_run(case):
+    check_kt_equals_reference(*case)
+
+
+def _stage_spy(monkeypatch):
+    """Record, in order, each call of the decomposition, the Fiedler sweep,
+    trim, shave and shatter."""
+    calls = []
+    for name in ("expander_decompose", "_fiedler_sweep", "trim", "shave", "shatter"):
+        def spy(*args, _name=name, _fn=getattr(kcut.partition, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(kcut.partition, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(3, 20, 0.9, 0.02, 2), (4, 20, 0.9, 0.01, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_singleton_certificate_skips_the_stages(monkeypatch, shape, seed):
+    g, _ = planted_instance(*shape, seed=seed)
+    k = shape[0]
+    calls = _stage_spy(monkeypatch)
+    partition, report = kt_partition(g, k, sv_2approx(g, k).value)
+    assert calls == []
+    assert partition.blocks == tuple((v,) for v in range(g.n))
+    assert report["q"] == g.n
+    assert report["stages"] == {"regularized_removed": 0, **_SKIPPED_STAGES}
+    assert report["params"]["gamma"] == 1.0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("leaves", [None, 20])
+def test_k_pendant_leaves_run_the_stages(monkeypatch, k, leaves):
+    # A star with k leaves (at least k pendant neighbours at the centre) is
+    # one 1-expander block that survives shave and shatter; with 20 leaves
+    # it is a block above 16 vertices, accepted as a star without a sweep.
+    g = star_graph(leaves or k)
+    lambda_bar = sv_2approx(g, k).value
+    calls = _stage_spy(monkeypatch)
+    partition, report = kt_partition(g, k, lambda_bar)
+    assert calls == ["expander_decompose", "trim", "shave", "shatter"]
+    assert partition.blocks == (tuple(range(g.n)),)
+    assert report["stages"]["clusters"] == 1
+    assert not check_kt_equals_reference(g, k, lambda_bar)
+
+
+def test_certificate_needs_k_at_least_3(monkeypatch):
+    # A triangle and a disjoint edge: minimum degree 1 and no vertex with
+    # two pendant neighbours, yet at k = 2 the triangle's core of 3 survives.
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    calls = _stage_spy(monkeypatch)
+    partition, report = kt_partition(g, 2, 2)
+    assert calls == ["expander_decompose", "trim", "shave", "shatter"]
+    assert partition.blocks == ((0, 1, 2), (3,), (4,))
+    assert not check_kt_equals_reference(g, 2, 2)
+    # At k = 3 the triangle shatters, and the certificate applies.
+    assert check_kt_equals_reference(g, 3, 2)
 
 
 @st.composite
@@ -389,6 +510,64 @@ def test_expander_decompose_equals_reference(g, gamma):
     expected = partition_reference.expander_decompose(g, gamma).blocks
     assert expander_decompose(g, gamma).blocks == expected
     assert expander_decompose(weight_matrix(g), gamma).blocks == expected
+
+
+@st.composite
+def gamma_one_graphs(draw):
+    """Graphs for the gamma = 1 decomposition: ``decomposition_graphs``,
+    K_{a,b} with a = 2..11 and b = 15..29, and double stars (two adjacent
+    centres with 1..20 leaves each), the last two relabelled at random."""
+    shape = draw(st.sampled_from(["decomposition", "bipartite", "double_star"]))
+    if shape == "decomposition":
+        return draw(decomposition_graphs())
+    if shape == "bipartite":
+        a, b = draw(st.integers(2, 11)), draw(st.integers(15, 29))
+        n, edges = a + b, [(u, v) for u in range(a) for v in range(a, a + b)]
+    else:
+        a, b = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+        n = a + b + 2
+        edges = [(0, 1)] + [(0, v) for v in range(2, a + 2)] + [(1, v) for v in range(a + 2, n)]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _two_disjoint_edges(g, block) -> bool:
+    inside = set(block)
+    edges = [(u, v) for u, v, _ in g.edges if u in inside and v in inside]
+    return any(not {u, v} & {x, y} for (u, v), (x, y) in combinations(edges, 2))
+
+
+@given(gamma_one_graphs())
+@settings(max_examples=80, deadline=None)
+def test_gamma_one_blocks_have_no_two_disjoint_edges(g):
+    # At gamma = 1 every block is a star, a triangle, K2 or one vertex.
+    blocks = expander_decompose(g, Fraction(1)).blocks
+    assert not any(_two_disjoint_edges(g, b) for b in blocks)
+    assert blocks == partition_reference.expander_decompose(g, Fraction(1)).blocks
+
+
+@given(gamma_one_graphs())
+@settings(max_examples=40, deadline=None)
+def test_gamma_one_splits_at_lightest_edge_without_sweep(g):
+    # With a sweep that never finds a cut, every non-star block above 16
+    # vertices is split at its lightest edge, in the library and the
+    # reference alike, and the blocks are still stars and triangles.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kcut.partition, "_fiedler_sweep", lambda w, deg: (math.inf, np.arange(1)))
+        mp.setattr(partition_reference, "_fiedler_sweep", lambda h: (math.inf, (0,)))
+        blocks = expander_decompose(g, Fraction(1)).blocks
+        assert blocks == partition_reference.expander_decompose(g, Fraction(1)).blocks
+    assert not any(_two_disjoint_edges(g, b) for b in blocks)
+
+
+def test_lightest_edge_split_order():
+    # K_{2,17}: sides 0, 1; every edge has endpoint degrees 17 + 2, so the
+    # tie goes to the lowest ids, edge (0, 2).
+    g = Graph.from_edges(19, [(u, v) for u in range(2) for v in range(2, 19)])
+    cond, side = kcut.partition._lightest_edge_cut(weight_matrix(g), np.array(g.degrees))
+    assert side.tolist() == [0, 2]
+    assert cond == Fraction(17, 19)
+    assert partition_reference._lightest_edge(g) == (cond, (0, 2))
 
 
 @st.composite

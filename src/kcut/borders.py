@@ -9,10 +9,18 @@ that contracts every trial of the round, each spending the first m outputs
 of its stream on edge clocks.  Either way every trial has the same number
 of super-vertices and its label draws start at the same stream output (0,
 or m), so all trials are labelled and lifted as one vectorized numpy batch.
-A cut's value does not depend on how its parts are numbered, so the batch
-is scored on its raw lifted labels and filtered by ``max_value`` first; only
-the surviving trials are canonicalized and deduplicated, and a round in
-which none survives does neither.
+A cut's value does not depend on how its parts are numbered, so trials
+are scored on their raw lifted labels and filtered by ``max_value`` before
+any is canonicalized.  With ``max_value`` given, every onto trial is first
+scored on a fixed head block of edges, the first ``_HEAD_EDGES`` rows of
+``edge_array``, reading only the head endpoints' labels.  Edge weights are
+at least 1, so that partial sum is a lower bound on the trial's value, and
+a trial already past ``max_value`` on the head cannot pass: it is dropped
+without being lifted or scored in full.  The filter is exact, since a
+dropped trial would have been dropped after the full score too.  Only the
+trials left are lifted, scored over every edge and filtered again; only
+those that pass are canonicalized and deduplicated, and a round in which
+none is left at either step does neither.
 
 For s = 1 every trial yields the same cut, all vertices in one part with
 value 0, so that cut is built directly and no trial is run.
@@ -43,10 +51,21 @@ def tau_for(beta: float, k: int) -> int:
 
 
 def default_trials(n: int, beta: float, k: int, cap: int) -> int:
-    """Trial budget ceil(n^(beta*k) * ln n), capped; always at least 1."""
+    """Trial budget ceil(n^(beta*k) * ln n), capped; always at least 1.
+
+    The raw count is e^(beta*k*ln n + ln ln n).  Once that exponent passes
+    ln cap the count exceeds cap, and cap is returned without evaluating
+    n^(beta*k), which may not fit a float.  A cap past the float range
+    stands for every count that does not fit one.
+    """
     if n < 2:
         return 1
-    raw = math.ceil(n ** (beta * k) * math.log(n))
+    if beta * k * math.log(n) + math.log(math.log(n)) > math.log(cap):
+        return cap
+    try:
+        raw = math.ceil(n ** (beta * k) * math.log(n))
+    except OverflowError:
+        return cap
     return max(1, min(cap, raw))
 
 
@@ -199,6 +218,26 @@ def _lift_and_score(lab: np.ndarray, cmap: np.ndarray, s: int,
     return lifted, edges[:, 2] @ (by_vertex[edges[:, 0]] != by_vertex[edges[:, 1]])
 
 
+# Edges every trial is scored on before any is lifted in full.  On the
+# uncontracted 150-trial rounds of planted graphs (62-83 vertices, 531-693
+# edges, max_value 1-3) 64 edges dropped every trial, and scoring a round
+# took about 0.06 ms against 0.32 ms for the full lift and score; heads of
+# 16-96 edges cost about the same, 128 or more cost more.
+_HEAD_EDGES = 64
+
+
+def _head_values(lab: np.ndarray, cmap: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Each trial's value on the edges ``head``, its super-vertex labels
+    ``lab`` read at the head's endpoints through its row of ``cmap`` (one row
+    shared by all when cmap has one).  Weights are >= 1, so this is a lower
+    bound on the trial's value over all edges."""
+    u, v, w = head.T
+    if len(cmap) == 1:
+        return (lab[:, cmap[0, u]] != lab[:, cmap[0, v]]) @ w
+    return (np.take_along_axis(lab, cmap[:, u], axis=1)
+            != np.take_along_axis(lab, cmap[:, v], axis=1)) @ w
+
+
 def enumerate_borders(g: Graph, params: BorderParams,
                       max_value: Optional[int] = None) -> list:
     """Deduplicated candidate s-cuts from seeded contraction trials, sorted by
@@ -223,9 +262,17 @@ def enumerate_borders(g: Graph, params: BorderParams,
         offset, nv = len(g.edge_array), int(cmap.max()) + 1
     if s > nv:
         return []
-    lab, onto = _labels_batch(seeds, offset, nv, s)
+    lab, keep = _labels_batch(seeds, offset, nv, s)
+    if max_value is not None:
+        keep &= _head_values(lab, cmap, g.edge_array[:_HEAD_EDGES]) <= max_value
+        if not keep.any():
+            return []
+        lab = lab[keep]
+        cmap = cmap if len(cmap) == 1 else cmap[keep]
+        keep = keep[keep]
     lifted, values = _lift_and_score(lab, cmap, s, g.edge_array)
-    keep = onto if max_value is None else onto & (values <= max_value)
+    if max_value is not None:
+        keep &= values <= max_value
     if not keep.any():
         return []
     canon, first = np.unique(_canonicalize_batch(lifted[keep], s), axis=0, return_index=True)

@@ -1,11 +1,13 @@
 """Randomized contraction and candidate s-cut enumeration."""
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kcut import (
@@ -21,7 +23,14 @@ from kcut import (
 )
 import kcut.borders
 from kcut.borders import _canonicalize_batch, _clock_prefix, _labels_batch, _lift_and_score
-from kcut.generators import cliques_bridge, complete_graph, cycle_graph, gnp_graph, path_graph
+from kcut.generators import (
+    cliques_bridge,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    planted_instance,
+)
 from kcut.graph import MAX_WEIGHT, VertexPartition, canonical_labels, contract, cut_value, union_find
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
@@ -267,6 +276,53 @@ def test_default_trials():
     assert default_trials(1, 1.0, 2, cap=10) == 1
 
 
+def _trials_formula(n, beta, k, cap):
+    """The uncapped formula, None where it overflows a float."""
+    try:
+        raw = math.ceil(n ** (beta * k) * math.log(n))
+    except OverflowError:
+        return None
+    return max(1, min(cap, raw))
+
+
+def test_default_trials_caps_counts_past_the_float_range():
+    assert _trials_formula(200, 1.0, 150, 100_000) is None
+    assert default_trials(200, 1.0, 150, 100_000) == 100_000
+    assert default_trials(2, 1.0, 10**6, 1) == 1
+    # a cap past the float range stands for every count that overflows it
+    assert default_trials(2, 1.0, 1024, 10**400) == 10**400
+    assert default_trials(10, 0.5, 10, 10**400) == math.ceil(10**5 * math.log(10))
+
+
+@pytest.mark.parametrize("n, beta, k", [(10, 1.0, 2), (7, 0.5, 3), (120, 0.3, 4),
+                                        (2, 1.0, 40), (3, 0.0, 1)])
+def test_default_trials_at_the_cap_boundary(n, beta, k):
+    raw = math.ceil(n ** (beta * k) * math.log(n))
+    for cap in (raw - 1, raw, raw + 1):
+        if cap >= 1:
+            assert default_trials(n, beta, k, cap) == min(cap, raw)
+
+
+@pytest.mark.parametrize("cap", [1, 150, 100_000, 10**9])
+def test_default_trials_equals_formula_where_finite(cap):
+    betas = [i / 8 for i in range(9)]
+    for n in range(2, 121):
+        for k in range(1, n + 1):
+            for beta in betas:
+                expect = _trials_formula(n, beta, k, cap)
+                if expect is not None:
+                    assert default_trials(n, beta, k, cap) == expect, (n, beta, k)
+
+
+@given(st.integers(2, 10**9), st.floats(0.0, 1.0), st.integers(1, 10**6),
+       st.one_of(st.integers(1, 10**12), st.integers(1, 10**500)))
+def test_default_trials_never_overflows(n, beta, k, cap):
+    trials = default_trials(n, beta, k, cap)
+    assert 1 <= trials <= cap
+    expect = _trials_formula(n, beta, k, cap)
+    assert expect is None or cap > 10**12 or trials == expect
+
+
 # ----------------------------------------------------------- enumerate_borders
 
 def test_single_trial_small_graph():
@@ -463,6 +519,112 @@ def test_trials_without_onto_labels_are_dropped(monkeypatch, n, tau):
         assert (enumerate_borders(g, params, max_value)
                 == borders_reference.enumerate_borders(g, params, max_value))
     assert enumerate_borders(g, params)
+
+
+# ---------------------------------------------------------------- head block
+
+def _head_and_full_values(g, params):
+    """Each onto trial's value on the first ``_HEAD_EDGES`` edges and on all
+    edges, from its lifted labels."""
+    seeds = _seeds(params.seed, params.trials)
+    if g.n <= params.tau:
+        offset, cmap = 0, np.arange(g.n)[None, :]
+    else:
+        offset, cmap = len(g.edge_array), contract_random(g, params.tau, seeds)
+    nv = int(cmap.max()) + 1
+    if params.s > nv:
+        return [], []
+    lab, onto = _labels_batch(seeds, offset, nv, params.s)
+    lifted = np.take_along_axis(lab, cmap, axis=1)[onto]
+    u, v, w = g.edge_array.T
+    cut = (lifted[:, u] != lifted[:, v]) * w
+    return (cut[:, :kcut.borders._HEAD_EDGES].sum(axis=1).tolist(),
+            cut.sum(axis=1).tolist())
+
+
+@st.composite
+def head_block_graphs(draw):
+    """G(n, p) with at least two edges, half of them contracted along a random
+    labelling so that merged edges weigh more than 1."""
+    n = draw(st.integers(6, 30))
+    g = gnp_graph(n, draw(st.sampled_from([0.4, 0.7, 0.9])), draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        g = contract(g, VertexPartition.from_labels(labels, n))[0]
+    assume(len(g.edge_array) >= 2)
+    return g
+
+
+@given(head_block_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_head_block_filter_equals_reference(g, data):
+    # The head block is shrunk below m, so every draw has edges outside it.
+    head = data.draw(st.integers(1, len(g.edge_array) - 1), label="head")
+    s = data.draw(st.integers(2, 4), label="s")
+    identity = data.draw(st.booleans(), label="identity")
+    tau = (data.draw(st.integers(g.n, g.n + 3), label="tau") if identity or g.n <= s
+           else data.draw(st.integers(s, g.n - 1), label="tau"))
+    params = BorderParams(s=s, beta=1.0, tau=tau, trials=data.draw(st.integers(1, 80)),
+                          seed=data.draw(st.integers(0, 2**64 - 1)))
+    with mock.patch.object(kcut.borders, "_HEAD_EDGES", head):
+        heads, fulls = _head_and_full_values(g, params)
+        cases = [None, min(fulls, default=0) - 1, min(fulls, default=0)]
+        # a value some trial reaches on the head but exceeds in full
+        cases += [data.draw(st.integers(h, f - 1), label="straddle")
+                  for h, f in zip(heads, fulls) if h < f][:1]
+        for max_value in cases:
+            assert (enumerate_borders(g, params, max_value)
+                    == borders_reference.enumerate_borders(g, params, max_value))
+
+
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_planted_rounds_past_max_value_lift_nothing(monkeypatch, contracted):
+    # A uniform labelling of a planted graph cuts more than 2 within the head
+    # block already, so no trial is lifted, scored in full or canonicalized.
+    g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
+    assert len(g.edge_array) > kcut.borders._HEAD_EDGES
+    tau = g.n - 5 if contracted else g.n
+    calls = []
+    monkeypatch.setattr(kcut.borders, "_lift_and_score", lambda *a: calls.append("lift"))
+    monkeypatch.setattr(kcut.borders, "_canonicalize_batch", lambda *a: calls.append("canon"))
+    rounds = [BorderParams(s=s, beta=1.0, tau=tau, trials=300, seed=5) for s in (2, 3, 4)]
+    for params in rounds:
+        assert enumerate_borders(g, params, max_value=2) == []
+    assert calls == []
+
+    # Sentinel rows of trials without onto labels cost 0 on the head and
+    # must still be dropped.
+    def some_fail(seeds, offset, nv, s):
+        lab, onto = _labels_batch(seeds, offset, nv, s)
+        lab[::2], onto[::2] = s, False
+        return lab, onto
+
+    monkeypatch.setattr(kcut.borders, "_labels_batch", some_fail)
+    for params in rounds:
+        assert enumerate_borders(g, params, max_value=2) == []
+    assert calls == []
+
+
+def test_round_past_max_value_peak_memory():
+    # Without contraction a round's label array is trials x n int64, and the
+    # label draws hold about three of them at once.  Trials dropped on the
+    # head block are never lifted and scored over all 531 edges, which had
+    # taken about eleven label arrays.
+    g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
+    params = BorderParams(s=3, beta=1.0, tau=g.n, trials=20_000, seed=5)
+    label_bytes = params.trials * g.n * 8
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert enumerate_borders(g, params, max_value=2) == []
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * label_bytes
 
 
 @pytest.mark.parametrize("tau", [10, 4], ids=["identity", "contracted"])

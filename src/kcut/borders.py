@@ -11,16 +11,15 @@ of super-vertices and its label draws start at the same stream output (0,
 or m), so all trials are labelled and lifted as one vectorized numpy batch.
 A cut's value does not depend on how its parts are numbered, so trials
 are scored on their raw lifted labels and filtered by ``max_value`` before
-any is canonicalized.  With ``max_value`` given, every onto trial is first
+any is canonicalized.  With ``max_value`` given, every trial is first
 scored on a fixed head block of edges, the first ``_HEAD_EDGES`` rows of
-``edge_array``, reading only the head endpoints' labels.  Edge weights are
-at least 1, so that partial sum is a lower bound on the trial's value, and
-a trial already past ``max_value`` on the head cannot pass: it is dropped
-without being lifted or scored in full.  The filter is exact, since a
-dropped trial would have been dropped after the full score too.  Only the
-trials left are lifted, scored over every edge and filtered again; only
-those that pass are canonicalized and deduplicated, and a round in which
-none is left at either step does neither.
+``edge_array``.  Edge weights are at least 1, so that partial sum is a
+lower bound on the trial's value, and a trial already past ``max_value``
+on the head cannot pass: it is dropped without being scored over every
+edge.  The filter is exact, since a dropped trial would have been dropped
+after the full score too.  Only the trials left are scored in full and
+filtered again; only those that pass are canonicalized and deduplicated,
+and a round in which none is left at either step does neither.
 
 For s = 1 every trial yields the same cut, all vertices in one part with
 value 0, so that cut is built directly and no trial is run.
@@ -51,17 +50,10 @@ def tau_for(beta: float, k: int) -> int:
 
 
 def default_trials(n: int, beta: float, k: int, cap: int) -> int:
-    """Trial budget ceil(n^(beta*k) * ln n), capped; always at least 1.
-
-    The raw count is e^(beta*k*ln n + ln ln n).  Once that exponent passes
-    ln cap the count exceeds cap, and cap is returned without evaluating
-    n^(beta*k), which may not fit a float.  A cap past the float range
-    stands for every count that does not fit one.
-    """
+    """Trial budget ceil(n^(beta*k) * ln n), capped; always at least 1.  A
+    count past the float range is taken as above cap."""
     if n < 2:
         return 1
-    if beta * k * math.log(n) + math.log(math.log(n)) > math.log(cap):
-        return cap
     try:
         raw = math.ceil(n ** (beta * k) * math.log(n))
     except OverflowError:
@@ -202,40 +194,37 @@ def _canonicalize_batch(lab: np.ndarray, s: int) -> np.ndarray:
     return np.take_along_axis(inv, lab, axis=1)
 
 
-def _lift_and_score(lab: np.ndarray, cmap: np.ndarray, s: int,
+def _lift_and_score(lab: np.ndarray, cmap: Optional[np.ndarray], s: int,
                     edges: np.ndarray) -> tuple:
     """Each row of super-vertex labels ``lab`` (values 0..s) lifted through
-    its row of ``cmap`` (one row shared by all when cmap has one), in the
-    narrowest signed integer dtype that holds s, and the weight of the edges
-    whose ends the lifted row labels differently.  The values are exact int64
-    sums while the total edge weight is at most MAX_WEIGHT."""
+    its row of ``cmap`` (one row shared by all when cmap has one; not lifted
+    when cmap is None), in the narrowest signed integer dtype that holds s,
+    and its ``_score`` on ``edges``."""
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if s <= np.iinfo(t).max)
-    lifted = np.take_along_axis(lab.astype(dtype), cmap, axis=1)
+    lifted = lab.astype(dtype)
+    if cmap is not None:
+        lifted = np.take_along_axis(lifted, cmap, axis=1)
+    return lifted, _score(lifted, edges)
+
+
+def _score(lifted: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The weight of the edges whose ends each row of ``lifted`` labels
+    differently.  The values are exact int64 sums while the total edge
+    weight is at most MAX_WEIGHT."""
     # Gathering whole rows of the transposed labels is faster than gathering
     # single entries of every row.
     by_vertex = np.ascontiguousarray(lifted.T)
-    return lifted, edges[:, 2] @ (by_vertex[edges[:, 0]] != by_vertex[edges[:, 1]])
+    return edges[:, 2] @ (by_vertex[edges[:, 0]] != by_vertex[edges[:, 1]])
 
 
-# Edges every trial is scored on before any is lifted in full.  On the
+# Edges every trial is scored on before any is scored in full.  On the
 # uncontracted 150-trial rounds of planted graphs (62-83 vertices, 531-693
-# edges, max_value 1-3) 64 edges dropped every trial, and scoring a round
-# took about 0.06 ms against 0.32 ms for the full lift and score; heads of
-# 16-96 edges cost about the same, 128 or more cost more.
+# edges, max_value 1-3) 16 edges already dropped every trial; lifting and
+# scoring a round on 64 took about 0.03 ms against 0.15 ms on every edge,
+# on 16 about 0.02 ms and on 256 about 0.07 ms.  64 keeps a margin for
+# graphs whose first edges are cut less often.
 _HEAD_EDGES = 64
-
-
-def _head_values(lab: np.ndarray, cmap: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Each trial's value on the edges ``head``, its super-vertex labels
-    ``lab`` read at the head's endpoints through its row of ``cmap`` (one row
-    shared by all when cmap has one).  Weights are >= 1, so this is a lower
-    bound on the trial's value over all edges."""
-    u, v, w = head.T
-    if len(cmap) == 1:
-        return (lab[:, cmap[0, u]] != lab[:, cmap[0, v]]) @ w
-    return (np.take_along_axis(lab, cmap[:, u], axis=1)
-            != np.take_along_axis(lab, cmap[:, v], axis=1)) @ w
 
 
 def enumerate_borders(g: Graph, params: BorderParams,
@@ -254,7 +243,7 @@ def enumerate_borders(g: Graph, params: BorderParams,
         return [c for c in cuts if max_value is None or c.value <= max_value]
     seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
     if g.n <= tau:
-        offset, nv, cmap = 0, g.n, np.arange(g.n)[None, :]
+        offset, nv, cmap = 0, g.n, None
     else:
         # Every trial contracts to max(tau, #components) super-vertices after
         # one clock draw per edge.
@@ -263,16 +252,16 @@ def enumerate_borders(g: Graph, params: BorderParams,
     if s > nv:
         return []
     lab, keep = _labels_batch(seeds, offset, nv, s)
-    if max_value is not None:
-        keep &= _head_values(lab, cmap, g.edge_array[:_HEAD_EDGES]) <= max_value
+    if max_value is None:
+        lifted, values = _lift_and_score(lab, cmap, s, g.edge_array)
+    else:
+        lifted, head = _lift_and_score(lab, cmap, s, g.edge_array[:_HEAD_EDGES])
+        keep &= head <= max_value
         if not keep.any():
             return []
-        lab = lab[keep]
-        cmap = cmap if len(cmap) == 1 else cmap[keep]
-        keep = keep[keep]
-    lifted, values = _lift_and_score(lab, cmap, s, g.edge_array)
-    if max_value is not None:
-        keep &= values <= max_value
+        lifted = lifted[keep]
+        values = _score(lifted, g.edge_array)
+        keep = values <= max_value
     if not keep.any():
         return []
     canon, first = np.unique(_canonicalize_batch(lifted[keep], s), axis=0, return_index=True)

@@ -320,7 +320,7 @@ def test_default_trials_never_overflows(n, beta, k, cap):
     trials = default_trials(n, beta, k, cap)
     assert 1 <= trials <= cap
     expect = _trials_formula(n, beta, k, cap)
-    assert expect is None or cap > 10**12 or trials == expect
+    assert expect is None or trials == expect
 
 
 # ----------------------------------------------------------- enumerate_borders
@@ -578,19 +578,26 @@ def test_head_block_filter_equals_reference(g, data):
 
 
 @pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
-def test_planted_rounds_past_max_value_lift_nothing(monkeypatch, contracted):
+def test_planted_rounds_past_max_value_score_only_the_head(monkeypatch, contracted):
     # A uniform labelling of a planted graph cuts more than 2 within the head
-    # block already, so no trial is lifted, scored in full or canonicalized.
+    # block already, so no trial is scored over every edge or canonicalized.
     g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
-    assert len(g.edge_array) > kcut.borders._HEAD_EDGES
+    head = kcut.borders._HEAD_EDGES
+    assert len(g.edge_array) > head
     tau = g.n - 5 if contracted else g.n
     calls = []
-    monkeypatch.setattr(kcut.borders, "_lift_and_score", lambda *a: calls.append("lift"))
+    score = kcut.borders._score
+
+    def spy_score(lifted, edges):
+        calls.append(("score", len(edges)))
+        return score(lifted, edges)
+
+    monkeypatch.setattr(kcut.borders, "_score", spy_score)
     monkeypatch.setattr(kcut.borders, "_canonicalize_batch", lambda *a: calls.append("canon"))
     rounds = [BorderParams(s=s, beta=1.0, tau=tau, trials=300, seed=5) for s in (2, 3, 4)]
     for params in rounds:
         assert enumerate_borders(g, params, max_value=2) == []
-    assert calls == []
+    assert calls == [("score", head)] * len(rounds)
 
     # Sentinel rows of trials without onto labels cost 0 on the head and
     # must still be dropped.
@@ -599,17 +606,18 @@ def test_planted_rounds_past_max_value_lift_nothing(monkeypatch, contracted):
         lab[::2], onto[::2] = s, False
         return lab, onto
 
+    calls.clear()
     monkeypatch.setattr(kcut.borders, "_labels_batch", some_fail)
     for params in rounds:
         assert enumerate_borders(g, params, max_value=2) == []
-    assert calls == []
+    assert calls == [("score", head)] * len(rounds)
 
 
 def test_round_past_max_value_peak_memory():
     # Without contraction a round's label array is trials x n int64, and the
     # label draws hold about three of them at once.  Trials dropped on the
-    # head block are never lifted and scored over all 531 edges, which had
-    # taken about eleven label arrays.
+    # head block are never scored over all 531 edges, which had taken about
+    # eleven label arrays.
     g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
     params = BorderParams(s=3, beta=1.0, tau=g.n, trials=20_000, seed=5)
     label_bytes = params.trials * g.n * 8

@@ -6,9 +6,12 @@ seed XOR trial-index, so trials are reproducible and independently
 schedulable.  The trials differ only in their vertex -> super-vertex map:
 the identity when n <= tau, otherwise a row of one ``contract_random`` call
 that contracts every trial of the round, each spending the first m outputs
-of its stream on edge clocks.  Either way every trial has the same number
-of super-vertices and its label draws start at the same stream output (0,
-or m), so all trials are labelled and lifted as one vectorized numpy batch.
+of its stream on edge clocks.  That call runs a few numpy passes per block
+of trials: each trial sorts only its clocks under one cut-off, and one
+``component_roots`` call per pass merges the next edges of every trial in
+the block.  Either way every trial has the same number of super-vertices
+and its label draws start at the same stream output (0, or m), so all
+trials are labelled and lifted as one vectorized numpy batch.
 A cut's value does not depend on how its parts are numbered, so trials
 are scored on their raw lifted labels and filtered by ``max_value`` before
 any is canonicalized.  With ``max_value`` given, every trial is first
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MAX_WEIGHT, Graph, GraphError, KCut, compress_roots, union_find
+from .graph import MAX_WEIGHT, Graph, GraphError, KCut, component_roots
 from .rng import stream_outputs
 
 
@@ -62,8 +65,10 @@ def default_trials(n: int, beta: float, k: int, cap: int) -> int:
 
 
 # Clocks held at once: a batch is contracted in blocks of trials, so its
-# clock memory does not grow with the number of trials.  On a 150-trial,
-# 647-edge round, 2^15-clock blocks were also faster than one block.
+# clock memory does not grow with the number of trials.  Solving the
+# planted_contract instances in the benchmark loop, whose 150-trial rounds
+# have 589 and 647 edges, 2^15-clock blocks were faster than 2^14 and about
+# as fast as 2^16 and one block.
 _CLOCK_BLOCK = 1 << 15
 
 
@@ -74,25 +79,27 @@ def contract_random(g: Graph, tau: int, seeds: np.ndarray) -> np.ndarray:
     first vertex.
 
     Trial t gives every edge the exponential clock -ln(U)/w from the first m
-    outputs of stream ``seeds[t]`` and merges edges in stable clock order:
-    the random-permutation view of repeatedly contracting a weight-
-    proportional edge (Karger).  Only the prefix of that order that the
-    union loop can consume is sorted (see ``_clock_prefix``); a trial that
-    runs out of it continues with its full order.  Every map is the identity
-    when n <= tau or g has no edges.
+    outputs of stream ``seeds[t]`` and merges edges in stable clock order,
+    stopping at the first edge that leaves tau super-vertices: the
+    random-permutation view of repeatedly contracting a weight-proportional
+    edge (Karger).  Only the prefix of that order a trial can consume is
+    sorted (see ``_clock_prefix``), and the trials of a block are merged
+    together (see ``_merge``); a trial that runs out of its prefix continues
+    with its full order.  Every map is the identity when n <= tau or g has
+    no edges.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n, m = g.n, len(g.edge_array)
     if n <= tau or m == 0 or len(seeds) == 0:
         return np.tile(np.arange(n), (len(seeds), 1))
     edges = g.edge_array
-    ends = edges[:, :2].tolist()
-    # n - tau unions are needed; the slack covers edges inside a super-vertex.
+    # n - tau merges are needed; the slack covers edges inside a super-vertex.
     width = min(m, 2 * (n - tau) + 16)
     step = max(1, _CLOCK_BLOCK // m)
-    return np.concatenate([
-        _contract_block(seeds[i:i + step], edges, ends, n, tau, width)
-        for i in range(0, len(seeds), step)])
+    out = np.empty((len(seeds), n), dtype=np.int64)
+    for i in range(0, len(seeds), step):
+        out[i:i + step] = _contract_block(seeds[i:i + step], edges, n, tau, width)
+    return out
 
 
 def _clocks(seeds: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -112,49 +119,84 @@ def _clocks(seeds: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _clock_prefix(clock: np.ndarray, width: int) -> np.ndarray:
     """The first ``width`` entries of every row's stable argsort.
 
-    ``argpartition`` picks the ``width`` smallest clocks of each row, which
-    are sorted by (clock, edge index).  That is the stable order unless a
-    tie straddles the cut-off, when a clock outside the prefix equals the
-    largest one inside; such rows take their full stable argsort.
+    A row's candidates are its clocks <= c, for one cut-off c: the
+    2*width-th smallest clock of the first row, so that a row of the same
+    law has about 2*width of them.  Every clock above c comes after every
+    candidate, so the candidates sorted by (clock, edge index) begin the
+    row's stable order whatever c is.  They are sorted without the edge
+    index, which decides only between equal clocks: a row with two equal
+    values among its first width + 1 sorted ones, or with fewer than
+    ``width`` candidates, takes its full stable argsort instead.
     """
-    if width >= clock.shape[1]:
-        return np.argsort(clock, axis=1, kind="stable")
-    prefix = np.argpartition(clock, width - 1, axis=1)[:, :width]
-    prefix.sort(axis=1)
-    vals = np.take_along_axis(clock, prefix, axis=1)
-    prefix = np.take_along_axis(prefix, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    cut = vals.max(axis=1, keepdims=True)
-    for r in np.flatnonzero(np.count_nonzero(clock <= cut, axis=1) > width):
-        prefix[r] = np.argsort(clock[r], kind="stable")[:width]
+    rows, m = clock.shape
+    if 2 * width >= m:
+        return np.argsort(clock, axis=1, kind="stable")[:, :width]
+    cut = np.partition(clock[0], 2 * width)[2 * width]
+    flat = np.flatnonzero(clock <= cut)
+    row, col = np.divmod(flat, m)
+    count = np.bincount(row, minlength=rows)
+    # The candidates, left-aligned in rows padded with inf.
+    wide = max(int(count.max()), width)
+    slot = np.arange(len(flat)) + (wide * np.arange(rows) - np.cumsum(count) + count)[row]
+    vals = np.full((rows, wide), np.inf)
+    vals.ravel()[slot] = clock.ravel()[flat]
+    idx = np.zeros((rows, wide), dtype=np.int64)
+    idx.ravel()[slot] = col
+    order = np.argsort(vals, axis=1)[:, :width + 1]
+    head = np.take_along_axis(vals, order, axis=1)
+    prefix = np.take_along_axis(idx, order[:, :width], axis=1)
+    redo = (count < width) | (head[:, 1:] == head[:, :-1]).any(axis=1)
+    if redo.any():
+        prefix[redo] = np.argsort(clock[redo], axis=1, kind="stable")[:, :width]
     return prefix
 
 
-def _contract_block(seeds: np.ndarray, edges: np.ndarray, ends: list,
+def _merge(order: np.ndarray, ends: np.ndarray, n: int, tau: int) -> tuple:
+    """Contract each row's edges ``order`` (edge indices into ``ends``) in
+    turn, stopping at the first that leaves tau super-vertices.  Returns
+    (maps, short): per row the vertex -> super-vertex map, super-vertices
+    numbered by their first vertex, and the rows still above tau after their
+    whole order.
+
+    Row r owns the vertices r*n .. r*n+n-1 of one ``component_roots`` call
+    per pass.  Its first n - tau edges are taken at once; a row left with
+    tau + d super-vertices then takes its next d edges.  Each edge removes at
+    most one super-vertex, so every prefix shorter than the edges taken
+    leaves more than tau, and the row stops at the same edge as a one-edge-
+    at-a-time union loop.
+    """
+    rows, width = order.shape
+    ids = np.arange(rows * n)
+    pairs = ends[order] + ids[::n, None, None]   # row r's edges on its own vertices
+    root = ids
+    pos = np.arange(width)
+    taken = np.zeros((rows, 1), dtype=np.int64)
+    need = np.full((rows, 1), n - tau)
+    while True:
+        # Roots only join roots: label the roots, then every vertex.
+        new = root[pairs[(pos >= taken) & (pos < taken + need)]]
+        root = component_roots(rows * n, new[:, 0], new[:, 1])[root]
+        taken += need
+        is_root = (root == ids).reshape(rows, n)
+        nv = np.count_nonzero(is_root, axis=1, keepdims=True)
+        need = np.where(taken < width, nv - tau, 0)
+        if not need.any():
+            # A root is the first vertex of its super-vertex.
+            rank = np.cumsum(is_root, axis=1) - 1
+            return rank.ravel()[root].reshape(rows, n), nv[:, 0] > tau
+
+
+def _contract_block(seeds: np.ndarray, edges: np.ndarray,
                     n: int, tau: int, width: int) -> np.ndarray:
-    """contract_random for one block of seeds: trial t owns the vertices
-    t*n .. t*n+n-1 of one union-find."""
-    prefix = _clock_prefix(_clocks(seeds, edges), width).tolist()
-    _, union, parent = union_find(len(seeds) * n)
-
-    def merge(base: int, order, nv: int) -> int:
-        for e in order:
-            a, b = ends[e]
-            if union(base + a, base + b):
-                nv -= 1
-                if nv <= tau:
-                    break
-        return nv
-
-    for t, order in enumerate(prefix):
-        nv = merge(t * n, order, n)
-        if nv > tau and width < len(ends):
-            full = np.argsort(_clocks(seeds[t:t + 1], edges)[0], kind="stable")
-            merge(t * n, full[width:].tolist(), nv)
-    # A root is the first vertex of its super-vertex: number each trial's
-    # super-vertices in the order of their roots.
-    roots = compress_roots(np.array(parent))
-    rank = np.cumsum((roots == np.arange(len(roots))).reshape(-1, n), axis=1) - 1
-    return rank.ravel()[roots].reshape(-1, n)
+    """contract_random for one block of seeds."""
+    ends = edges[:, :2]
+    maps, short = _merge(_clock_prefix(_clocks(seeds, edges), width), ends, n, tau)
+    if width < len(edges) and short.any():
+        out = np.flatnonzero(short)
+        full = np.stack([np.argsort(_clocks(seeds[t:t + 1], edges)[0], kind="stable")
+                         for t in out])
+        maps[out] = _merge(full, ends, n, tau)[0]
+    return maps
 
 
 def _labels_batch(seeds: np.ndarray, offset: int, nv: int, s: int) -> tuple:

@@ -20,14 +20,12 @@ above that.
 
 Connected components come from one labeller, ``component_roots``, used by
 ``Graph.components`` (hence every solve's component check), the expander
-decomposition and Stoer-Wagner's contraction step.  The one union-find,
-``union_find``, serves Karger contraction, whose unions must run one at a
-time in a given order and which reads its parent list through the labeller's
-``compress_roots``; both keep every parent pointer at a lower vertex, so a
-root is the lowest vertex of its set.  The one-scan forest decomposition
-(``sparsify``) runs the same path-halving find and union inline on one
-parent list per forest: it probes a few forests per edge, and a call to a
-``union_find`` closure per probe costs about as much as the probe itself.
+decomposition, Stoer-Wagner's contraction step and Karger contraction, which
+labels a whole block of trials per call, each on its own copy of the
+vertices.  It keeps every parent pointer at a lower vertex, so a root is the
+lowest vertex of its set.  The one-scan forest decomposition (``sparsify``)
+keeps one parent list per forest and runs a path-halving find and union
+inline: it probes a few forests per edge, one edge at a time.
 """
 from __future__ import annotations
 
@@ -379,36 +377,6 @@ def weight_matrix(g: Graph) -> np.ndarray:
     w[u, v] = wt
     w[v, u] = wt
     return w
-
-
-def union_find(n: int) -> tuple:
-    """Disjoint sets over 0..n-1 as a (find, union, parent) triple.
-
-    ``find`` uses path halving.  ``union(a, b)`` hangs the higher of the two
-    roots under the lower one and returns whether they were in different
-    sets, so every parent pointer goes to a lower vertex and a root is the
-    lowest vertex of its set.  ``parent`` is the live parent list the
-    closures share; ``compress_roots`` resolves it to the roots.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if ra < rb:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
-        return True
-
-    return find, union, parent
 
 
 def compress_roots(parent: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Reference helpers the tests check the library against.
 
 Nothing in the library calls these: per-subset conductance, the scalar
-random s-cut the batched border labelling must reproduce, the cut-survival
-test of a contraction map, Wilson score bounds, the classical integer
-matmul, and the border bookkeeping of a k-cut.
+union-find of the one-edge-at-a-time references (Karger contraction, the
+forest passes, connected components), the scalar random s-cut the batched
+border labelling must reproduce, the cut-survival test of a contraction map,
+Wilson score bounds, the classical integer matmul, and the border
+bookkeeping of a k-cut.
 """
 from __future__ import annotations
 
@@ -38,6 +40,36 @@ def conductance(g: Graph, s: Iterable[int]):
     if denom == 0:
         return math.inf
     return Fraction(boundary, denom)
+
+
+def union_find(n: int) -> tuple:
+    """Disjoint sets over 0..n-1 as a (find, union, parent) triple.
+
+    ``find`` uses path halving.  ``union(a, b)`` hangs the higher of the two
+    roots under the lower one and returns whether they were in different
+    sets, so every parent pointer goes to a lower vertex and a root is the
+    lowest vertex of its set.  ``parent`` is the live parent list the
+    closures share.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
+        return True
+
+    return find, union, parent
 
 
 def random_s_cut(g: Graph, s: int, rng: SplitMix64,

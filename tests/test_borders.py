@@ -31,11 +31,11 @@ from kcut.generators import (
     path_graph,
     planted_instance,
 )
-from kcut.graph import MAX_WEIGHT, VertexPartition, canonical_labels, contract, cut_value, union_find
+from kcut.graph import MAX_WEIGHT, VertexPartition, canonical_labels, contract, cut_value
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
 import borders_reference
-from helpers import cut_survives, random_s_cut, wilson_lower
+from helpers import cut_survives, random_s_cut, union_find, wilson_lower
 
 
 # --------------------------------------------------------------------- rng
@@ -229,6 +229,95 @@ def test_contract_follows_karger_law(tau):
     assert set(freq) <= set(law)
     tv = sum(abs(freq[m] / trials - float(p)) for m, p in law.items()) / 2
     assert tv <= 0.03
+
+
+@st.composite
+def contraction_rounds(draw):
+    """(graph, tau, trials) rounds that exercise the clock cut-off and the
+    block merge: bench-shaped rounds (n - tau = 1..8, 100-300 trials) on
+    weights up to 10^4, graphs with more components than tau, and complete
+    graphs contracted to tau = 1..3, whose trials often run past their
+    prefix."""
+    kind = draw(st.sampled_from(["bench", "disconnected", "complete"]), label="kind")
+    heavy = draw(st.sampled_from([1, 10**4]), label="max weight")
+    weight = st.integers(1, heavy)
+    if kind == "complete":
+        n = draw(st.integers(4, 30), label="n")
+        edges = [(u, v, draw(weight)) for u in range(n) for v in range(u + 1, n)]
+        return Graph.from_edges(n, edges), draw(st.integers(1, 3), label="tau"), 40
+    if kind == "bench":
+        n = draw(st.integers(20, 36), label="n")
+        parts = [n]
+    else:
+        parts = draw(st.lists(st.integers(1, 16), min_size=2, max_size=6), label="parts")
+        n = sum(parts)
+    edges, first = [], 0
+    for size in parts:
+        v = st.integers(first, first + size - 1)
+        for a, b in draw(st.lists(st.tuples(v, v), min_size=2 * size, max_size=5 * size)):
+            if a != b:
+                edges.append((a, b, draw(weight)))
+        first += size
+    g = Graph.from_edges(n, edges)
+    if kind == "bench":
+        return g, n - draw(st.integers(1, 8), label="n - tau"), draw(st.integers(100, 300))
+    return g, draw(st.integers(1, len(parts) - 1), label="tau"), draw(st.integers(1, 60))
+
+
+@given(contraction_rounds(), st.integers(0, 2**64 - 1))
+@settings(max_examples=30, deadline=None)
+def test_contract_rounds_equal_scalar_reference(round_, base):
+    g, tau, trials = round_
+    seeds = _seeds(base, trials)
+    cmaps = contract_random(g, tau, seeds)
+    for cmap, seed in zip(cmaps.tolist(), seeds.tolist()):
+        assert tuple(cmap) == _contract_scalar(g, tau, SplitMix64(seed))
+
+
+def test_contract_work_per_block(monkeypatch):
+    # A bench-shaped round (n = 68, tau = 62, 150 trials) draws its clocks
+    # once per block of trials, never per trial, and merges each block in a
+    # few component_roots passes.
+    g, _ = planted_instance(3, 22, 0.9, 0.02, 2)
+    assert g.n == 68
+    draws, merges = [], []
+    clocks, roots = kcut.borders._clocks, kcut.borders.component_roots
+    monkeypatch.setattr(kcut.borders, "_clocks",
+                        lambda seeds, edges: draws.append(len(seeds)) or clocks(seeds, edges))
+    monkeypatch.setattr(kcut.borders, "component_roots",
+                        lambda n, a, b: merges.append(n) or roots(n, a, b))
+    seeds = _seeds(5, 150)
+    cmaps = contract_random(g, 62, seeds)
+    step = kcut.borders._CLOCK_BLOCK // len(g.edge_array)
+    assert draws == [len(seeds[i:i + step]) for i in range(0, 150, step)]
+    assert len(merges) <= 3 * len(draws)
+    assert (cmaps.max(axis=1) == 61).all()
+
+
+def test_contracted_round_peak_memory():
+    # The maps of a contracted round are trials x n int64; contraction holds
+    # one block of clocks beside them, not a second copy of the maps.
+    g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
+    params = BorderParams(s=3, beta=1.0, tau=g.n - 5, trials=20_000, seed=5)
+    map_bytes = params.trials * g.n * 8
+    seeds = _seeds(params.seed, params.trials)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cmaps = contract_random(g, params.tau, seeds)
+        contract_peak = tracemalloc.get_traced_memory()[1] - before
+        del cmaps
+        tracemalloc.reset_peak()
+        assert enumerate_borders(g, params, max_value=2) == []
+        round_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert contract_peak <= 1.25 * map_bytes
+    assert round_peak <= 4 * map_bytes
 
 
 # -------------------------------------------------------------- random_s_cut

@@ -23,10 +23,10 @@ from kcut import (
     parse_graph,
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_graph
-from kcut.graph import MAX_WEIGHT, component_roots, union_find, weight_matrix
+from kcut.graph import MAX_WEIGHT, component_roots, weight_matrix
 from kcut.sparsify import forest_decomposition, ni_sparsify
 
-from helpers import conductance
+from helpers import conductance, union_find
 
 
 # ---------------------------------------------------------------- strategies

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import kcut.sparsify
 from kcut import Graph, GraphError, connected_components, forest_decomposition, ni_sparsify
 from kcut.generators import complete_graph, cycle_graph, gnp_graph, path_graph
-from kcut.graph import union_find
+
+from helpers import union_find
 
 
 def crossing_set(g, labels):

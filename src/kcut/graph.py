@@ -429,7 +429,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple:
     index = np.full(g.n, -1, dtype=np.int64)
     index[verts] = np.arange(len(verts))
     edges = g.edge_array
-    arr = edges[np.minimum(index[edges[:, 0]], index[edges[:, 1]]) >= 0]   # both ends kept
+    # Rows with both ends kept; compress copies them faster than a mask index.
+    arr = np.compress(np.minimum(index[edges[:, 0]], index[edges[:, 1]]) >= 0, edges, axis=0)
     arr[:, 0] = index[arr[:, 0]]
     arr[:, 1] = index[arr[:, 1]]
     return Graph._of_array(len(verts), arr, g.simple or bool((arr[:, 2] == 1).all())), verts

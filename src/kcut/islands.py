@@ -198,6 +198,9 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     (within the host) to the border's value, so each host is solved with the
     cap ``max_value`` minus the border's value, and a composition with a
     host over its cap is skipped.
+
+    A host that is all of g (the border of the s = 1 round) is solved on g
+    itself, not on an induced copy.
     """
     if i < 0:
         raise ValueError("island count must be nonnegative")
@@ -212,7 +215,7 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     def host_islands(part: tuple, cnt: int) -> Optional[tuple]:
         key = (part, cnt)
         if key not in cache:
-            sub, back = induced_subgraph(g, part)
+            sub, back = (g, part) if len(part) == g.n else induced_subgraph(g, part)
             solved = solve_r_island(sub, cnt, max_value=host_cap)
             cache[key] = None if solved is None else tuple(back[v] for v in solved[1])
         return cache[key]

@@ -38,6 +38,13 @@ a star, a triangle, K2 or one vertex.  With epsilon <= 1/3, shave keeps
 only the star leaves of degree 1, and shatter dissolves every core of at
 most k vertices.  Unless some vertex has k or more neighbours of degree 1,
 ``kt_partition`` therefore returns n singletons without decomposing.
+
+When the regularized graph has more than 16 vertices and its degrees
+certify conductance >= gamma, the decomposition accepts it whole, and every
+vertex keeps all of its degree inside that one block: trim and shave keep
+every vertex, and shatter keeps the block iff it has more than k vertices.
+``kt_partition`` returns that partition from degrees alone; dense graphs
+such as G(100, 0.8) take this route.
 """
 from __future__ import annotations
 
@@ -433,6 +440,28 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
     The full run's checks hold there too: at gamma = 1 the decomposition
     budget 10 m log2 m is above the m edges it could cut, and the stage
     postconditions are what the stages compute.
+
+    One-block certificate.  When the regularized graph has more than 16
+    vertices and its degrees certify conductance >= gamma
+    (``_degree_certified``), the removed vertices are singletons and the
+    regularized ones form one block, or are singletons too when there are at
+    most k of them; it is returned without decomposing, with the report the
+    full run builds: ``clusters`` 1, ``trimmed`` and ``shaved`` 0, and
+    ``shattered`` the block's size if shatter dissolves it, else 0.  Proof
+    that the full run returns the same, with every vertex's degree
+    deg v >= delta >= 1:
+
+    - ``expander_decompose`` accepts its root block, all of the regularized
+      graph, by the same degree certificate on the same matrix, so the
+      decomposition is one cluster.
+    - Every vertex keeps all of its degree inside that cluster.  Trim drops
+      v only if 5 deg v <= 2 deg v, which never holds, and shave keeps v
+      iff deg v > (1 - epsilon) deg v, which always holds, as 1 - epsilon
+      rounds below 1.  So the core is the whole block, and shatter keeps it
+      iff it has more than k vertices.
+    - ``_validate_state`` re-checks exactly what these stages compute, and
+      ``_validate_decomposition`` sees no cut edge and no block of at most
+      16 vertices, so neither check could fail.
     """
     if not g.simple:
         raise GraphError("kt_partition is defined for simple graphs")
@@ -452,23 +481,31 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
     if _singletons_certified(wr, deg, k):
         partition = VertexPartition(tuple((v,) for v in range(g.n)))
         return partition, _report(partition, removed, None, None, None, None, params)
-    decomp = expander_decompose(wr, params.gamma)
-    index = np.array(decomp.to_block_index(len(wr)))
-    lab = trim(wr, index)
-    core = shave(wr, lab, params.epsilon)
-    final = shatter(core, k)
+    if len(wr) > EXACT_CONDUCTANCE_LIMIT and _degree_certified(deg, int(wr.max()), params.gamma):
+        # One block, which shatter keeps iff it has more than k vertices.
+        dissolved = len(wr) <= k
+        final = np.full(len(wr), -1 if dissolved else 0)
+        clusters, trimmed, shaved, shattered = 1, 0, 0, len(wr) if dissolved else 0
+    else:
+        decomp = expander_decompose(wr, params.gamma)
+        index = np.array(decomp.to_block_index(len(wr)))
+        lab = trim(wr, index)
+        core = shave(wr, lab, params.epsilon)
+        final = shatter(core, k)
 
-    _validate_state(wr, lab, core, final, params)
-    _validate_decomposition(wr, index, params.gamma)
+        _validate_state(wr, lab, core, final, params)
+        _validate_decomposition(wr, index, params.gamma)
+
+        singles = [0] + [np.count_nonzero(x < 0) for x in (lab, core, final)]
+        clusters = len(decomp.blocks)
+        trimmed, shaved, shattered = np.diff(singles).tolist()
 
     # Core labels are below len(wr); every other vertex v is its own block g.n + v.
     labels = np.arange(g.n, 2 * g.n)
     kept = final >= 0
     labels[back[kept]] = final[kept]
     partition = VertexPartition.from_labels(labels.tolist(), g.n)
-    singles = [0] + [np.count_nonzero(x < 0) for x in (lab, core, final)]
-    trimmed, shaved, shattered = np.diff(singles).tolist()
-    report = _report(partition, removed, len(decomp.blocks), trimmed, shaved, shattered, params)
+    report = _report(partition, removed, clusters, trimmed, shaved, shattered, params)
     return partition, report
 
 

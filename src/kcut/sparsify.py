@@ -120,4 +120,4 @@ def ni_sparsify(g: Graph, s: int) -> Graph:
     deg = np.bincount(edges[:, :2].ravel(), minlength=g.n)   # simple: degree = endpoint count
     if (np.minimum(deg[edges[:, 0]], deg[edges[:, 1]]) <= s).all():
         return g
-    return Graph._of_array(g.n, edges[np.array(_forest_ids(g, s)) < s], True)
+    return Graph._of_array(g.n, np.compress(np.array(_forest_ids(g, s)) < s, edges, axis=0), True)

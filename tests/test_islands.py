@@ -301,6 +301,23 @@ def test_extend_cap_edges():
     assert extend_border(g, cut, 2, max_value=2) is None
 
 
+@pytest.mark.parametrize("g, i", [(gnp_graph(30, 0.5, 3), 4), (cliques_bridge(5, 2, 1), 2),
+                                  (complete_graph(8), 3)])
+def test_whole_graph_host_is_not_copied(monkeypatch, g, i):
+    # The one-part border (the s = 1 round) is solved on g itself: the
+    # islands are solve_r_island's on g, and no induced copy is made.
+    value, islands = solve_r_island(g, i)
+    def forbidden(*args):
+        raise AssertionError("a host that is all of g needs no induced copy")
+    monkeypatch.setattr(kcut.islands, "induced_subgraph", forbidden)
+    ext = extend_border(g, KCut.from_labels(g, (0,) * g.n, 1), i)
+    labels = [0] * g.n
+    for j, v in enumerate(islands):
+        labels[v] = j + 1
+    assert ext == KCut.from_labels(g, canonical_labels(labels), i + 1)
+    assert ext.value == value
+
+
 @st.composite
 def borders(draw):
     """A G(n, p) graph with n <= 10, a border cut with up to 4 parts, and an

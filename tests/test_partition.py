@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcut import (
@@ -434,11 +434,13 @@ def test_singleton_certificate_equals_full_run(case):
     check_kt_equals_reference(*case)
 
 
-def _stage_spy(monkeypatch):
-    """Record, in order, each call of the decomposition, the Fiedler sweep,
+def _stage_spy(monkeypatch, names=("expander_decompose", "_fiedler_sweep", "trim", "shave",
+                                    "shatter")):
+    """Record, in order, each call of the functions ``names`` of
+    ``kcut.partition``: by default the decomposition, the Fiedler sweep,
     trim, shave and shatter."""
     calls = []
-    for name in ("expander_decompose", "_fiedler_sweep", "trim", "shave", "shatter"):
+    for name in names:
         def spy(*args, _name=name, _fn=getattr(kcut.partition, name)):
             calls.append(_name)
             return _fn(*args)
@@ -487,6 +489,106 @@ def test_certificate_needs_k_at_least_3(monkeypatch):
     assert not check_kt_equals_reference(g, 2, 2)
     # At k = 3 the triangle shatters, and the certificate applies.
     assert check_kt_equals_reference(g, 3, 2)
+
+
+def _one_block_certified(g, k, lambda_bar):
+    """Whether the one-block certificate applies, read from the reference's
+    regularized graph h: more than 16 vertices, minimum degree delta >= 1
+    and, as h is simple and gamma = 1/delta, floor(m / delta) <= delta."""
+    try:
+        h, _, _ = partition_reference.regularize(ni_sparsify(g, lambda_bar), k, lambda_bar)
+    except KTInvariantError:
+        return False
+    delta = min(h.degrees, default=0)
+    return h.n > 16 and delta >= 1 and len(h.edges) // delta <= delta
+
+
+@st.composite
+def dense_kt_inputs(draw):
+    """Dense G(n, p) with n in 17..70 and p in 0.5..0.95, a k from 2 up to n,
+    and lambda_bar the 2-approximation (as the pipeline passes it) or drawn
+    up to twice it."""
+    n = draw(st.integers(17, 70))
+    p = draw(st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9, 0.95]))
+    g = gnp_graph(n, p, draw(st.integers(0, 10**6)))
+    k = draw(st.one_of(st.integers(2, 6), st.integers(2, n), st.just(n)))
+    approx = sv_2approx(g, k).value
+    return g, k, draw(st.one_of(st.just(approx), st.integers(1, 2 * approx)))
+
+
+_ALL_STAGES = ("expander_decompose", "_fiedler_sweep", "trim", "shave", "shatter",
+               "_validate_state", "_validate_decomposition")
+
+
+@given(dense_kt_inputs())
+@example((gnp_graph(17, 0.9, 0), 17, sv_2approx(gnp_graph(17, 0.9, 0), 17).value))
+@settings(max_examples=60, deadline=None)
+def test_one_block_certificate_equals_full_run(case):
+    # Partition and whole report equal the reference's full run, and the
+    # stages are skipped exactly when the one-block certificate applies (a
+    # small lambda_bar can sparsify to minimum degree 1, where the singleton
+    # certificate is checked instead).  The explicit example is k = n = 17,
+    # where shatter dissolves the one block.
+    g, k, lambda_bar = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _stage_spy(mp, _ALL_STAGES)
+        ran = _outcome(kt_partition, g, k, lambda_bar) is not KTInvariantError
+    if not check_kt_equals_reference(g, k, lambda_bar) and ran:
+        assert (calls == []) == _one_block_certified(g, k, lambda_bar)
+
+
+@pytest.mark.parametrize("g, k", [
+    (gnp_graph(n, p, j), k) for j, (n, p, k) in enumerate([
+        (50, 0.85, 5), (100, 0.8, 5), (60, 0.85, 4), (70, 0.85, 5), (100, 0.8, 2),
+        (60, 0.9, 5), (80, 0.85, 4), (100, 0.8, 3), (50, 0.9, 6), (70, 0.8, 3)])]
+    + [(complete_graph(17), 17)])
+def test_one_block_certificate_skips_the_stages(monkeypatch, g, k):
+    # Dense rows shaped like the sparsify benchmark's, and K17 at k = 17:
+    # the regularized graph is one certified block, no stage or check runs,
+    # and the block is kept, or dissolved when it has at most k vertices.
+    lambda_bar = sv_2approx(g, k).value
+    calls = _stage_spy(monkeypatch, _ALL_STAGES)
+    partition, report = kt_partition(g, k, lambda_bar)
+    assert calls == []
+    removed = report["stages"]["regularized_removed"]
+    size = g.n - removed
+    sizes = [1] * g.n if size <= k else [1] * removed + [size]
+    assert sorted(map(len, partition.blocks)) == sizes
+    assert report["stages"] == {"regularized_removed": removed, "clusters": 1, "trimmed": 0,
+                                "shaved": 0, "shattered": size if size <= k else 0}
+
+
+def _two_dense_blocks(n, extra, seed):
+    """Two G(n, 0.9) blocks on 0..n-1 and n..2n-1, joined by ``extra``
+    random edges."""
+    rng = random.Random(seed)
+    a, b = gnp_graph(n, 0.9, seed), gnp_graph(n, 0.9, seed + 1)
+    edges = {(u, v) for u, v, _ in a.edges} | {(u + n, v + n) for u, v, _ in b.edges}
+    while len(edges) < len(a.edges) + len(b.edges) + extra:
+        edges.add((rng.randrange(n), n + rng.randrange(n)))
+    return Graph.from_edges(2 * n, sorted(edges))
+
+
+@pytest.mark.parametrize("g, k", [
+    (_two_dense_blocks(20, 3, 0), 2), (_two_dense_blocks(30, 5, 1), 3),
+    (_two_dense_blocks(25, 1, 2), 4),
+    (complete_graph(16), 2), (gnp_graph(16, 0.9, 3), 3), (complete_graph(12), 4),
+    (star_graph(20), 3),
+    (Graph.from_edges(18, [e[:2] for e in complete_graph(17).edges] + [(16, 17)]), 2)])
+def test_one_block_certificate_does_not_fire(monkeypatch, g, k):
+    # Two dense blocks joined by a few edges fail the degree certificate,
+    # n <= 16 is left to the exact enumeration, and gamma = 1 graphs (a star,
+    # K17 with a pendant vertex) are not certified by degrees: the
+    # decomposition and both checks run, and the result is the reference's
+    # full run.
+    lambda_bar = sv_2approx(g, k).value
+    assert not _one_block_certified(g, k, lambda_bar)
+    calls = _stage_spy(monkeypatch, _ALL_STAGES)
+    kt_partition(g, k, lambda_bar)
+    assert calls[0] == "expander_decompose"
+    assert calls[-2:] == ["_validate_state", "_validate_decomposition"]
+    monkeypatch.undo()
+    assert not check_kt_equals_reference(g, k, lambda_bar)
 
 
 @st.composite

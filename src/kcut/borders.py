@@ -1,31 +1,26 @@
-"""Randomized contraction: candidate lists of s-cuts of the contracted graph.
+"""Border rounds: candidate lists of s-cuts of the contracted graph.
 
-Each trial contracts weighted-random edges down to tau vertices and then
-labels the survivors uniformly at random.  Per-trial RNG streams are seeded
-seed XOR trial-index, so trials are reproducible and independently
-schedulable.  The trials differ only in their vertex -> super-vertex map:
-the identity when n <= tau, otherwise a row of one ``contract_random`` call
-that contracts every trial of the round, each spending the first m outputs
-of its stream on edge clocks.  That call runs a few numpy passes per block
-of trials: each trial sorts only its clocks under one cut-off, and one
-``component_roots`` call per pass merges the next edges of every trial in
-the block.  Either way every trial has the same number of super-vertices
-and its label draws start at the same stream output (0, or m), so all
-trials are labelled and lifted as one vectorized numpy batch.
-A cut's value does not depend on how its parts are numbered, so trials
-are scored on their raw lifted labels and filtered by ``max_value`` before
-any is canonicalized.  With ``max_value`` given, every trial is first
-scored on a fixed head block of edges, the first ``_HEAD_EDGES`` rows of
-``edge_array``.  Edge weights are at least 1, so that partial sum is a
-lower bound on the trial's value, and a trial already past ``max_value``
-on the head cannot pass: it is dropped without being scored over every
-edge.  The filter is exact, since a dropped trial would have been dropped
-after the full score too.  Only the trials left are scored in full and
-filtered again; only those that pass are canonicalized and deduplicated,
-and a round in which none is left at either step does neither.
+Round i of the sparsify route needs the s-cuts (s = k - i) of the
+contracted graph ``gc`` of value at most floor(beta_i * lambda_bar).
+``enumerate_borders`` lists them exactly with ``oracle.list_kcuts``, the
+exact branch's partition search in list mode, in maximum-adjacency order,
+pruned by the bound ceil((s - used) * lambda / 2) on the weight still to
+be cut.  lambda is the global min cut of the uncontracted graph: every
+s-cut of ``gc`` lifts to an s-cut of it with the same value, so every part
+of it still has boundary at least lambda.  The search's per-graph setup is
+memoised on ``gc``, so all rounds of a solve share it.  A round keeps at
+most ``trials`` candidates, the first in (value, canonical labels) order,
+and expands at most ``budget`` search nodes; the list says whether either
+limit cut it short.  A ``cheapest`` round (the pipeline's round 0, which
+extends only its first candidate) lists only the cuts of the least value.
+Nothing is drawn at random, so a round's list does not depend on any seed.
 
-For s = 1 every trial yields the same cut, all vertices in one part with
-value 0, so that cut is built directly and no trial is run.
+For s = 1 the only cut is all vertices in one part, with value 0, so that
+cut is built directly and no search is run.
+
+``contract_random``, Karger contraction of seeded random trials, is kept
+for its own tests and for the benchmark's tracing; the solver does not
+call it.
 """
 from __future__ import annotations
 
@@ -36,16 +31,18 @@ from typing import Optional
 import numpy as np
 
 from .graph import MAX_WEIGHT, Graph, GraphError, KCut, component_roots
+from .oracle import kcut_lower_bound, list_kcuts
 from .rng import stream_outputs
 
 
 @dataclass(frozen=True)
 class BorderParams:
-    s: int           # cut arity
-    beta: float      # size ratio parameter <= 1
-    tau: int         # contraction stop threshold
-    trials: int
-    seed: int
+    s: int            # cut arity
+    beta: float       # size ratio parameter <= 1
+    trials: int       # the most candidates a round keeps
+    lam: int = 0      # lower bound on the boundary of every part of an s-cut
+    budget: int = -1  # search nodes a round may expand; negative for no limit
+    cheapest: bool = False  # list only the s-cuts of the least value
 
 
 def tau_for(beta: float, k: int) -> int:
@@ -53,8 +50,9 @@ def tau_for(beta: float, k: int) -> int:
 
 
 def default_trials(n: int, beta: float, k: int, cap: int) -> int:
-    """Trial budget ceil(n^(beta*k) * ln n), capped; always at least 1.  A
-    count past the float range is taken as above cap."""
+    """A round's candidate cap: the paper's trial count ceil(n^(beta*k) *
+    ln n), each trial giving at most one candidate, capped at ``cap``;
+    always at least 1.  A count past the float range is taken as above cap."""
     if n < 2:
         return 1
     try:
@@ -199,115 +197,36 @@ def _contract_block(seeds: np.ndarray, edges: np.ndarray,
     return maps
 
 
-def _labels_batch(seeds: np.ndarray, offset: int, nv: int, s: int) -> tuple:
-    """Uniform labels in 0..s-1 of nv vertices, one stream per row, redrawn
-    until they use every label (at most 100*s^2 attempts), with the label
-    draws starting at stream output ``offset``.  Returns (labels, onto): rows
-    that never hit an onto labeling are all-(s) sentinel rows with onto
-    False."""
-    rows = np.full((len(seeds), nv), s, dtype=np.int64)
-    done = np.zeros(len(seeds), dtype=bool)
-    max_attempts = 100 * s * s
-    for attempt in range(max_attempts):
-        pending = np.flatnonzero(~done)
-        if len(pending) == 0:
-            break
-        start = offset + attempt * nv
-        steps = np.arange(start, start + nv, dtype=np.uint64)
-        lab = (stream_outputs(seeds[pending], steps) % np.uint64(s)).astype(np.int64)
-        onto = np.ones(len(pending), dtype=bool)
-        for l in range(s):
-            onto &= (lab == l).any(axis=1)
-        rows[pending[onto]] = lab[onto]
-        done[pending[onto]] = True
-    return rows, done
+class Borders(list):
+    """The candidate s-cuts of one border round.  ``truncated`` says that
+    the list may miss s-cuts within the round's bound: the node budget ran
+    out, or the candidate cap dropped some."""
 
-
-def _canonicalize_batch(lab: np.ndarray, s: int) -> np.ndarray:
-    """First-occurrence relabeling, vectorized per row."""
-    u = lab.shape[0]
-    first = np.empty((u, s), dtype=np.int64)
-    for l in range(s):
-        first[:, l] = np.argmax(lab == l, axis=1)
-    order = np.argsort(first, axis=1, kind="stable")
-    inv = np.empty_like(order)
-    rows = np.arange(u)[:, None]
-    inv[rows, order] = np.arange(s)[None, :]
-    return np.take_along_axis(inv, lab, axis=1)
-
-
-def _lift_and_score(lab: np.ndarray, cmap: Optional[np.ndarray], s: int,
-                    edges: np.ndarray) -> tuple:
-    """Each row of super-vertex labels ``lab`` (values 0..s) lifted through
-    its row of ``cmap`` (one row shared by all when cmap has one; not lifted
-    when cmap is None), in the narrowest signed integer dtype that holds s,
-    and its ``_score`` on ``edges``."""
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if s <= np.iinfo(t).max)
-    lifted = lab.astype(dtype)
-    if cmap is not None:
-        lifted = np.take_along_axis(lifted, cmap, axis=1)
-    return lifted, _score(lifted, edges)
-
-
-def _score(lifted: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The weight of the edges whose ends each row of ``lifted`` labels
-    differently.  The values are exact int64 sums while the total edge
-    weight is at most MAX_WEIGHT."""
-    # Gathering whole rows of the transposed labels is faster than gathering
-    # single entries of every row.
-    by_vertex = np.ascontiguousarray(lifted.T)
-    return edges[:, 2] @ (by_vertex[edges[:, 0]] != by_vertex[edges[:, 1]])
-
-
-# Edges every trial is scored on before any is scored in full.  On the
-# uncontracted 150-trial rounds of planted graphs (62-83 vertices, 531-693
-# edges, max_value 1-3) 16 edges already dropped every trial; lifting and
-# scoring a round on 64 took about 0.03 ms against 0.15 ms on every edge,
-# on 16 about 0.02 ms and on 256 about 0.07 ms.  64 keeps a margin for
-# graphs whose first edges are cut less often.
-_HEAD_EDGES = 64
+    def __init__(self, cuts=(), truncated: bool = False):
+        super().__init__(cuts)
+        self.truncated = truncated
 
 
 def enumerate_borders(g: Graph, params: BorderParams,
-                      max_value: Optional[int] = None) -> list:
-    """Deduplicated candidate s-cuts from seeded contraction trials, sorted by
-    (value, canonical label string).  ``max_value`` filters the output list."""
-    s, tau, trials, seed = params.s, params.tau, params.trials, params.seed
+                      max_value: Optional[int] = None) -> Borders:
+    """The s-cuts of g of value at most ``max_value`` (every s-cut without
+    it), or with ``params.cheapest`` those of the least such value, sorted
+    by (value, canonical labels) and cut to the first ``params.trials``.
+
+    They are listed by ``oracle.list_kcuts`` within ``params.budget`` nodes,
+    which prunes on ``params.lam``.  No search runs for s = 1, whose one cut
+    has value 0, nor for s > g.n or a bound below ceil(s * lam / 2), which
+    no s-cut can meet; those rounds return no cut.
+    """
+    s, trials = params.s, params.trials
     if s < 1 or trials < 1:
         raise ValueError("need s >= 1 and trials >= 1")
     if g.total_weight > MAX_WEIGHT:
         raise GraphError("total edge weight overflows the 64-bit cut values")
-    if s > g.n:
-        return []
+    bound = g.total_weight if max_value is None else max_value
     if s == 1:
-        cuts = [KCut(k=1, labels=(0,) * g.n, value=0)]
-        return [c for c in cuts if max_value is None or c.value <= max_value]
-    seeds = np.uint64(seed) ^ np.arange(trials, dtype=np.uint64)
-    if g.n <= tau:
-        offset, nv, cmap = 0, g.n, None
-    else:
-        # Every trial contracts to max(tau, #components) super-vertices after
-        # one clock draw per edge.
-        cmap = contract_random(g, tau, seeds)
-        offset, nv = len(g.edge_array), int(cmap.max()) + 1
-    if s > nv:
-        return []
-    lab, keep = _labels_batch(seeds, offset, nv, s)
-    if max_value is None:
-        lifted, values = _lift_and_score(lab, cmap, s, g.edge_array)
-    else:
-        lifted, head = _lift_and_score(lab, cmap, s, g.edge_array[:_HEAD_EDGES])
-        keep &= head <= max_value
-        if not keep.any():
-            return []
-        lifted = lifted[keep]
-        values = _score(lifted, g.edge_array)
-        keep = values <= max_value
-    if not keep.any():
-        return []
-    canon, first = np.unique(_canonicalize_batch(lifted[keep], s), axis=0, return_index=True)
-    cuts = [KCut(k=s, labels=tuple(row), value=val)
-            for row, val in zip(canon.tolist(), values[keep][first].tolist())]
-    cuts.sort(key=lambda c: (c.value, c.labels))
-    return cuts
+        return Borders([KCut(k=1, labels=(0,) * g.n, value=0)] if bound >= 0 else [])
+    if s > g.n or kcut_lower_bound(s, params.lam) > bound:
+        return Borders()
+    cuts, truncated = list_kcuts(g, s, bound, params.lam, params.budget, params.cheapest)
+    return Borders(cuts[:trials], truncated or len(cuts) > trials)

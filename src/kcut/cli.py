@@ -178,10 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the full pipeline")
     p_solve.add_argument("--graph", required=True)
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=int, default=0,
+                         help="reported in the output; the solver is deterministic")
     p_solve.add_argument("--force-branch", choices=["exact", "sparsify"],
                          default=None)
-    p_solve.add_argument("--trial-cap", type=int, default=100_000)
+    p_solve.add_argument("--trial-cap", type=int, default=100_000,
+                         help="the most candidates a border round keeps")
     p_solve.add_argument("--t", type=int, default=2)
     p_solve.set_defaults(func=cmd_solve)
 

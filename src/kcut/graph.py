@@ -177,7 +177,7 @@ class Graph:
         """Connected components as a vertex partition, labelled by
         ``component_roots`` over the edges; computed once per Graph object."""
         u, v, _ = self.edge_array.T
-        return VertexPartition.from_labels(component_roots(self.n, u, v).tolist(), self.n)
+        return VertexPartition.from_labels(component_roots(self.n, u, v), self.n)
 
 
 def parse_graph(text: str) -> Graph:
@@ -241,13 +241,9 @@ def graph_to_text(g: Graph) -> str:
 
 def canonical_labels(labels: Sequence[int]) -> tuple:
     """Relabel part ids by first occurrence (restricted-growth normal form)."""
-    seen: dict = {}
-    out = []
-    for x in labels:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
+    labels = tuple(labels)
+    first = {x: i for i, x in enumerate(dict.fromkeys(labels))}
+    return tuple(map(first.__getitem__, labels))
 
 
 @dataclass(frozen=True)
@@ -315,10 +311,21 @@ class VertexPartition:
 
     @staticmethod
     def from_labels(labels: Sequence[int], n: int) -> "VertexPartition":
-        groups: dict = {}
-        for v, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(v)
-        return VertexPartition.from_blocks(groups.values(), n)
+        """The blocks of vertices 0..n-1 sharing an integer label, from one
+        stable argsort of the labels; one label is one block at once."""
+        lab = np.asarray(labels)
+        if lab.shape != (n,):
+            raise GraphError("partition does not cover 0..n-1 exactly")
+        if n == 0:
+            return VertexPartition(blocks=())
+        if not np.count_nonzero(lab != lab[0]):   # one block, as for a connected graph
+            return VertexPartition(blocks=(tuple(range(n)),))
+        order = np.argsort(lab, kind="stable")
+        stops = (np.flatnonzero(np.diff(lab[order])) + 1).tolist()
+        members = order.tolist()
+        blocks = [tuple(members[a:b]) for a, b in zip([0] + stops, stops + [n])]
+        blocks.sort()   # by smallest member, as blocks are disjoint
+        return VertexPartition(blocks=tuple(blocks))
 
     def to_block_index(self, n: int) -> tuple:
         """Per-vertex index of its block (dense relabeling by block order)."""

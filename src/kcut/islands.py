@@ -187,6 +187,39 @@ def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None) -> Optiona
     return value, tuple(kept[list(islands)].tolist())
 
 
+def _host_islands(g: Graph, part: tuple, cnt: int, cap: Optional[int]) -> Optional[tuple]:
+    """``solve_r_island``'s islands (as ids of g) of the subgraph of g
+    induced by the increasing vertex ids ``part``, or None when no cnt
+    islands cost at most ``cap``.
+
+    A host that is all of g is solved on g itself, not on an induced copy.
+    In any other host of a simple g, each vertex's degree inside the part
+    comes first, from one mask over the edges.  One island costs its degree,
+    so for cnt = 1 the first vertex of least degree is the answer, as the
+    search would find it.  cnt islands cost at least their cnt smallest
+    degrees less the C(cnt, 2) edges they can share, so when that floor is
+    above ``cap`` no subgraph is built.
+    """
+    if len(part) == g.n:
+        solved = solve_r_island(g, cnt, max_value=cap)
+        return None if solved is None else solved[1]
+    if g.simple:
+        idx = list(part)
+        inside = np.zeros(g.n, dtype=bool)
+        inside[idx] = True
+        u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+        kept = inside[u] & inside[v]
+        deg = (np.bincount(u[kept], minlength=g.n) + np.bincount(v[kept], minlength=g.n))[idx]
+        if cnt == 1:
+            j = int(deg.argmin())
+            return (part[j],) if cap is None or deg[j] <= cap else None
+        if cap is not None and int(np.sort(deg)[:cnt].sum()) - cnt * (cnt - 1) // 2 > cap:
+            return None
+    sub, back = induced_subgraph(g, part)
+    solved = solve_r_island(sub, cnt, max_value=cap)
+    return None if solved is None else tuple(back[v] for v in solved[1])
+
+
 def extend_border(g: Graph, border_cut: KCut, i: int,
                   max_value: Optional[int] = None) -> Optional[KCut]:
     """Carve i islands out of the border's non-singleton parts, trying every
@@ -199,8 +232,7 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     cap ``max_value`` minus the border's value, and a composition with a
     host over its cap is skipped.
 
-    A host that is all of g (the border of the s = 1 round) is solved on g
-    itself, not on an induced copy.
+    Each host is solved by ``_host_islands``.
     """
     if i < 0:
         raise ValueError("island count must be nonnegative")
@@ -215,9 +247,7 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     def host_islands(part: tuple, cnt: int) -> Optional[tuple]:
         key = (part, cnt)
         if key not in cache:
-            sub, back = (g, part) if len(part) == g.n else induced_subgraph(g, part)
-            solved = solve_r_island(sub, cnt, max_value=host_cap)
-            cache[key] = None if solved is None else tuple(back[v] for v in solved[1])
+            cache[key] = _host_islands(g, part, cnt, host_cap)
         return cache[key]
 
     best = None

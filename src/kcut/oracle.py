@@ -24,7 +24,8 @@ once and exact_min_kcut's lambda is free.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .graph import (
     InvalidCutError,
     KCut,
     VertexPartition,
+    canonical_labels,
     component_roots,
     connected_components,
     cut_value,
@@ -73,76 +75,185 @@ def kcut_lower_bound(parts: int, lam: int) -> int:
     return -(-parts * lam // 2)
 
 
-def _min_kcut_search(g: Graph, k: int, order: Sequence[int], prune: bool = True,
-                     incumbent: Optional[KCut] = None, lam: int = 0) -> KCut:
-    """Restricted-growth-string enumeration of k-part partitions.
-
-    Vertices are assigned in ``order`` by a depth-first search on an explicit
-    stack (no recursion limit on n); among cuts of the minimum value the first
-    one found has the lex-smallest label string read in that order.  With
-    ``prune`` the search skips a branch once ``partial + ceil((k - used) *
-    lam / 2)`` matches or exceeds the best value so far, ``partial`` being the
-    crossing weight among assigned vertices and ``used`` the parts opened.
-    With ``lam`` the global min cut this is a lower bound on every completion:
-    each unopened part holds only unassigned vertices, so its boundary (at
-    least lam) is still uncounted, and an edge borders at most two such
-    parts.  ``lam = 0`` is the plain partial-weight bound.  Either way only
-    branches that cannot strictly beat the best are skipped, so the result
-    does not depend on ``lam``.  An ``incumbent`` cut seeds the bound and is
-    returned unchanged unless a strictly cheaper cut exists.
+def _search_setup(g: Graph, order: Sequence[int]) -> tuple:
+    """The per-graph part of the partition search that assigns vertices in
+    ``order``: (pos, earlier, back), pos[v] being v's position, earlier[b]
+    the (a, w) pairs of the edges from position b to the earlier positions
+    a, and back[b] their total weight.  Built by one sort of the edge rows
+    by later position; the sums are Python ints, so no weight wraps around.
     """
     n = g.n
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    earlier: list = [[] for _ in range(n)]   # per position: (earlier position, w)
-    for u, v, w in g.edges:
-        a, b = sorted((pos[u], pos[v]))
-        earlier[b].append((a, w))
-    back = [sum(w for _, w in e) for e in earlier]   # weight to earlier positions
-    # need[u]: weight still to be cut once u parts are open
-    need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
-    best_val = incumbent.value if incumbent is not None else g.total_weight + 1
-    best_labels = None
+    edges = g.edge_array
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.asarray(order, dtype=np.int64)] = np.arange(n)
+    a, b = pos[edges[:, 0]], pos[edges[:, 1]]
+    late = np.maximum(a, b)
+    by = np.argsort(late, kind="stable")
+    w = edges[by, 2].tolist()
+    pairs = list(zip(np.minimum(a, b)[by].tolist(), w))
+    stops = np.bincount(late, minlength=n).cumsum().tolist()
+    starts = [0] + stops[:-1]
+    total = [0, *accumulate(w)]
+    earlier = [pairs[s:e] for s, e in zip(starts, stops)]
+    back = [total[e] - total[s] for s, e in zip(starts, stops)]
+    return pos.tolist(), earlier, back
+
+
+def _max_adjacency_setup(g: Graph) -> tuple:
+    """``_search_setup`` in maximum-adjacency order, memoised on g itself,
+    so every search on one graph (the exact branch, every border round)
+    builds it once."""
+    memo = vars(g).get("_search_setup")
+    if memo is None:
+        memo = vars(g)["_search_setup"] = _search_setup(g, _max_adjacency_order(g))
+    return memo
+
+
+def _kcut_search(setup: tuple, k: int, need: list, limit: int,
+                 found: Optional[list] = None, budget: int = -1,
+                 cheapest: bool = False) -> tuple:
+    """Restricted-growth-string enumeration of the k-part partitions, on the
+    ``_search_setup`` of one vertex order.
+
+    Vertices are assigned in that order by a depth-first search on an
+    explicit stack (no recursion limit on n).  A branch is skipped once
+    ``partial + need[used] > limit``, ``partial`` being the crossing weight
+    among assigned vertices and ``used`` the parts opened; ``need[u]`` must
+    be a lower bound on the weight still to be cut once u parts are open.
+    Two modes differ only in what a leaf (a k-part partition) does:
+
+    - best (``found`` None): the leaf becomes the best and ``limit`` drops
+      to one below its value, so among the cheapest partitions the first
+      found, the lex-smallest label string read in the order, is kept;
+    - list: the leaf's (value, labels by position) is appended to
+      ``found``, and ``limit`` stays, so every partition of value at most
+      the starting ``limit`` is listed; with ``cheapest``, ``limit`` drops
+      to the leaf's value, so every partition of the least value is among
+      those listed.
+
+    Each step one position deeper spends one unit of ``budget``; the search
+    stops when it would go below zero (a negative budget never runs out).
+    Returns (best labels by position or None, whether the budget ran out).
+    """
+    pos, earlier, back = setup
+    n = len(pos)
+    last = n - 1
+    best = None
     labels = [0] * n
     # Stack frame of position i: crossing weight and parts opened before it,
     # the next label to try, and the weight from i to each earlier label.
     partial = [0] * n
     used_at = [0] * n
     nxt = [0] * n
-    to_label = [[0] * k for _ in range(n)]
-    i = -1 if prune and need[0] >= best_val else 0   # the root bound may close it
+    to_label = [None] * n
+    to_label[0] = [0] * k
+    i = 0 if need[0] <= limit else -1   # the root bound may close it
     while i >= 0:
-        lab = nxt[i]
         used = used_at[i]
-        if lab > used or lab == k:
+        base = partial[i] + back[i]
+        row = to_label[i]
+        top = used if used < k else k - 1
+        lab = nxt[i]
+        while lab <= top:
+            p = base - row[lab]
+            u = used + (lab == used)
+            lab += 1
+            if p + need[u] > limit:
+                continue
+            if i == last:
+                if u == k:
+                    labels[i] = lab - 1
+                    if found is None:
+                        limit = p - 1
+                        best = tuple(labels)
+                    else:
+                        found.append((p, tuple(labels)))
+                        if cheapest:
+                            limit = p
+                continue
+            if u + last - i < k:
+                continue
+            if not budget:
+                return best, True
+            budget -= 1
+            labels[i] = lab - 1
+            nxt[i] = lab
+            i += 1
+            partial[i] = p
+            used_at[i] = u
+            nxt[i] = 0
+            row = to_label[i] = [0] * k
+            for j, w in earlier[i]:
+                row[labels[j]] += w
+            break
+        else:   # every label of position i tried
             i -= 1
-            continue
-        nxt[i] = lab + 1
-        p = partial[i] + back[i] - to_label[i][lab]
-        u = used + (lab == used)
-        if prune and p + need[u] >= best_val:
-            continue
-        labels[i] = lab
-        if i + 1 == n:
-            if u == k and p < best_val:
-                best_val = p
-                best_labels = tuple(labels)
-            continue
-        if u + (n - i - 1) < k:
-            continue
-        i += 1
-        partial[i] = p
-        used_at[i] = u
-        nxt[i] = 0
-        row = to_label[i] = [0] * k
-        for j, w in earlier[i]:
-            row[labels[j]] += w
-    if best_labels is None:
+    return best, False
+
+
+def _min_kcut_search(g: Graph, k: int, order: Optional[Sequence[int]] = None,
+                     prune: bool = True, incumbent: Optional[KCut] = None,
+                     lam: int = 0) -> KCut:
+    """The cheapest k-cut of g by ``_kcut_search`` in best mode.
+
+    Vertices are assigned in ``order``, by default the memoised maximum-
+    adjacency order; among cuts of the minimum value the one returned has
+    the lex-smallest label string read in that order.  With ``prune`` the
+    search skips a branch once ``partial + ceil((k - used) * lam / 2)``
+    matches or exceeds the best value so far.  With ``lam`` the global min
+    cut this is a lower bound on every completion: each unopened part holds
+    only unassigned vertices, so its boundary (at least lam) is still
+    uncounted, and an edge borders at most two such parts.  ``lam = 0`` is
+    the plain partial-weight bound.  Either way only branches that cannot
+    strictly beat the best are skipped, so the result does not depend on
+    ``lam``; without ``prune`` every partition is listed and the first
+    cheapest kept.  An ``incumbent`` cut seeds the bound and is returned
+    unchanged unless a strictly cheaper cut exists.
+    """
+    setup = _max_adjacency_setup(g) if order is None else _search_setup(g, order)
+    best_val = incumbent.value if incumbent is not None else g.total_weight + 1
+    if prune:
+        need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
+        best = _kcut_search(setup, k, need, best_val - 1)[0]
+    else:
+        found: list = []
+        _kcut_search(setup, k, [0] * (k + 1), g.total_weight, found)
+        value, best = min(found, key=itemgetter(0), default=(best_val, None))
+        if value >= best_val:
+            best = None
+    if best is None:
         if incumbent is not None:
             return incumbent
         raise GraphError("no k-part partition exists")
-    return KCut.from_labels(g, [best_labels[pos[v]] for v in range(n)], k)
+    return KCut.from_labels(g, [best[p] for p in setup[0]], k)
+
+
+def list_kcuts(g: Graph, k: int, bound: int, lam: int = 0, budget: int = -1,
+               cheapest: bool = False) -> tuple:
+    """Every k-cut of g of value at most ``bound``, or with ``cheapest``
+    every one of the least such value, by ``_kcut_search`` in list mode in
+    maximum-adjacency order; returns (cuts, truncated).
+
+    The cuts have canonical labels and come sorted by (value, labels).
+    For k >= 2, ``lam`` must be at most the boundary of every part of a
+    k-cut of g (the global min cut of g, or of a graph that g contracts),
+    so that ``ceil((k - used) * lam / 2)`` bounds the weight still to be
+    cut.  The
+    search expands at most ``budget`` nodes (a negative budget is no limit);
+    ``truncated`` says that it ran out, and the cuts are then the ones found
+    before it did.
+    """
+    setup = _max_adjacency_setup(g)
+    lam = lam if k > 1 else 0   # one part has no boundary
+    need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
+    found: list = []
+    truncated = _kcut_search(setup, k, need, bound, found, budget, cheapest)[1]
+    if cheapest and found:
+        least = min(value for value, _ in found)
+        found = [f for f in found if f[0] == least]
+    pos = setup[0]
+    cuts = sorted((value, canonical_labels([lab[p] for p in pos])) for value, lab in found)
+    return [KCut(k=k, labels=lab, value=value) for value, lab in cuts], truncated
 
 
 def brute_force_min_kcut(g: Graph, k: int, n_limit: int = BRUTE_FORCE_KCUT_LIMIT) -> KCut:
@@ -191,7 +302,7 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     lam = stoer_wagner_mincut(g)[0]
     if kcut_lower_bound(k, lam) >= incumbent.value:
         return incumbent   # the root bound closes the search
-    return _min_kcut_search(g, k, _max_adjacency_order(g), incumbent=incumbent, lam=lam)
+    return _min_kcut_search(g, k, incumbent=incumbent, lam=lam)
 
 
 def _max_adjacency_order(g: Graph) -> list:
@@ -461,25 +572,27 @@ def sv_2approx(g: Graph, k: int) -> KCut:
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
-    parts: list = [tuple(range(g.n))]
-    cuts: list = []   # per part: ((cost, part min vertex), side vertex set), None if a singleton
+    parts: list = [np.arange(g.n)]   # increasing vertex ids
+    cuts: list = []   # per part: ((cost, part min vertex), side-0 mask over the part), None if a singleton
     while len(parts) < k:
         for part in parts[len(cuts):]:
             if len(part) < 2:
                 cuts.append(None)
                 continue
-            sub, back = (g, part) if len(part) == g.n else induced_subgraph(g, part)
+            # induced_subgraph keeps the increasing order, so sub's vertex j is part[j].
+            sub = g if len(part) == g.n else induced_subgraph(g, part.tolist())[0]
             cost, cut2 = stoer_wagner_mincut(sub)
-            side = frozenset(back[v] for v in range(sub.n) if cut2.labels[v] == 0)
-            cuts.append(((cost, part[0]), side))
+            cuts.append(((cost, int(part[0])), np.array(cut2.labels) == 0))
         splittable = [i for i, c in enumerate(cuts) if c is not None]
         if not splittable:
             raise InvalidCutError(f"no part left to split at {len(parts)} of {k} parts")
         idx = min(splittable, key=lambda i: cuts[i][0])
         part = parts.pop(idx)
         _, side = cuts.pop(idx)
-        parts.append(tuple(v for v in part if v in side))
-        parts.append(tuple(v for v in part if v not in side))
-    partition = VertexPartition.from_blocks(parts, g.n)
-    labels = partition.to_block_index(g.n)
-    return KCut.from_labels(g, labels, k)
+        parts.append(part[side])
+        parts.append(part[~side])
+    # Parts are numbered by their smallest vertex.
+    labels = np.empty(g.n, dtype=np.int64)
+    for label, part in enumerate(sorted(parts, key=lambda p: p[0])):
+        labels[part] = label
+    return KCut.from_labels(g, labels.tolist(), k)

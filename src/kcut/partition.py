@@ -504,7 +504,7 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
     labels = np.arange(g.n, 2 * g.n)
     kept = final >= 0
     labels[back[kept]] = final[kept]
-    partition = VertexPartition.from_labels(labels.tolist(), g.n)
+    partition = VertexPartition.from_labels(labels, g.n)
     report = _report(partition, removed, clusters, trimmed, shaved, shattered, params)
     return partition, report
 

@@ -5,8 +5,11 @@ root bound ceil(k * lambda / 2) already certifies optimal, go to the exact
 solver (which then returns the 2-approximate cut at once); large ones go
 through partition contraction, per-island-count border enumeration, and
 island extension, with the 2-approximate cut always kept as a safety floor.
-Island extension is capped at the best value found so far, so it only
-searches for cuts that could still replace it.
+Round i lists the (k - i)-cuts of the contracted graph of value at most
+floor(beta_i * lambda_bar) exactly (see ``borders``), so the result does
+not depend on ``PipelineConfig.seed``.  Island extension is capped at the
+best value found so far, so it only searches for cuts that could still
+replace it.
 """
 from __future__ import annotations
 
@@ -22,22 +25,29 @@ from .islands import extend_border
 from .oracle import (_zero_value_kcut, exact_min_kcut, kcut_lower_bound,
                      stoer_wagner_mincut, sv_2approx)
 from .partition import kt_partition
-from .rng import mix64
 
-_SEED_STRIDE = 0x9E3779B97F4A7C15
 _THRESHOLD_CONST = 10    # lambda_bar <= 10 * n^(1/(t+1)) sends a solve to the exact branch
+# Search nodes per border round.  The benchmark's rounds expand at most 96
+# and those of the 15 certified blown-up instances (tests/test_pipeline.py
+# runs six) at most 18,431; at 200,000 the first forced-sparsify round of
+# C_80, which has 82,160 3-cuts of value 3, stops after about 0.4 s on a
+# 2-vCPU x86-64 VM.
+NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     t: int = 2                      # exact-algorithm exponent knob
-    trial_cap: int = 100_000
-    seed: int = 0
+    trial_cap: int = 100_000        # caps the candidates a border round keeps
+    seed: int = 0                   # accepted and reported; has no effect
     force_branch: Optional[str] = None   # "exact" | "sparsify"
+    node_budget: int = NODE_BUDGET  # search nodes a border round may expand
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t must be >= 1")
+        if self.node_budget < 0:
+            raise ValueError("node_budget must be >= 0")
         if self.force_branch not in (None, "exact", "sparsify"):
             raise ValueError(f"unknown branch override {self.force_branch!r}")
 
@@ -125,15 +135,19 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     best_cut = sv_cut
     random_best: Optional[KCut] = None
     border_stats = []
+    lam = stoer_wagner_mincut(g)[0]   # memoised by sv_2approx
     log2n = math.log2(g.n) if g.n >= 2 else 1.0
     t2 = time.perf_counter()
     for i in range(k):
         s = k - i
         beta = min(1.0, max(0.0, 1.0 - (1.0 - 2.0 / log2n) * i / k))
-        tau = tau_for(beta, k)
         trials = default_trials(g.n, beta, k, cfg.trial_cap)
-        seed_i = mix64(cfg.seed + (i + 1) * _SEED_STRIDE)
-        params = BorderParams(s=s, beta=beta, tau=tau, trials=trials, seed=seed_i)
+        # In round 0 a candidate is its own extension, and lifting keeps
+        # the (value, labels) order of canonical labels, so no candidate can
+        # beat the first: the round lists only its cheapest cuts, and extends
+        # the first of them.
+        params = BorderParams(s=s, beta=beta, trials=trials, lam=lam,
+                              budget=cfg.node_budget, cheapest=i == 0)
         max_border = math.floor(beta * lambda_bar)
         candidates = enumerate_borders(gc, params, max_value=max_border)
         extended = 0
@@ -154,9 +168,12 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
                 best_cut = ext
             if random_best is None or ext.value < random_best.value:
                 random_best = ext
+            if i == 0:
+                break
         border_stats.append({
-            "i": i, "s": s, "beta": beta, "tau": tau, "trials": trials,
+            "i": i, "s": s, "beta": beta, "tau": tau_for(beta, k), "trials": trials,
             "candidates": len(candidates), "extended": extended,
+            "truncated": candidates.truncated,
         })
     timings["borders"] = time.perf_counter() - t2
     timings["total"] = time.perf_counter() - t0

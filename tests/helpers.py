@@ -2,10 +2,10 @@
 
 Nothing in the library calls these: per-subset conductance, the scalar
 union-find of the one-edge-at-a-time references (Karger contraction, the
-forest passes, connected components), the scalar random s-cut the batched
-border labelling must reproduce, the cut-survival test of a contraction map,
-Wilson score bounds, the classical integer matmul, and the border
-bookkeeping of a k-cut.
+forest passes, connected components), a scalar random s-cut, the listing of
+every k-cut within a bound that the partition search's list mode must
+reproduce, the cut-survival test of a contraction map, Wilson score bounds,
+the classical integer matmul, and the border bookkeeping of a k-cut.
 """
 from __future__ import annotations
 
@@ -85,6 +85,30 @@ def random_s_cut(g: Graph, s: int, rng: SplitMix64,
         if len(set(labels)) == s:
             return KCut.from_labels(g, labels, s)
     return None
+
+
+def list_kcuts_reference(g: Graph, k: int, bound: int) -> list:
+    """Every k-cut of g of value at most ``bound``, as sorted (value, labels)
+    pairs.  Every label string in 0..k-1 with label 0 first comes from
+    itertools.product; a string is kept when each label is at most one above
+    every label before it (first-occurrence form) and it uses all k labels,
+    and it is valued edge by edge."""
+    if not 1 <= k <= g.n:
+        return []
+    out = []
+    for rest in product(range(k), repeat=g.n - 1):
+        labels = (0,) + rest
+        top = 0
+        for x in rest:
+            if x > top + 1:
+                break
+            top = max(top, x)
+        else:
+            if top == k - 1:
+                value = sum(w for u, v, w in g.edges if labels[u] != labels[v])
+                if value <= bound:
+                    out.append((value, labels))
+    return sorted(out)
 
 
 def cut_survives(cmap: tuple, labels: tuple) -> bool:

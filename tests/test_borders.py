@@ -1,13 +1,12 @@
-"""Randomized contraction and candidate s-cut enumeration."""
+"""Randomized contraction and candidate s-cut listing."""
 import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcut import (
@@ -19,10 +18,12 @@ from kcut import (
     contract_random,
     default_trials,
     enumerate_borders,
+    stoer_wagner_mincut,
     tau_for,
 )
 import kcut.borders
-from kcut.borders import _canonicalize_batch, _clock_prefix, _labels_batch, _lift_and_score
+import kcut.oracle
+from kcut.borders import _clock_prefix
 from kcut.generators import (
     cliques_bridge,
     complete_graph,
@@ -34,8 +35,7 @@ from kcut.generators import (
 from kcut.graph import MAX_WEIGHT, VertexPartition, canonical_labels, contract, cut_value
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
-import borders_reference
-from helpers import cut_survives, random_s_cut, union_find, wilson_lower
+from helpers import cut_survives, list_kcuts_reference, random_s_cut, union_find, wilson_lower
 
 
 # --------------------------------------------------------------------- rng
@@ -298,26 +298,22 @@ def test_contracted_round_peak_memory():
     # The maps of a contracted round are trials x n int64; contraction holds
     # one block of clocks beside them, not a second copy of the maps.
     g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
-    params = BorderParams(s=3, beta=1.0, tau=g.n - 5, trials=20_000, seed=5)
-    map_bytes = params.trials * g.n * 8
-    seeds = _seeds(params.seed, params.trials)
+    trials, tau = 20_000, g.n - 5
+    map_bytes = trials * g.n * 8
+    seeds = _seeds(5, trials)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cmaps = contract_random(g, params.tau, seeds)
+        cmaps = contract_random(g, tau, seeds)
         contract_peak = tracemalloc.get_traced_memory()[1] - before
         del cmaps
-        tracemalloc.reset_peak()
-        assert enumerate_borders(g, params, max_value=2) == []
-        round_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
     assert contract_peak <= 1.25 * map_bytes
-    assert round_peak <= 4 * map_bytes
 
 
 # -------------------------------------------------------------- random_s_cut
@@ -414,141 +410,154 @@ def test_default_trials_never_overflows(n, beta, k, cap):
 
 # ----------------------------------------------------------- enumerate_borders
 
+def _params(s, trials=100_000, lam=0, budget=-1):
+    return BorderParams(s=s, beta=1.0, trials=trials, lam=lam, budget=budget)
+
+
+def _listed(g, s, max_value=None):
+    """The reference list enumerate_borders must return when uncapped."""
+    bound = g.total_weight if max_value is None else max_value
+    return [KCut(k=s, labels=labels, value=value)
+            for value, labels in list_kcuts_reference(g, s, bound)]
+
+
+def _round_graph(contracted):
+    """G(8, 0.5), or G(10, 0.6) contracted to 7 vertices, so that merged
+    edges weigh more than 1."""
+    if not contracted:
+        return gnp_graph(8, 0.5, 6)
+    base = gnp_graph(10, 0.6, 6)
+    return contract(base, VertexPartition.from_labels([0, 0, 1, 2, 2, 3, 4, 5, 6, 6], 10))[0]
+
+
+def _refuse(*args):
+    raise AssertionError("a search ran")
+
+
 def test_single_trial_small_graph():
+    # A cap of one keeps the cheapest cut and marks the list as cut short.
     g = path_graph(3)
-    params = BorderParams(s=2, beta=1.0, tau=10, trials=1, seed=3)
-    cuts = enumerate_borders(g, params)
-    assert len(cuts) <= 1
-    for c in cuts:
-        assert c.value == cut_value(g, c)
+    cuts = enumerate_borders(g, _params(2, trials=1))
+    assert cuts == [KCut(2, (0, 0, 1), 1)]
+    assert cuts.truncated
+    full = enumerate_borders(g, _params(2, trials=3))
+    assert full == _listed(g, 2) and not full.truncated
 
 
 def test_bridge_cut_found():
     g = cliques_bridge(5, 2, 1)
-    params = BorderParams(s=2, beta=1.0, tau=tau_for(1.0, 2), trials=4000, seed=7)
-    cuts = enumerate_borders(g, params)
-    assert any(c.value == 1 for c in cuts)
-    assert cuts[0].value == min(c.value for c in cuts)
+    lam = stoer_wagner_mincut(g)[0]
+    cuts = enumerate_borders(g, _params(2, lam=lam), max_value=4)
+    assert cuts[0] == brute_force_min_kcut(g, 2)
+    assert cuts[0].value == 1
+    # one of the 8 vertices off the bridge, or a K5 with the far bridge end
+    assert [c.value for c in cuts[1:]] == [4] * 10
 
 
 def test_c8_min_3cut_found():
     g = cycle_graph(8)
-    params = BorderParams(s=3, beta=1.0, tau=tau_for(1.0, 3), trials=10_000, seed=11)
-    cuts = enumerate_borders(g, params)
-    oracle = brute_force_min_kcut(g, 3).value
-    assert oracle == 3
-    assert any(c.value == 3 for c in cuts)
+    cuts = enumerate_borders(g, _params(3, lam=2), max_value=3)
+    assert brute_force_min_kcut(g, 3).value == 3
+    # every choice of three cycle edges, and nothing else
+    assert len(cuts) == math.comb(8, 3)
+    assert {c.value for c in cuts} == {3}
 
 
 def test_enumerate_deterministic():
+    params = _params(3)
     g = gnp_graph(10, 0.5, 3)
-    params = BorderParams(s=3, beta=1.0, tau=tau_for(1.0, 3), trials=500, seed=123)
-    assert enumerate_borders(g, params) == enumerate_borders(g, params)
+    first = enumerate_borders(g, params)
+    assert first == enumerate_borders(g, params) == enumerate_borders(gnp_graph(10, 0.5, 3), params)
 
 
 def test_all_outputs_valid_cuts():
     g = gnp_graph(9, 0.6, 4)
-    params = BorderParams(s=2, beta=1.0, tau=5, trials=300, seed=9)
-    for c in enumerate_borders(g, params):
+    cuts = enumerate_borders(g, _params(2))
+    assert len(cuts) == 2 ** 8 - 1
+    for c in cuts:
         assert c.k == 2
         assert c.value == cut_value(g, c)
         assert c.labels == canonical_labels(c.labels)
 
 
-@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
-def test_fast_path_equals_slow_path(n, tau):
-    # The vectorized path must produce exactly the trial-by-trial result of the
-    # scalar reference on the same seed ^ t streams: with n <= tau the identity
-    # map, with n > tau the contract_random row followed by random_s_cut on the
-    # stream after its m clock draws.
-    g = gnp_graph(n, 0.5, 6)
-    s, trials, seed = 2, 200, 77
-    slow = set()
-    cmaps = contract_random(g, tau, _seeds(seed, trials)).tolist()
-    for t, cmap in enumerate(cmaps):
-        rng = SplitMix64(seed ^ t)
-        if n > tau:
-            for _ in g.edges:   # the clock draws
-                rng.next_u64()
-        gc, _ = contract(g, VertexPartition.from_labels(cmap, g.n))
-        cut = random_s_cut(gc, s, rng)
-        if cut is not None:
-            slow.add(canonical_labels(tuple(cut.labels[cmap[v]] for v in range(g.n))))
-    params = BorderParams(s=s, beta=1.0, tau=tau, trials=trials, seed=seed)
-    assert {c.labels for c in enumerate_borders(g, params)} == slow
-    if n <= tau:
-        lab, onto = _labels_batch(_seeds(seed, trials), 0, g.n, s)
-        canon = {tuple(int(x) for x in row) for row in _canonicalize_batch(lab[onto], s)}
-        assert canon == slow
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_fast_path_equals_slow_path(contracted):
+    # The pruned search in maximum-adjacency order must list exactly the cuts
+    # the exhaustive reference finds, in the same (value, labels) order,
+    # with the min-cut bound or without it.
+    g = _round_graph(contracted)
+    lam = stoer_wagner_mincut(g)[0]
+    assert lam > 0
+    for s in (2, 3, 4):
+        for max_value in (None, lam * s // 2, lam * s):
+            want = _listed(g, s, max_value)
+            assert enumerate_borders(g, _params(s, lam=lam), max_value) == want
+            assert enumerate_borders(g, _params(s), max_value) == want
+            # the cheapest listing keeps the cuts of the least value
+            cheapest = BorderParams(s=s, beta=1.0, trials=100_000, lam=lam, cheapest=True)
+            assert enumerate_borders(g, cheapest, max_value) == \
+                [c for c in want if c.value == want[0].value]
 
 
-@pytest.mark.parametrize("tau", [5, 2])
-def test_total_weight_beyond_int64_is_rejected(tau):
+@pytest.mark.parametrize("s", [5, 2])
+def test_total_weight_beyond_int64_is_rejected(s):
     g = Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)])
-    params = BorderParams(s=2, beta=1.0, tau=tau, trials=10, seed=1)
     with pytest.raises(GraphError, match="overflows"):
-        enumerate_borders(g, params)
+        enumerate_borders(g, _params(s))
 
 
 def test_max_value_filter():
     g = gnp_graph(8, 0.5, 6)
-    params = BorderParams(s=2, beta=1.0, tau=20, trials=500, seed=1)
-    all_cuts = enumerate_borders(g, params)
-    filtered = enumerate_borders(g, params, max_value=3)
+    all_cuts = enumerate_borders(g, _params(2))
+    filtered = enumerate_borders(g, _params(2), max_value=3)
     assert filtered == [c for c in all_cuts if c.value <= 3]
 
 
-@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
-def test_single_part_round_is_closed_form(monkeypatch, n, tau):
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return contract_random(*args)
-
-    monkeypatch.setattr(kcut.borders, "contract_random", spy)
-    g = gnp_graph(n, 0.5, 6)
-    params = BorderParams(s=1, beta=1.0, tau=tau, trials=500, seed=3)
-    assert enumerate_borders(g, params) == [KCut(1, (0,) * n, 0)]
-    assert enumerate_borders(g, params, max_value=0) == [KCut(1, (0,) * n, 0)]
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_single_part_round_is_closed_form(monkeypatch, contracted):
+    # One part has no boundary, so the min-cut bound must not drop it.
+    monkeypatch.setattr(kcut.borders, "list_kcuts", _refuse)
+    g = _round_graph(contracted)
+    params = _params(1, lam=4)
+    assert enumerate_borders(g, params) == [KCut(1, (0,) * g.n, 0)]
+    assert enumerate_borders(g, params, max_value=0) == [KCut(1, (0,) * g.n, 0)]
     assert enumerate_borders(g, params, max_value=-1) == []
-    assert calls == []
 
 
-@pytest.mark.parametrize("n, tau", [(4, 20), (14, 6)], ids=["identity", "contracted"])
-def test_more_parts_than_vertices_draws_nothing(monkeypatch, n, tau):
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_more_parts_than_vertices_draws_nothing(monkeypatch, contracted):
+    # Neither a search nor its setup runs when no s-cut exists, or when the
+    # bound is below ceil(s * lam / 2), which no s-cut can meet.
+    monkeypatch.setattr(kcut.borders, "list_kcuts", _refuse)
+    monkeypatch.setattr(kcut.oracle, "_search_setup", _refuse)
+    monkeypatch.setattr(kcut.borders, "contract_random", _refuse)
+    g = _round_graph(contracted)
+    assert enumerate_borders(g, _params(g.n + 1)) == []
+    assert enumerate_borders(g, _params(3, lam=2), max_value=2) == []
+
+
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_rounds_share_one_search_setup(monkeypatch, contracted):
+    # The rounds of a solve list on one graph: its maximum-adjacency setup is
+    # built once, and nothing is contracted.
     calls = []
-    monkeypatch.setattr(kcut.borders, "contract_random", lambda *args: calls.append(args))
-    monkeypatch.setattr(kcut.borders, "stream_outputs", lambda *args: calls.append(args))
-    g = gnp_graph(n, 0.5, 6)
-    params = BorderParams(s=n + 1, beta=1.0, tau=tau, trials=500, seed=3)
-    assert enumerate_borders(g, params) == []
-    assert calls == []
+    setup = kcut.oracle._search_setup
+    monkeypatch.setattr(kcut.oracle, "_search_setup",
+                        lambda g, order: calls.append(g.n) or setup(g, order))
+    monkeypatch.setattr(kcut.borders, "contract_random", _refuse)
+    g = _round_graph(contracted)
+    for s in (2, 3, 4):
+        assert enumerate_borders(g, _params(s)) == _listed(g, s)
+    assert calls == [g.n]
 
 
-@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
-def test_one_contract_call_per_round(monkeypatch, n, tau):
-    calls = []
-
-    def spy(g, tau, seeds):
-        calls.append(seeds.tolist())
-        return contract_random(g, tau, seeds)
-
-    monkeypatch.setattr(kcut.borders, "contract_random", spy)
-    g = gnp_graph(n, 0.5, 6)
-    for s in (2, 3):
-        enumerate_borders(g, BorderParams(s=s, beta=1.0, tau=tau, trials=300, seed=5))
-    # one batch of every trial's seed per contracted round, none without contraction
-    assert calls == ([[5 ^ t for t in range(300)]] * 2 if n > tau else [])
-
-
-# ------------------------------------- score-first vs canonicalize-first
+# ------------------------------------------------- listing vs the reference
 
 @st.composite
 def contracted_graphs(draw):
-    """G(n, p) contracted along a random labelling, so merged edges weigh
-    more than 1."""
-    n = draw(st.integers(2, 24))
+    """G(n, p) on at most 8 vertices contracted along a random labelling, so
+    merged edges weigh more than 1."""
+    n = draw(st.integers(2, 8))
     base = gnp_graph(n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 10**6)))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return contract(base, VertexPartition.from_labels(labels, n))[0]
@@ -557,158 +566,96 @@ def contracted_graphs(draw):
 @given(contracted_graphs(), st.data())
 @settings(max_examples=120, deadline=None)
 def test_enumerate_equals_canonicalize_first_reference(g, data):
+    # The reference builds each canonical label string first and then values
+    # it; the library prunes, then canonicalizes what it lists.  The two must
+    # agree, cap and all.
     s = data.draw(st.integers(2, 5), label="s")
-    identity = data.draw(st.booleans(), label="identity")
-    tau = (data.draw(st.integers(g.n, g.n + 3), label="tau") if identity or g.n <= s
-           else data.draw(st.integers(s, g.n - 1), label="tau"))
-    params = BorderParams(s=s, beta=1.0, tau=tau, trials=data.draw(st.integers(1, 80)),
-                          seed=data.draw(st.integers(0, 2**64 - 1)))
-    values = [c.value for c in borders_reference.enumerate_borders(g, params)]
+    lam = stoer_wagner_mincut(g)[0] if g.n >= 2 and data.draw(st.booleans()) else 0
+    trials = data.draw(st.integers(1, 80), label="trials")
+    values = [c.value for c in _listed(g, s)]
     max_value = data.draw(st.sampled_from(
         [None, values[len(values) // 2] if values else 0, min(values, default=0) - 1]),
         label="max_value")
-    assert (enumerate_borders(g, params, max_value)
-            == borders_reference.enumerate_borders(g, params, max_value))
+    want = _listed(g, s, max_value)
+    cuts = enumerate_borders(g, _params(s, trials=trials, lam=lam), max_value)
+    assert cuts == want[:trials]
+    assert cuts.truncated == (len(want) > trials)
 
 
-@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
-def test_no_survivor_canonicalizes_nothing(monkeypatch, n, tau):
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_no_survivor_canonicalizes_nothing(monkeypatch, contracted):
     calls = []
-
-    def spy(lab, s):
-        calls.append(len(lab))
-        return _canonicalize_batch(lab, s)
-
-    monkeypatch.setattr(kcut.borders, "_canonicalize_batch", spy)
-    g = gnp_graph(n, 0.5, 6)
-    params = BorderParams(s=3, beta=1.0, tau=tau, trials=300, seed=5)
-    cuts = borders_reference.enumerate_borders(g, params)
-    assert enumerate_borders(g, params, max_value=cuts[0].value - 1) == []
+    canon = kcut.oracle.canonical_labels
+    monkeypatch.setattr(kcut.oracle, "canonical_labels",
+                        lambda labels: calls.append(1) or canon(labels))
+    g = _round_graph(contracted)
+    lam = stoer_wagner_mincut(g)[0]
+    cuts = _listed(g, 3)
+    assert enumerate_borders(g, _params(3, lam=lam), max_value=cuts[0].value - 1) == []
     assert calls == []
-    # only the trials that pass max_value are canonicalized
+    # only the cuts within max_value are canonicalized
     least = [c for c in cuts if c.value == cuts[0].value]
-    assert enumerate_borders(g, params, max_value=cuts[0].value) == least
-    assert 0 < calls[0] < 300
+    assert enumerate_borders(g, _params(3, lam=lam), max_value=cuts[0].value) == least
+    assert len(calls) == len(least)
 
 
-@pytest.mark.parametrize("n, tau", [(8, 20), (14, 6)], ids=["identity", "contracted"])
-def test_trials_without_onto_labels_are_dropped(monkeypatch, n, tau):
-    # A trial that never draws an onto labelling holds the sentinel label s
-    # and costs 0; it must not pass any max_value.
-    def some_fail(seeds, offset, nv, s):
-        lab, onto = _labels_batch(seeds, offset, nv, s)
-        lab[::2], onto[::2] = s, False
-        return lab, onto
-
-    monkeypatch.setattr(kcut.borders, "_labels_batch", some_fail)
-    monkeypatch.setattr(borders_reference, "_labels_batch", some_fail)
-    g = gnp_graph(n, 0.5, 6)
-    params = BorderParams(s=3, beta=1.0, tau=tau, trials=300, seed=5)
-    for max_value in (None, 0, 5):
-        assert (enumerate_borders(g, params, max_value)
-                == borders_reference.enumerate_borders(g, params, max_value))
-    assert enumerate_borders(g, params)
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_trials_without_onto_labels_are_dropped(contracted):
+    # A label string that opens fewer than s parts is no s-cut: the search
+    # never lists one, whatever the bound.
+    g = _round_graph(contracted)
+    for s in (2, 3, 4):
+        for max_value in (None, 0, 5):
+            cuts = enumerate_borders(g, _params(s), max_value)
+            assert cuts == _listed(g, s, max_value)
+            assert all(set(c.labels) == set(range(s)) for c in cuts)
+    assert enumerate_borders(g, _params(3))
 
 
-# ---------------------------------------------------------------- head block
-
-def _head_and_full_values(g, params):
-    """Each onto trial's value on the first ``_HEAD_EDGES`` edges and on all
-    edges, from its lifted labels."""
-    seeds = _seeds(params.seed, params.trials)
-    if g.n <= params.tau:
-        offset, cmap = 0, np.arange(g.n)[None, :]
-    else:
-        offset, cmap = len(g.edge_array), contract_random(g, params.tau, seeds)
-    nv = int(cmap.max()) + 1
-    if params.s > nv:
-        return [], []
-    lab, onto = _labels_batch(seeds, offset, nv, params.s)
-    lifted = np.take_along_axis(lab, cmap, axis=1)[onto]
-    u, v, w = g.edge_array.T
-    cut = (lifted[:, u] != lifted[:, v]) * w
-    return (cut[:, :kcut.borders._HEAD_EDGES].sum(axis=1).tolist(),
-            cut.sum(axis=1).tolist())
-
-
-@st.composite
-def head_block_graphs(draw):
-    """G(n, p) with at least two edges, half of them contracted along a random
-    labelling so that merged edges weigh more than 1."""
-    n = draw(st.integers(6, 30))
-    g = gnp_graph(n, draw(st.sampled_from([0.4, 0.7, 0.9])), draw(st.integers(0, 10**6)))
-    if draw(st.booleans()):
-        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        g = contract(g, VertexPartition.from_labels(labels, n))[0]
-    assume(len(g.edge_array) >= 2)
-    return g
-
-
-@given(head_block_graphs(), st.data())
-@settings(max_examples=150, deadline=None)
+@given(contracted_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
 def test_head_block_filter_equals_reference(g, data):
-    # The head block is shrunk below m, so every draw has edges outside it.
-    head = data.draw(st.integers(1, len(g.edge_array) - 1), label="head")
-    s = data.draw(st.integers(2, 4), label="s")
-    identity = data.draw(st.booleans(), label="identity")
-    tau = (data.draw(st.integers(g.n, g.n + 3), label="tau") if identity or g.n <= s
-           else data.draw(st.integers(s, g.n - 1), label="tau"))
-    params = BorderParams(s=s, beta=1.0, tau=tau, trials=data.draw(st.integers(1, 80)),
-                          seed=data.draw(st.integers(0, 2**64 - 1)))
-    with mock.patch.object(kcut.borders, "_HEAD_EDGES", head):
-        heads, fulls = _head_and_full_values(g, params)
-        cases = [None, min(fulls, default=0) - 1, min(fulls, default=0)]
-        # a value some trial reaches on the head but exceeds in full
-        cases += [data.draw(st.integers(h, f - 1), label="straddle")
-                  for h, f in zip(heads, fulls) if h < f][:1]
-        for max_value in cases:
-            assert (enumerate_borders(g, params, max_value)
-                    == borders_reference.enumerate_borders(g, params, max_value))
+    # The search drops a label string on the weight its assigned head (the
+    # first vertices of the order) already cuts.  That filter is exact in
+    # any vertex order, for every bound.
+    s = data.draw(st.integers(1, 4), label="s")
+    order = data.draw(st.permutations(range(g.n)), label="order")
+    setup = kcut.oracle._search_setup(g, order)
+    pos = setup[0]
+    values = [c.value for c in _listed(g, s)]
+    for bound in [-1, g.total_weight] + values[:1] + values[len(values) // 2:][:1]:
+        found = []
+        kcut.oracle._kcut_search(setup, s, [0] * (s + 1), bound, found)
+        got = sorted((value, canonical_labels([lab[p] for p in pos])) for value, lab in found)
+        assert got == list_kcuts_reference(g, s, bound)
 
 
 @pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
 def test_planted_rounds_past_max_value_score_only_the_head(monkeypatch, contracted):
-    # A uniform labelling of a planted graph cuts more than 2 within the head
-    # block already, so no trial is scored over every edge or canonicalized.
+    # Without the min-cut bound, a planted round with max_value 0 opens no
+    # second part: every label string is dropped on the first edge it cuts,
+    # so the search walks the one all-zero path, n - s + 1 nodes deep, as far
+    # as s parts can still open.  With the bound, no search runs at all.
     g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
-    head = kcut.borders._HEAD_EDGES
-    assert len(g.edge_array) > head
-    tau = g.n - 5 if contracted else g.n
-    calls = []
-    score = kcut.borders._score
-
-    def spy_score(lifted, edges):
-        calls.append(("score", len(edges)))
-        return score(lifted, edges)
-
-    monkeypatch.setattr(kcut.borders, "_score", spy_score)
-    monkeypatch.setattr(kcut.borders, "_canonicalize_batch", lambda *a: calls.append("canon"))
-    rounds = [BorderParams(s=s, beta=1.0, tau=tau, trials=300, seed=5) for s in (2, 3, 4)]
-    for params in rounds:
-        assert enumerate_borders(g, params, max_value=2) == []
-    assert calls == [("score", head)] * len(rounds)
-
-    # Sentinel rows of trials without onto labels cost 0 on the head and
-    # must still be dropped.
-    def some_fail(seeds, offset, nv, s):
-        lab, onto = _labels_batch(seeds, offset, nv, s)
-        lab[::2], onto[::2] = s, False
-        return lab, onto
-
-    calls.clear()
-    monkeypatch.setattr(kcut.borders, "_labels_batch", some_fail)
-    for params in rounds:
-        assert enumerate_borders(g, params, max_value=2) == []
-    assert calls == [("score", head)] * len(rounds)
+    if contracted:
+        g = contract(g, VertexPartition.from_labels([v // 3 for v in range(g.n)], g.n))[0]
+    lam = stoer_wagner_mincut(g)[0]
+    assert lam >= 1
+    for s in (2, 3, 4):
+        cuts = enumerate_borders(g, _params(s, budget=g.n - s + 1), max_value=0)
+        assert cuts == [] and not cuts.truncated
+        assert enumerate_borders(g, _params(s, budget=g.n - s), max_value=0).truncated
+    monkeypatch.setattr(kcut.borders, "list_kcuts", _refuse)
+    for s in (2, 3, 4):
+        assert enumerate_borders(g, _params(s, lam=lam), max_value=0) == []
 
 
 def test_round_past_max_value_peak_memory():
-    # Without contraction a round's label array is trials x n int64, and the
-    # label draws hold about three of them at once.  Trials dropped on the
-    # head block are never scored over all 531 edges, which had taken about
-    # eleven label arrays.
+    # A round holds its search's setup and the cuts it lists, nothing per
+    # trial: with a cap of 20,000 candidates it stays far below one
+    # trials x n label array.
     g, _ = planted_instance(3, 20, 0.9, 0.02, 2)
-    params = BorderParams(s=3, beta=1.0, tau=g.n, trials=20_000, seed=5)
+    params = _params(3, trials=20_000)
     label_bytes = params.trials * g.n * 8
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -716,43 +663,31 @@ def test_round_past_max_value_peak_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert enumerate_borders(g, params, max_value=2) == []
+        cuts = enumerate_borders(g, params, max_value=2)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 4 * label_bytes
+    assert cuts and all(c.value == cut_value(g, c) <= 2 for c in cuts)
+    assert peak <= label_bytes // 20
 
 
-@pytest.mark.parametrize("tau", [10, 4], ids=["identity", "contracted"])
-def test_values_exact_at_max_weight(tau):
+@pytest.mark.parametrize("contracted", [False, True], ids=["identity", "contracted"])
+def test_values_exact_at_max_weight(contracted):
     g = Graph.from_edges(6, [(0, 1, MAX_WEIGHT - 6), (1, 2, 1), (2, 3, 2),
                              (3, 4, 1), (4, 5, 1), (5, 0, 1)])
     assert g.total_weight == MAX_WEIGHT
+    if contracted:   # a 5-cycle whose edge (2, {3, 4}) weighs 2
+        g = contract(g, VertexPartition.from_labels([0, 1, 2, 3, 3, 4], 6))[0]
+        assert g.total_weight == MAX_WEIGHT - 1
     for s in (2, 3, 4):
-        cuts = enumerate_borders(g, BorderParams(s=s, beta=1.0, tau=tau, trials=400, seed=2))
-        assert cuts
+        cuts = enumerate_borders(g, _params(s))
+        assert cuts == _listed(g, s)
         for c in cuts:
             assert c.value == cut_value(g, c)
-        # without contraction the heavy edge is cut, up to a cut of every edge
-        assert tau < g.n or cuts[-1].value > MAX_WEIGHT - 6
-    assert tau < g.n or cuts[-1].value == MAX_WEIGHT
-
-
-@pytest.mark.parametrize("s, dtype", [(2, np.int8), (127, np.int8), (128, np.int16),
-                                      (300, np.int16), (40_000, np.int32)])
-def test_lift_and_score_dtype_holds_s(s, dtype):
-    # Above s = 256 labels 0 and 256 would share one int8, so too narrow a
-    # dtype would miss the edges between them; the sentinel s must fit too.
-    edges = np.array([[0, 1, 5], [1, 2, 7], [2, 3, 11], [0, 3, 13]])
-    lab = np.array([[0, min(256, s - 1), 0, 1], [s - 1, s - 1, 0, 0], [s, s, s, s]])
-    for cmap in (np.arange(4)[None, :], np.array([[0, 1, 2, 3], [1, 0, 3, 2], [0, 0, 1, 1]])):
-        lifted, values = _lift_and_score(lab, cmap, s, edges)
-        assert lifted.dtype == dtype
-        expect = np.take_along_axis(lab, cmap, axis=1)
-        assert (lifted == expect).all()
-        assert values.tolist() == [sum(w for a, b, w in edges.tolist() if row[a] != row[b])
-                                   for row in expect.tolist()]
+        # the heavy edge is cut, up to a cut of every edge
+        assert cuts[-1].value > MAX_WEIGHT - 6
+    assert cuts[-1].value == g.total_weight
 
 
 # ------------------------------------------------------------------- wilson

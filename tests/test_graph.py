@@ -222,6 +222,23 @@ def test_contract_weight_conservation(gl):
     assert g.total_weight == gc.total_weight + intra
 
 
+@given(st.integers(0, 30).flatmap(
+    lambda n: st.lists(st.integers(-3, 5), min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_partition_from_labels_groups_equal_labels(labels):
+    groups: dict = {}
+    for v, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(v)
+    want = VertexPartition.from_blocks(groups.values(), len(labels))
+    assert VertexPartition.from_labels(labels, len(labels)) == want
+    assert VertexPartition.from_labels(np.array(labels, dtype=np.int64), len(labels)) == want
+
+
+def test_partition_from_labels_rejects_wrong_length():
+    with pytest.raises(GraphError):
+        VertexPartition.from_labels([0, 1], 3)
+
+
 def test_contract_invalid_partition():
     g = path_graph(3)
     with pytest.raises(GraphError):

@@ -28,10 +28,11 @@ from kcut.generators import (
     star_graph,
 )
 import kcut.islands
-from kcut.graph import weight_matrix
+from kcut.graph import induced_subgraph, weight_matrix
 from kcut.islands import (
     STRASSEN_THRESHOLD,
     _island_candidates,
+    _host_islands,
     matmul_strassen,
 )
 
@@ -373,3 +374,19 @@ def test_capped_extend_is_uncapped_within_cap(case, data):
         assert capped is None
     else:
         assert capped == extend_border(g, cut, i) and capped.value == best
+
+
+@given(st.integers(3, 12), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 10**6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_host_islands_equal_solving_the_induced_host(n, p, seed, data):
+    # The one-island shortcut and the degree floor must change no answer,
+    # ties and caps included.
+    g = gnp_graph(n, p, seed)
+    part = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2), label="part")))
+    cnt = data.draw(st.integers(1, len(part) - 1), label="cnt")
+    sub, back = induced_subgraph(g, part)
+    best = solve_r_island(sub, cnt)[0]
+    cap = data.draw(st.one_of(st.none(), st.integers(best - 2, best + 2)), label="cap")
+    solved = solve_r_island(sub, cnt, max_value=cap)
+    want = None if solved is None else tuple(back[v] for v in solved[1])
+    assert _host_islands(g, part, cnt, cap) == want

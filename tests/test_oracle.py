@@ -34,7 +34,9 @@ from kcut.generators import (
     star_graph,
 )
 from kcut.graph import weight_matrix
-from kcut.oracle import _max_adjacency_order, _max_adjacency_phase, _min_kcut_search
+from kcut.oracle import _max_adjacency_order, _max_adjacency_phase, _min_kcut_search, list_kcuts
+
+from helpers import list_kcuts_reference
 
 
 def two_triangles_bridge():
@@ -341,6 +343,81 @@ def test_lambda_bound_matches_unbounded_search(data, k, seeded):
     lam = stoer_wagner_mincut(g)[0]
     assert _min_kcut_search(g, k, order, incumbent=incumbent, lam=lam) == \
         _min_kcut_search(g, k, order, incumbent=incumbent)
+
+
+# ------------------------------------------------------------ list mode
+
+@st.composite
+def listing_cases(draw):
+    """(g, s, bound, lam): a weighted graph on at most 8 vertices (weights
+    1..9, possibly disconnected), s <= 4, a bound around its s-cut values,
+    and lam either 0 or its min cut."""
+    n = draw(st.integers(1, 8), label="n")
+    v = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(v, v, st.integers(1, 9)), max_size=3 * n), label="edges")
+    g = Graph.from_edges(n, [e for e in edges if e[0] != e[1]])
+    s = draw(st.integers(1, 4), label="s")
+    bound = draw(st.integers(-1, g.total_weight + 1), label="bound")
+    lam = stoer_wagner_mincut(g)[0] if n >= 2 and draw(st.booleans()) else 0
+    return g, s, bound, lam
+
+
+def _as_pairs(cuts):
+    return [(c.value, c.labels) for c in cuts]
+
+
+@given(listing_cases())
+@settings(max_examples=150, deadline=None)
+def test_list_mode_equals_reference(case):
+    g, s, bound, lam = case
+    want = list_kcuts_reference(g, s, bound)
+    cuts, truncated = list_kcuts(g, s, bound, lam)
+    assert not truncated
+    assert _as_pairs(cuts) == want
+    for c in cuts:
+        assert c.k == s and c.value == cut_value(g, c)
+    cheapest, truncated = list_kcuts(g, s, bound, lam, cheapest=True)
+    assert not truncated
+    assert _as_pairs(cheapest) == [pair for pair in want if pair[0] == want[0][0]]
+
+
+@given(listing_cases(), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_list_mode_budget_never_hit_changes_nothing(case, extra):
+    # Every search node is a label string prefix in first-occurrence form,
+    # and there are fewer than 2 * 4^8 of those on 8 vertices.
+    g, s, bound, lam = case
+    free = list_kcuts(g, s, bound, lam)
+    assert list_kcuts(g, s, bound, lam, budget=2 * 4 ** 8 + extra) == free
+
+
+@given(listing_cases(), st.integers(0, 6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_list_mode_tiny_budget_truncates(case, budget, cheapest):
+    g, s, bound, lam = case
+    want = list_kcuts_reference(g, s, bound)
+    if cheapest:
+        want = [pair for pair in want if pair[0] == want[0][0]]
+    cuts, truncated = list_kcuts(g, s, bound, lam, budget=budget, cheapest=cheapest)
+    got = _as_pairs(cuts)
+    assert got == sorted(got)
+    assert all(value <= bound for value, _ in got)
+    assert set(got) <= set(list_kcuts_reference(g, s, bound))
+    if cheapest:
+        assert len({value for value, _ in got}) <= 1
+    if not truncated:
+        assert got == want
+
+
+def test_list_mode_reports_truncation():
+    # 3-cuts of C_12 of value 3 are the C(12, 3) choices of three edges; a
+    # budget of 20 nodes cannot reach them all.
+    g = cycle_graph(12)
+    cuts, truncated = list_kcuts(g, 3, 3, lam=2, budget=20)
+    assert truncated and 0 < len(cuts) < math.comb(12, 3)
+    full, truncated = list_kcuts(g, 3, 3, lam=2)
+    assert not truncated and len(full) == math.comb(12, 3)
+    assert full[0] == brute_force_min_kcut(g, 3)
 
 
 def test_deep_search_needs_no_recursion():

@@ -18,7 +18,7 @@ from kcut import (
     stoer_wagner_mincut,
     sv_2approx,
 )
-from kcut.generators import cliques_bridge, cycle_graph, gnp_graph
+from kcut.generators import PlantedInfo, certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph
 from kcut.oracle import _min_kcut_search, kcut_lower_bound
 from kcut.pipeline import PipelineConfig
 
@@ -32,6 +32,17 @@ def planted_three_k8_instance():
     edges += [(0, 8), (1, 16), (9, 17), (2, 10), (18, 3)]  # 5 inter edges
     edges += [(24, 4)]                                      # low-degree island
     return Graph.from_edges(25, edges)
+
+
+def blown_up(n, seed):
+    """G(n, 0.5, seed) with every vertex blown up into a K_9: edge uv of the
+    base graph becomes one edge, from vertex v mod 9 of cluster u to vertex
+    u mod 9 of cluster v.  Returns (graph, planted info of the clusters)."""
+    base = gnp_graph(n, 0.5, seed)
+    edges = [(9 * c + a, 9 * c + b) for c in range(n) for a in range(9) for b in range(a + 1, 9)]
+    edges += [(9 * u + v % 9, 9 * v + u % 9) for u, v, _ in base.edges]
+    clusters = tuple(tuple(range(9 * c, 9 * c + 9)) for c in range(n))
+    return Graph.from_edges(9 * n, edges), PlantedInfo(k=0, clusters=clusters, islands=(), seed=seed)
 
 
 def test_disconnected_zero():
@@ -214,3 +225,46 @@ def test_unforced_value_is_optimal_and_certified_cut_is_sv(n, p, seed, k):
     if kcut_lower_bound(k, stoer_wagner_mincut(fresh)[0]) >= sv.value:
         assert rep.branch == "exact"
         assert rep.cut == sv
+
+
+@pytest.mark.parametrize("n, seed, k", [(8, 10, 3), (8, 14, 4), (8, 21, 4), (8, 42, 4),
+                                        (9, 0, 5), (9, 2, 4)])
+def test_forced_sparsify_reaches_certified_blown_up_optimum(n, seed, k):
+    # The 2-approximation is one above the certified optimum, and the KT
+    # partition is neither one block nor all singletons, so the border rounds
+    # must find the optimum on the contracted graph themselves.
+    g, info = blown_up(n, seed)
+    opt, _ = certified_min_kcut(g, info, k)
+    rep = min_kcut(g, k, PipelineConfig(force_branch="sparsify"))
+    assert rep.lambda_bar == opt + 1
+    assert 1 < rep.partition_stats["q"] < g.n
+    assert rep.value == opt and not rep.fallback
+    assert cut_value(g, rep.cut) == opt
+    assert not any(r["truncated"] for r in rep.border_stats)
+
+
+def test_forced_sparsify_border_work_is_bounded():
+    # C_80 has C(80, 3) = 82,160 3-cuts of value 3, all within the first
+    # round's bound: the round stops at the node budget and says so.
+    rep = min_kcut(cycle_graph(80), 3, PipelineConfig(force_branch="sparsify"))
+    assert rep.value == 3 and not rep.fallback
+    first = rep.border_stats[0]
+    assert first["truncated"] and 0 < first["candidates"] < 82_160
+    assert first["extended"] == 1
+    small = min_kcut(cycle_graph(80), 3, PipelineConfig(force_branch="sparsify", node_budget=50))
+    assert small.value == 3 and small.border_stats[0]["truncated"]
+
+
+def test_seed_has_no_effect():
+    g = planted_three_k8_instance()
+    reports = [min_kcut(g, 4, PipelineConfig(seed=seed, force_branch="sparsify"))
+               for seed in (0, 1, 2**40)]
+    for rep in reports[1:]:
+        assert (rep.value, rep.cut, rep.fallback, rep.border_stats) == \
+            (reports[0].value, reports[0].cut, reports[0].fallback, reports[0].border_stats)
+
+
+def test_node_budget_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        PipelineConfig(node_budget=-1)
+    assert PipelineConfig(node_budget=0).node_budget == 0

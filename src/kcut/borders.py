@@ -13,7 +13,6 @@ most ``trials`` candidates, the first in (value, canonical labels) order,
 and expands at most ``budget`` search nodes; the list says whether either
 limit cut it short.  A ``cheapest`` round (the pipeline's round 0, which
 extends only its first candidate) lists only the cuts of the least value.
-Nothing is drawn at random, so a round's list does not depend on any seed.
 
 For s = 1 the only cut is all vertices in one part, with value 0, so that
 cut is built directly and no search is run.
@@ -38,15 +37,10 @@ from .rng import stream_outputs
 @dataclass(frozen=True)
 class BorderParams:
     s: int            # cut arity
-    beta: float       # size ratio parameter <= 1
     trials: int       # the most candidates a round keeps
     lam: int = 0      # lower bound on the boundary of every part of an s-cut
     budget: int = -1  # search nodes a round may expand; negative for no limit
     cheapest: bool = False  # list only the s-cuts of the least value
-
-
-def tau_for(beta: float, k: int) -> int:
-    return math.ceil(8 * beta * k * k + 2 * k)
 
 
 def default_trials(n: int, beta: float, k: int, cap: int) -> int:

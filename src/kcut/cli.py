@@ -1,18 +1,13 @@
-"""Command-line interface: solve, oracle, gen, bench.
+"""Command-line interface: solve, oracle, gen.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 solver invariant
-violation, 4 benchmark disagreement.  KCUT_LOG={error|info|debug} controls
-stage logging.
+violation.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import logging
-import os
 import sys
-import time
 
 from .generators import gen_instance
 from .graph import (
@@ -27,26 +22,11 @@ from .graph import (
 from .oracle import SizeLimitError, brute_force_min_kcut
 from .partition import KTInvariantError
 from .pipeline import PipelineConfig, min_kcut
-from .suites import get_suite
-
-log = logging.getLogger("kcut")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INVARIANT = 3
-EXIT_DISAGREEMENT = 4
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("KCUT_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO,
-              "debug": logging.DEBUG}
-    logging.basicConfig(
-        level=levels.get(level, logging.ERROR),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
 
 
 def _load_graph(path: str) -> Graph:
@@ -67,7 +47,7 @@ class _IOFailure(Exception):
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    cfg = PipelineConfig(t=args.t, trial_cap=args.trial_cap, seed=args.seed,
+    cfg = PipelineConfig(t=args.t, trial_cap=args.trial_cap,
                          force_branch=args.force_branch)
     report = min_kcut(g, args.k, cfg)
     # Independent re-validation before printing.
@@ -89,7 +69,6 @@ def cmd_oracle(args) -> int:
         "components": sorted(map(list, cut.parts())),
         "method": "oracle",
         "branch": None,
-        "seed": None,
         "stats": {},
     }
     json.dump(doc, sys.stdout, indent=2)
@@ -121,65 +100,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    rows = get_suite(args.suite, args.seed)
-    cfg = PipelineConfig(seed=args.seed, trial_cap=args.trial_cap)
-    out_rows = []
-    any_disagree = False
-    for idx, row in enumerate(rows):
-        log.info("bench row %d: %s (n=%d, k=%d)", idx, row.name,
-                 row.graph.n, row.k)
-        t0 = time.perf_counter()
-        report = min_kcut(row.graph, row.k, cfg)
-        elapsed = time.perf_counter() - t0
-        # Agreement is recomputed from the raw graph, never trusted from
-        # either solver's self-reported value.
-        pipeline_value = cut_value(row.graph, report.cut)
-        agree = None
-        if row.oracle_value is not None:
-            agree = pipeline_value == row.oracle_value
-            if not agree:
-                any_disagree = True
-        out_rows.append({
-            "row": idx,
-            "name": row.name,
-            "n": row.graph.n,
-            "m": len(row.graph.edges),
-            "k": row.k,
-            "branch": report.branch,
-            "pipeline_value": pipeline_value,
-            "oracle_value": row.oracle_value,
-            "agree": agree,
-            "fallback": report.fallback,
-            "seconds": round(elapsed, 4),
-        })
-
-    fields = ["row", "name", "n", "m", "k", "branch", "pipeline_value",
-              "oracle_value", "agree", "fallback", "seconds"]
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-    writer.writeheader()
-    for r in out_rows:
-        writer.writerow(r)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump({"suite": args.suite, "seed": args.seed,
-                           "rows": out_rows}, fh, indent=2)
-        except OSError as exc:
-            raise _IOFailure(f"cannot write {args.out}: {exc}")
-    return EXIT_DISAGREEMENT if any_disagree else EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="kcut", description="minimum k-cut solver and benchmark harness")
+        prog="kcut", description="minimum k-cut solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the full pipeline")
     p_solve.add_argument("--graph", required=True)
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--seed", type=int, default=0,
-                         help="reported in the output; the solver is deterministic")
     p_solve.add_argument("--force-branch", choices=["exact", "sparsify"],
                          default=None)
     p_solve.add_argument("--trial-cap", type=int, default=100_000,
@@ -209,18 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--islands", type=int)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark suite")
-    p_bench.add_argument("--suite", required=True,
-                         choices=["small", "planted", "stress"])
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", help="JSON output path")
-    p_bench.add_argument("--trial-cap", type=int, default=100_000)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

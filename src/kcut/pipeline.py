@@ -6,10 +6,9 @@ solver (which then returns the 2-approximate cut at once); large ones go
 through partition contraction, per-island-count border enumeration, and
 island extension, with the 2-approximate cut always kept as a safety floor.
 Round i lists the (k - i)-cuts of the contracted graph of value at most
-floor(beta_i * lambda_bar) exactly (see ``borders``), so the result does
-not depend on ``PipelineConfig.seed``.  Island extension is capped at the
-best value found so far, so it only searches for cuts that could still
-replace it.
+floor(beta_i * lambda_bar) exactly (see ``borders``).  Island extension
+is capped at the best value found so far, so it only searches for cuts that
+could still replace it.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .borders import BorderParams, default_trials, enumerate_borders, tau_for
+from .borders import BorderParams, default_trials, enumerate_borders
 from .graph import (Graph, GraphError, InvalidCutError, KCut, canonical_labels,
                     connected_components, contract)
 from .islands import extend_border
@@ -39,7 +38,6 @@ NODE_BUDGET = 200_000
 class PipelineConfig:
     t: int = 2                      # exact-algorithm exponent knob
     trial_cap: int = 100_000        # caps the candidates a border round keeps
-    seed: int = 0                   # accepted and reported; has no effect
     force_branch: Optional[str] = None   # "exact" | "sparsify"
     node_budget: int = NODE_BUDGET  # search nodes a border round may expand
 
@@ -60,7 +58,6 @@ class SolveReport:
     branch: str                      # disconnected | exact | sparsify
     fallback: bool
     lambda_bar: Optional[int]
-    seed: int
     partition_stats: Optional[dict] = None
     border_stats: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -74,7 +71,6 @@ class SolveReport:
             "branch": self.branch,
             "fallback": self.fallback,
             "lambda_bar": self.lambda_bar,
-            "seed": self.seed,
             "stats": {
                 "partition": self.partition_stats,
                 "borders": self.border_stats,
@@ -103,8 +99,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
         cut = _zero_value_kcut(g, k, comps)
         timings["total"] = time.perf_counter() - t0
         return SolveReport(k=k, value=0, cut=cut, branch="disconnected",
-                           fallback=False, lambda_bar=None, seed=cfg.seed,
-                           timings=timings)
+                           fallback=False, lambda_bar=None, timings=timings)
 
     sv_cut = sv_2approx(g, k)
     lambda_bar = sv_cut.value
@@ -123,8 +118,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
         timings["exact"] = time.perf_counter() - t0 - timings["approx"]
         timings["total"] = time.perf_counter() - t0
         return SolveReport(k=k, value=cut.value, cut=cut, branch="exact",
-                           fallback=False, lambda_bar=lambda_bar, seed=cfg.seed,
-                           timings=timings)
+                           fallback=False, lambda_bar=lambda_bar, timings=timings)
 
     t1 = time.perf_counter()
     partition, kt_report = kt_partition(g, k, lambda_bar)
@@ -133,7 +127,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
 
     best_key = (sv_cut.value, sv_cut.canonical_key())
     best_cut = sv_cut
-    random_best: Optional[KCut] = None
+    border_best: Optional[KCut] = None
     border_stats = []
     lam = stoer_wagner_mincut(g)[0]   # memoised by sv_2approx
     log2n = math.log2(g.n) if g.n >= 2 else 1.0
@@ -146,7 +140,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
         # the (value, labels) order of canonical labels, so no candidate can
         # beat the first: the round lists only its cheapest cuts, and extends
         # the first of them.
-        params = BorderParams(s=s, beta=beta, trials=trials, lam=lam,
+        params = BorderParams(s=s, trials=trials, lam=lam,
                               budget=cfg.node_budget, cheapest=i == 0)
         max_border = math.floor(beta * lambda_bar)
         candidates = enumerate_borders(gc, params, max_value=max_border)
@@ -154,9 +148,9 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
         for cand in candidates:
             if cand.value > best_key[0]:
                 break
-            lifted_labels = canonical_labels(
-                tuple(cand.labels[cmap[v]] for v in range(g.n)))
-            lifted = KCut.from_labels(g, lifted_labels, s)
+            # contract numbers blocks by their least vertex, so the gather
+            # lifts a canonical labelling of gc to a canonical one of g.
+            lifted = KCut.from_labels(g, tuple(cand.labels[c] for c in cmap), s)
             # Inclusive cap: an equal value with a smaller key still wins.
             ext = extend_border(g, lifted, i, max_value=best_key[0])
             extended += 1
@@ -166,21 +160,21 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
             if key < best_key:
                 best_key = key
                 best_cut = ext
-            if random_best is None or ext.value < random_best.value:
-                random_best = ext
+            if border_best is None or ext.value < border_best.value:
+                border_best = ext
             if i == 0:
                 break
         border_stats.append({
-            "i": i, "s": s, "beta": beta, "tau": tau_for(beta, k), "trials": trials,
+            "i": i, "s": s, "beta": beta, "trials": trials,
             "candidates": len(candidates), "extended": extended,
             "truncated": candidates.truncated,
         })
     timings["borders"] = time.perf_counter() - t2
     timings["total"] = time.perf_counter() - t0
 
-    fallback = random_best is None or random_best.value > sv_cut.value
+    fallback = border_best is None or border_best.value > sv_cut.value
     final = KCut.from_labels(g, canonical_labels(best_cut.labels), k)
     return SolveReport(k=k, value=final.value, cut=final, branch="sparsify",
-                       fallback=fallback, lambda_bar=lambda_bar, seed=cfg.seed,
+                       fallback=fallback, lambda_bar=lambda_bar,
                        partition_stats=kt_report, border_stats=border_stats,
                        timings=timings)

@@ -5,7 +5,8 @@ union-find of the one-edge-at-a-time references (Karger contraction, the
 forest passes, connected components), a scalar random s-cut, the listing of
 every k-cut within a bound that the partition search's list mode must
 reproduce, the cut-survival test of a contraction map, Wilson score bounds,
-the classical integer matmul, and the border bookkeeping of a k-cut.
+the classical integer matmul, the border bookkeeping of a k-cut, and two
+fixed instance sets with known optima.
 """
 from __future__ import annotations
 
@@ -17,7 +18,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from kcut.generators import (certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph,
+                             planted_instance)
 from kcut.graph import Graph, GraphError, KCut, VertexPartition, canonical_labels
+from kcut.oracle import brute_force_min_kcut
 from kcut.rng import SplitMix64
 
 
@@ -203,3 +207,37 @@ def border_agrees(g: Graph, border: Border, partition: VertexPartition) -> bool:
         if labels[u] != labels[v] and index[u] == index[v]:
             return False
     return True
+
+
+def small_instances() -> list:
+    """(graph, k, optimum) for cycles, clique chains and G(n, p), n <= 12,
+    with the optimum from the exhaustive oracle."""
+    cases = [(cycle_graph(6), 3), (cycle_graph(8), 2), (cycle_graph(12), 4),
+             (cliques_bridge(5, 2, 1), 2), (cliques_bridge(5, 2, 1), 3),
+             (cliques_bridge(4, 3, 1), 3)]
+    seed = 1000
+    for n in (8, 10, 12):
+        for p in (0.3, 0.5, 0.8):
+            for k in (2, 3):
+                cases.append((gnp_graph(n, p, seed), k))
+                seed += 1
+    return [(g, k, brute_force_min_kcut(g, k).value) for g, k in cases]
+
+
+def planted_instances() -> list:
+    """(graph, k, optimum) for planted clusters, n <= 60: per shape, the
+    first instance among 100 seeds whose optimum ``certified_min_kcut``
+    certifies."""
+    shapes = [(2, 8, 0.9, 0.05, 0), (2, 12, 0.85, 0.03, 1), (3, 8, 0.9, 0.02, 0),
+              (3, 10, 0.9, 0.02, 1), (4, 10, 0.95, 0.01, 0), (4, 10, 0.9, 0.01, 2)]
+    out = []
+    for idx, (k, size, p_in, p_out, islands) in enumerate(shapes):
+        for attempt in range(100):
+            g, info = planted_instance(k, size, p_in, p_out, islands, seed=100 * idx + attempt)
+            cert = certified_min_kcut(g, info, k)
+            if cert is not None:
+                out.append((g, k, cert[0]))
+                break
+        else:
+            raise RuntimeError("no certifiable planted instance found")
+    return out

@@ -21,14 +21,13 @@ from kcut import (
     solve_r_island,
     sv_2approx,
 )
-from kcut.borders import tau_for
 from kcut.generators import cliques_bridge, cycle_graph, gnp_graph
 from kcut.islands import matmul_strassen
 from kcut.pipeline import PipelineConfig
-from kcut.suites import get_suite
 
 import islands_reference
-from helpers import border_agrees, borders_of_cut, cut_survives, matmul_cubic, wilson_upper
+from helpers import (border_agrees, borders_of_cut, cut_survives, matmul_cubic,
+                     planted_instances, small_instances, wilson_upper)
 
 
 def _report(num, name, ok, detail, elapsed, budget):
@@ -50,10 +49,10 @@ def test_acceptance_1_end_to_end_oracle_equivalence():
         k = min(k, g.n)
         oracle = brute_force_min_kcut(g, k).value
         rep = min_kcut(g, k, PipelineConfig(force_branch="sparsify",
-                                            trial_cap=100_000, seed=i))
+                                            trial_cap=100_000))
         if rep.value == oracle:
             sparsify_hits += 1
-        rep_exact = min_kcut(g, k, PipelineConfig(force_branch="exact", seed=i))
+        rep_exact = min_kcut(g, k, PipelineConfig(force_branch="exact"))
         if rep_exact.value == oracle:
             exact_hits += 1
     elapsed = time.perf_counter() - t0
@@ -96,12 +95,13 @@ def test_acceptance_2_sparsifier_preservation():
 
 def test_acceptance_3_contraction_survival():
     t0 = time.perf_counter()
-    # Classical specialization: contract to tau = 4 (the tau formula at
-    # beta=0, k=2).  The survival-probability lower bound C(tau,2)/C(16,2)
-    # is EXACTLY attained on a cycle, so the 95%-confidence check is that
-    # the observed frequency does not refute the bound: the Wilson upper
-    # endpoint must reach it (and the lower endpoint must not be far below).
-    tau = tau_for(0.0, 2)
+    # Classical specialization: contract to tau = 4, the paper's
+    # ceil(8 * beta * k^2 + 2k) at beta = 0, k = 2.  The survival-probability
+    # lower bound C(tau,2)/C(16,2) is EXACTLY attained on a cycle, so the
+    # 95%-confidence check is that the observed frequency does not refute the
+    # bound: the Wilson upper endpoint must reach it (and the lower endpoint
+    # must not be far below).
+    tau = 4
     bound = math.comb(tau, 2) / math.comb(16, 2)
     results = []
     for name, g, labels in [
@@ -204,34 +204,31 @@ def test_acceptance_5_partition_border_property():
 def test_acceptance_6_stage_postconditions():
     t0 = time.perf_counter()
     runs = 0
-    for suite in ("small", "planted"):
-        for row in get_suite(suite, seed=0):
-            g, k = row.graph, row.k
-            lam_bar = sv_2approx(g, k).value
-            if lam_bar < 1:
-                continue  # disconnected instances never reach the partitioner
-            # kt_partition checks trim/shave/shatter postconditions, exact
-            # expander certification <= 16 vertices, and the edge budget.
-            kt_partition(g, k, lam_bar)
-            runs += 1
+    for g, k, _ in small_instances() + planted_instances():
+        lam_bar = sv_2approx(g, k).value
+        if lam_bar < 1:
+            continue  # disconnected instances never reach the partitioner
+        # kt_partition checks trim/shave/shatter postconditions, exact
+        # expander certification <= 16 vertices, and the edge budget.
+        kt_partition(g, k, lam_bar)
+        runs += 1
     elapsed = time.perf_counter() - t0
     _report(6, "partition stage postconditions", runs > 0,
-            f"{runs} suite instances validated (thresholds, expanders, edge budget)",
+            f"{runs} small and planted instances validated (thresholds, expanders, edge budget)",
             elapsed, 300)
 
 
 def test_acceptance_7_approximation_guarantee():
     t0 = time.perf_counter()
     bad = 0
-    rows = get_suite("small", seed=0)
-    for row in rows:
-        approx = sv_2approx(row.graph, row.k).value
-        if not row.oracle_value <= approx <= 2 * (1 - 1 / row.k) * row.oracle_value \
-           and not approx == row.oracle_value == 0:
+    rows = small_instances()
+    for g, k, opt in rows:
+        approx = sv_2approx(g, k).value
+        if not opt <= approx <= 2 * (1 - 1 / k) * opt and not approx == opt == 0:
             bad += 1
     elapsed = time.perf_counter() - t0
     _report(7, "2(1-1/k) approximation guarantee", bad == 0,
-            f"{len(rows)} suite-small instances, {bad} bound violations",
+            f"{len(rows)} small instances, {bad} bound violations",
             elapsed, 120)
 
 

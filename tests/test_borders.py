@@ -19,7 +19,6 @@ from kcut import (
     default_trials,
     enumerate_borders,
     stoer_wagner_mincut,
-    tau_for,
 )
 import kcut.borders
 import kcut.oracle
@@ -348,13 +347,6 @@ def test_random_s_cut_infeasible():
 
 # ---------------------------------------------------------------- parameters
 
-def test_tau_formula():
-    assert tau_for(1.0, 2) == 8 * 4 + 4
-    assert tau_for(0.0, 2) == 4
-    assert tau_for(0.5, 3) == math.ceil(8 * 0.5 * 9 + 6)
-    assert tau_for(1.0, 3) >= 2 * 3
-
-
 def test_default_trials():
     assert default_trials(10, 1.0, 2, cap=100_000) == math.ceil(100 * math.log(10))
     assert default_trials(10, 1.0, 3, cap=50) == 50
@@ -411,7 +403,7 @@ def test_default_trials_never_overflows(n, beta, k, cap):
 # ----------------------------------------------------------- enumerate_borders
 
 def _params(s, trials=100_000, lam=0, budget=-1):
-    return BorderParams(s=s, beta=1.0, trials=trials, lam=lam, budget=budget)
+    return BorderParams(s=s, trials=trials, lam=lam, budget=budget)
 
 
 def _listed(g, s, max_value=None):
@@ -494,7 +486,7 @@ def test_fast_path_equals_slow_path(contracted):
             assert enumerate_borders(g, _params(s, lam=lam), max_value) == want
             assert enumerate_borders(g, _params(s), max_value) == want
             # the cheapest listing keeps the cuts of the least value
-            cheapest = BorderParams(s=s, beta=1.0, trials=100_000, lam=lam, cheapest=True)
+            cheapest = BorderParams(s=s, trials=100_000, lam=lam, cheapest=True)
             assert enumerate_borders(g, cheapest, max_value) == \
                 [c for c in want if c.value == want[0].value]
 

@@ -18,7 +18,7 @@ def c6_path(tmp_path):
 
 
 def test_solve_json(c6_path, capsys):
-    assert main(["solve", "--graph", c6_path, "--k", "3", "--seed", "7"]) == 0
+    assert main(["solve", "--graph", c6_path, "--k", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["k"] == 3
     assert doc["value"] == 3
@@ -71,17 +71,7 @@ def test_solve_value_disagreeing_with_cut_is_invariant_error(c6_path, capsys, mo
     assert "solver invariant violated" in capsys.readouterr().err
 
 
-def test_bench_small(tmp_path, capsys):
-    out = str(tmp_path / "bench.json")
-    code = main(["bench", "--suite", "small", "--seed", "7", "--out", out])
-    captured = capsys.readouterr().out
-    assert code == 0
-    lines = captured.strip().splitlines()
-    header = lines[0].split(",")
-    assert {"name", "pipeline_value", "oracle_value", "agree", "seconds"} <= set(header)
-    agree_idx = header.index("agree")
-    for line in lines[1:]:
-        assert line.split(",")[agree_idx] == "True"
-    doc = json.loads(open(out).read())
-    assert doc["suite"] == "small"
-    assert all(r["agree"] for r in doc["rows"])
+def test_bench_and_solve_seed_are_gone(c6_path, capsys):
+    # perfbench is the one benchmark, and the solver draws nothing at random.
+    assert main(["bench", "--suite", "small"]) == 1
+    assert main(["solve", "--graph", c6_path, "--k", "3", "--seed", "7"]) == 1

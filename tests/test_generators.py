@@ -12,7 +12,6 @@ from kcut import (
     gnp_graph,
     planted_instance,
 )
-from kcut.suites import get_suite
 
 
 def test_cycle():
@@ -86,15 +85,3 @@ def test_certificate_matches_brute_force_at_desk_scale():
             break
     assert checked >= 8
 
-
-def test_suites_exist():
-    small = get_suite("small", seed=0)
-    assert all(row.graph.n <= 12 for row in small)
-    assert all(row.oracle_value is not None for row in small)
-    planted = get_suite("planted", seed=0)
-    assert all(row.graph.n <= 60 for row in planted)
-    assert all(row.oracle_value is not None for row in planted)
-    stress = get_suite("stress", seed=0)
-    assert all(row.oracle_value is None for row in stress)
-    with pytest.raises(ValueError):
-        get_suite("bogus")

@@ -1,8 +1,10 @@
 """Source-level rules for the library."""
+import argparse
 import ast
 from pathlib import Path
 
 import kcut
+from kcut.cli import build_parser
 
 SRC = Path(kcut.__file__).parent
 
@@ -55,3 +57,13 @@ def test_every_library_function_has_a_caller():
                 if not (func.startswith("__") and func.endswith("__"))
                 and func not in kcut.__all__ and func not in referenced]
     assert uncalled == []
+
+
+def test_readme_cli_block_names_every_subcommand():
+    # The README's CLI block shows one `kcut <subcommand>` line per
+    # subcommand, so adding or removing one must update it.
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("kcut ")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)

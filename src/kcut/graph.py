@@ -6,13 +6,16 @@ Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 after construction and every operation is a pure function.
 
 A graph's edges live in one of two forms, and the other is built from it on
-first use and then kept.  A graph built as ``Graph(n=, edges=, simple=)``
-(``from_edges``, ``parse_graph`` and the generators do) holds the tuple of
-(u, v, w) triples; its read-only (m, 3) int64 ``edge_array`` costs one
-``np.fromiter`` pass.  Every graph this library derives (``induced_subgraph``,
-``contract``, ``ni_sparsify``'s forest union) is built from arrays and holds
-only ``edge_array``; its ``edges`` tuple is built only when a Python loop asks
-for it (the exact search, the forests, the oracles, the CLI).  Equality and
+first use and then kept.  ``from_edges`` (hence ``parse_graph`` and the
+generators) checks its entries as one int64 array (Python ints past int64),
+sorts the (lo, hi) pairs stably by lo * n + hi and sums each pair's weights
+with ``np.add.reduceat`` (in Python ints if a sum could pass int64).  Its
+graph holds the tuple of (u, v, w) triples, zipped from the three columns; its
+read-only (m, 3) int64 ``edge_array`` costs one ``np.fromiter`` pass.  Every
+graph this library derives (``induced_subgraph``, ``contract``,
+``ni_sparsify``'s forest union) is built from arrays and holds only
+``edge_array``; its ``edges`` tuple is built only when a Python loop asks for
+it (the exact search, the forests, the oracles, the CLI).  Equality and
 hashing go by (n, edges, simple) in either form.  Total weight, degrees and
 cut values are numpy reductions over ``edge_array``, in int64 only where
 ``total_weight <= MAX_WEIGHT`` bounds every such sum, and in Python ints
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,9 +59,9 @@ class Graph:
     """Undirected weighted graph; one entry per unordered pair, sorted by (u, v).
 
     ``simple`` is true iff every stored weight is 1 (i.e. the input had no
-    duplicate pairs and no weight above 1).  ``Graph(n=, edges=, simple=)``
-    takes the edge tuple as given; the graphs this module derives hold only
-    ``edge_array`` and build ``edges`` on demand (see the module docstring).
+    duplicate pairs and no weight above 1).  ``Graph(n=, edges=, simple=)``,
+    as ``from_edges`` calls it, holds the edge tuple as given; the graphs this
+    module derives hold only ``edge_array`` (see the module docstring).
     Immutable; equal and hashed by (n, edges, simple).
     """
 
@@ -95,35 +99,57 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple]) -> "Graph":
-        """Build a graph from (u, v) or (u, v, w) entries, merging duplicates."""
+        """Build a graph from (u, v) or (u, v, w) entries of integers (a bool
+        is one), merging duplicates.  A self-loop, a vertex id outside 0..n-1,
+        a weight below 1, a merged weight above MAX_WEIGHT and an entry that is
+        not two or three integers raise GraphError for the first such entry."""
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        merged: dict = {}
-        for entry in pairs:
-            if len(entry) == 2:
-                u, v = entry
-                w = 1
-            else:
-                u, v, w = entry
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"vertex id out of range in edge ({u}, {v})")
-            if w < 1:
-                raise GraphError(f"edge weight must be positive, got {w}")
-            key = (u, v) if u < v else (v, u)
-            total = merged.get(key, 0) + w
-            if total > MAX_WEIGHT:
-                raise GraphError(f"edge weight {total} overflows the 64-bit weight budget")
-            merged[key] = total
-        edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
-        simple = all(w == 1 for _, _, w in edges)
-        return Graph(n=n, edges=edges, simple=simple)
+        rows = entries = list(pairs)
+        m = len(entries)
+        try:
+            sizes = set(map(len, entries))
+            if sizes - {2, 3}:
+                raise TypeError
+            if len(sizes) > 1:   # pad each (u, v) entry with w = 1
+                rows = list(zip(*zip_longest(*entries, fillvalue=1)))
+            width = max(sizes, default=3)
+            try:
+                arr = np.fromiter(map(index, chain.from_iterable(rows)), np.int64, width * m)
+            except OverflowError:   # a value past int64: compare in Python ints
+                arr = np.fromiter(map(index, chain.from_iterable(rows)), object, width * m)
+        except TypeError:
+            i = next(i for i, e in enumerate(entries) if len(e) not in (2, 3)
+                     or not all(isinstance(x, (int, np.integer)) for x in e))
+            Graph.from_edges(n, entries[:i])   # an error before entry i comes first
+            raise GraphError(f"edge entry {entries[i]!r} is not two or three integers") from None
+        u, v, w = (*arr.reshape(m, width).T, np.ones(m, np.int64))[:3]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        loop, out, light = u == v, (lo < 0) | (hi >= n), w < 1
+        stop = int(min(np.flatnonzero(loop | out | light), default=m))   # rows before it are valid
+        key = lo[:stop].astype(object if n * n > MAX_WEIGHT else lo.dtype) * n + hi[:stop]
+        order = key.argsort(kind="stable")   # each pair's rows stay in input order
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        ws = w[order]   # pairs whose merged weight could pass int64 sum in Python ints
+        ws = ws.astype(object) if stop * int(ws.max(initial=0)) > MAX_WEIGHT else ws
+        merged = np.add.reduceat(ws, starts)
+        if ws.dtype == object and max(merged, default=0) > MAX_WEIGHT:
+            run = np.cumsum(ws)   # each pair's running total, in input order
+            run -= np.repeat(np.r_[0, run][starts], np.diff(np.r_[starts, stop]))
+            j = np.where(run > MAX_WEIGHT, order, m).argmin()
+            raise GraphError(f"edge weight {run[j]} overflows the 64-bit weight budget")
+        if stop < m:
+            u, v, w = (*entries[stop], 1)[:3]
+            raise GraphError(f"self-loop at vertex {u}" if loop[stop] else
+                             f"vertex id out of range in edge ({u}, {v})" if out[stop] else
+                             f"edge weight must be positive, got {w}")
+        edges = tuple(zip(lo[order][starts].tolist(), hi[order][starts].tolist(), merged.tolist()))
+        return Graph(n=n, edges=edges, simple=bool((merged == 1).all()))
 
     @cached_property
     def edges(self) -> tuple:
         """The edges as a tuple of (u, v, w) triples, u < v, sorted."""
-        return tuple(map(tuple, self.edge_array.tolist()))
+        return tuple(zip(*(c.tolist() for c in self.edge_array.T)))
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -211,7 +237,7 @@ def parse_graph(text: str) -> Graph:
             vals = [int(p) for p in parts]
         except ValueError:
             raise ParseError(f"malformed edge at line {lineno}: expected integers") from None
-        entries.append((lineno, vals))
+        entries.append((lineno, (*vals, 1)[:3]))   # "u v" has weight 1
     if header is None:
         raise ParseError("empty document: missing 'n m' header")
     n, m = header
@@ -219,16 +245,14 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"malformed header at line {header_line}: negative count")
     if len(entries) != m:
         raise ParseError(f"header at line {header_line} promises {m} edges, found {len(entries)}")
-    for lineno, vals in entries:
-        u, v = vals[0], vals[1]
-        w = vals[2] if len(vals) == 3 else 1
+    for lineno, (u, v, w) in entries:
         if u == v:
             raise ParseError(f"self-loop at line {lineno}")
         if w < 1:
             raise ParseError(f"nonpositive weight at line {lineno}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex id out of range at line {lineno}")
-    return Graph.from_edges(n, (vals for _, vals in entries))
+    return Graph.from_edges(n, [e for _, e in entries])
 
 
 def graph_to_text(g: Graph) -> str:

@@ -1,6 +1,7 @@
 """Reference helpers the tests check the library against.
 
-Nothing in the library calls these: per-subset conductance, the scalar
+Nothing in the library calls these: the per-entry merge loop that
+``Graph.from_edges`` must reproduce, per-subset conductance, the scalar
 union-find of the one-edge-at-a-time references (Karger contraction, the
 forest passes, connected components), a scalar random s-cut, the listing of
 every k-cut within a bound that the partition search's list mode must
@@ -20,9 +21,38 @@ import numpy as np
 
 from kcut.generators import (certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph,
                              planted_instance)
-from kcut.graph import Graph, GraphError, KCut, VertexPartition, canonical_labels
+from kcut.graph import MAX_WEIGHT, Graph, GraphError, KCut, VertexPartition, canonical_labels
 from kcut.oracle import brute_force_min_kcut
 from kcut.rng import SplitMix64
+
+
+def from_edges_reference(n: int, pairs: Iterable[tuple]) -> Graph:
+    """Build a graph from (u, v) or (u, v, w) entries one entry at a time,
+    merging duplicates in a dict and raising GraphError at the first
+    offending entry."""
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    merged: dict = {}
+    for entry in pairs:
+        if len(entry) == 2:
+            u, v = entry
+            w = 1
+        else:
+            u, v, w = entry
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"vertex id out of range in edge ({u}, {v})")
+        if w < 1:
+            raise GraphError(f"edge weight must be positive, got {w}")
+        key = (u, v) if u < v else (v, u)
+        total = merged.get(key, 0) + w
+        if total > MAX_WEIGHT:
+            raise GraphError(f"edge weight {total} overflows the 64-bit weight budget")
+        merged[key] = total
+    edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
+    simple = all(w == 1 for _, _, w in edges)
+    return Graph(n=n, edges=edges, simple=simple)
 
 
 def conductance(g: Graph, s: Iterable[int]):

@@ -1,4 +1,6 @@
 """Instance generators and planted-optimum certification."""
+import hashlib
+
 import pytest
 
 from kcut import (
@@ -10,8 +12,29 @@ from kcut import (
     cycle_graph,
     gen_instance,
     gnp_graph,
+    graph_to_text,
     planted_instance,
 )
+from kcut.generators import complete_graph
+
+# sha256 of graph_to_text at fixed seeds, taken from the per-entry merge loop
+# that Graph.from_edges replaced; a change here changes every seeded instance.
+PINNED_TEXT_SHA256 = [
+    (lambda: gnp_graph(30, 0.3, 7), "7a3ba25e16dbbe43e7b2b48b3754a48864fea416bc2520f9f131c5a7cfa986b3"),
+    (lambda: gnp_graph(100, 0.8, 1), "a6947dd4fffce77815614c94880f94974c11c134cfac0b907392f13ec43d88ab"),
+    (lambda: planted_instance(3, 10, 0.9, 0.05, 2, seed=4)[0],
+     "3a76f8e8ea6dfe0501edf73a7519e376f8a860afa4fae3878f16833409389535"),
+    (lambda: planted_instance(4, 20, 0.9, 0.01, 3, seed=11)[0],
+     "d2ba4cc31e291f796c36a4f1598301319e36bb34459b6cb1bfb9c73d77c939a1"),
+    (lambda: cliques_bridge(5, 4, 2), "644a37e018861a6ca0258487f7924bef10ae1647990419f790e7fb0ef4448d5c"),
+    (lambda: cycle_graph(12), "cebcf76978fc31868a9ea4152fd7d1180e35d4ee1430855a030f54ba3e7cc696"),
+    (lambda: complete_graph(7), "51ac8588af7eae34e8cc91650d0b3eb8146ae2ecb8f5218311140fa1ac6b711d"),
+]
+
+
+@pytest.mark.parametrize("make, digest", PINNED_TEXT_SHA256)
+def test_generator_output_is_pinned(make, digest):
+    assert hashlib.sha256(graph_to_text(make()).encode()).hexdigest() == digest
 
 
 def test_cycle():

@@ -26,7 +26,7 @@ from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_gr
 from kcut.graph import MAX_WEIGHT, component_roots, weight_matrix
 from kcut.sparsify import forest_decomposition, ni_sparsify
 
-from helpers import conductance, union_find
+from helpers import conductance, from_edges_reference, union_find
 
 
 # ---------------------------------------------------------------- strategies
@@ -369,6 +369,100 @@ def test_graph_invariants():
         Graph.from_edges(2, [(0, 1, 0)])
     with pytest.raises(GraphError):
         Graph.from_edges(1, [(0, 1)])
+
+
+# ------------------------------------------------- from_edges against the loop
+
+# Entries that fail one check of the per-entry loop: self-loops, ids out of
+# range (also past int64) and weights below 1 (also past int64).
+BAD_ENTRIES = [(1, 1), (2, 2, 3), (0, 9), (-1, 0, 2), (0, 1, 0), (1, 0, -5),
+               (0, 2**70), (2**70, 2**70), (0, 1, -2**70), (9, 9, 0)]
+
+
+@st.composite
+def entry_lists(draw):
+    """(n, entries): valid (u, v) and (u, v, w) entries in both orientations,
+    with repeats, weights that merge to MAX_WEIGHT, past it or nowhere near,
+    and sometimes a bad entry (then maybe more valid ones) after them."""
+    n = draw(st.integers(0, 6))
+    weights = st.one_of(st.integers(1, 3), st.integers(MAX_WEIGHT // 2 - 1, MAX_WEIGHT // 2 + 1),
+                        st.integers(MAX_WEIGHT - 2, 2**63 + 1), st.integers(1, MAX_WEIGHT))
+    valid = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    entry = st.one_of(valid, st.tuples(valid, weights).map(lambda e: (*e[0], e[1])))
+    entries = draw(st.lists(entry, max_size=12)) if n >= 2 else []
+    if draw(st.booleans()):
+        entries.append(draw(st.sampled_from(BAD_ENTRIES)))
+        entries += draw(st.lists(entry, max_size=3)) if n >= 2 else []
+    return n, entries
+
+
+def assert_builds_like_the_loop(n, make_pairs):
+    """from_edges(n, make_pairs()) equals the loop's graph, or raises its
+    GraphError with its message."""
+    try:
+        want = from_edges_reference(n, make_pairs())
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            Graph.from_edges(n, make_pairs())
+        assert type(got.value) is GraphError and str(got.value) == str(exc)
+        return
+    got = Graph.from_edges(n, make_pairs())
+    assert_same_graph(got, want)
+    assert all(type(x) is int for e in got.edges for x in e)
+
+
+@given(entry_lists(), st.sampled_from(["list", "generator", "set"]))
+@settings(max_examples=300, deadline=None)
+def test_from_edges_matches_the_loop(case, container):
+    n, entries = case
+    if container == "set":
+        frozen = set(entries)   # one set object: both sides iterate it in one order
+        assert_builds_like_the_loop(n, lambda: frozen)
+    else:
+        wrap = list if container == "list" else iter
+        assert_builds_like_the_loop(n, lambda: wrap(entries))
+
+
+@pytest.mark.parametrize("entries", [
+    [(0, 1, MAX_WEIGHT - 1), (1, 0)],                        # merges to MAX_WEIGHT
+    [(0, 1, MAX_WEIGHT - 1), (2, 1, 5), (1, 0, 2)],          # to MAX_WEIGHT + 1
+    [(0, 1, MAX_WEIGHT), (1, 2, MAX_WEIGHT), (0, 2, 7)],     # the total passes int64
+    [(1, 2, MAX_WEIGHT), (2, 1), (0, 0)],                    # overflow before the self-loop
+    [(2, 1), (1, 2, 3), (0, 2)],                             # mixed (u, v) and (u, v, w)
+    [(0, 1, 2**63)], [(0, 1, 2**62), (1, 0, 2**62)], [],
+])
+def test_from_edges_merges_like_the_loop(entries):
+    assert_builds_like_the_loop(3, lambda: entries)
+
+
+def test_from_edges_with_pair_keys_past_int64():
+    # lo * n + hi passes int64 once n * n does.
+    assert_builds_like_the_loop(2**40, lambda: [(2**39, 2**39 + 1), (5, 6), (2**38, 3), (6, 5, 2)])
+
+
+def test_from_edges_without_vertices_or_edges():
+    assert_same_graph(Graph.from_edges(0, []), Graph(n=0, edges=(), simple=True))
+    assert_same_graph(Graph.from_edges(4, iter([])), Graph(n=4, edges=(), simple=True))
+    assert_builds_like_the_loop(0, lambda: [(0, 1)])
+    with pytest.raises(GraphError, match="nonnegative"):
+        Graph.from_edges(-1, [])
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 1.5), (0, 1, 2.0), (0.0, 1), ("0", 1), (0, 1, None),
+                                   (0,), (0, 1, 1, 1), (0, 1, np.float64(1))])
+def test_from_edges_rejects_non_integer_entries(entry):
+    with pytest.raises(GraphError, match="is not two or three integers"):
+        Graph.from_edges(3, [(1, 2), entry])
+    # An earlier bad entry is still the one reported.
+    with pytest.raises(GraphError, match="self-loop at vertex 2"):
+        Graph.from_edges(3, [(0, 1), (2, 2), entry])
+
+
+def test_from_edges_returns_python_ints():
+    g = Graph.from_edges(3, [(np.int64(2), np.int32(0), np.uint8(4)), (True, 2)])
+    assert g.edges == ((0, 2, 4), (1, 2, 1))
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert Graph.from_edges(2, [(False, True)]) == Graph.from_edges(2, [(0, 1)])
 
 
 # ---------------------------------------------------------------- induced

@@ -47,8 +47,7 @@ class _IOFailure(Exception):
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    cfg = PipelineConfig(t=args.t, trial_cap=args.trial_cap,
-                         force_branch=args.force_branch)
+    cfg = PipelineConfig(trial_cap=args.trial_cap, force_branch=args.force_branch)
     report = min_kcut(g, args.k, cfg)
     # Independent re-validation before printing.
     recomputed = cut_value(g, report.cut)
@@ -112,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None)
     p_solve.add_argument("--trial-cap", type=int, default=100_000,
                          help="the most candidates a border round keeps")
-    p_solve.add_argument("--t", type=int, default=2)
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive reference solver")

@@ -13,22 +13,21 @@ with ``np.add.reduceat`` (in Python ints if a sum could pass int64).  Its
 graph holds the tuple of (u, v, w) triples, zipped from the three columns; its
 read-only (m, 3) int64 ``edge_array`` costs one ``np.fromiter`` pass.  Every
 graph this library derives (``induced_subgraph``, ``contract``,
-``ni_sparsify``'s forest union) is built from arrays and holds only
-``edge_array``; its ``edges`` tuple is built only when a Python loop asks for
-it (the exact search, the forests, the oracles, the CLI).  Equality and
-hashing go by (n, edges, simple) in either form.  Total weight, degrees and
-cut values are numpy reductions over ``edge_array``, in int64 only where
+``ni_sparsify``'s certificate) is built from arrays and holds only
+``edge_array``; its ``edges`` tuple is built only when a Python loop asks
+for it (the exact search, the oracles, the CLI).  Equality and hashing go
+by (n, edges, simple) in either form.  Total weight, degrees and cut values
+are numpy reductions over ``edge_array``, in int64 only where
 ``total_weight <= MAX_WEIGHT`` bounds every such sum, and in Python ints
 above that.
 
-Connected components come from one labeller, ``component_roots``, used by
-``Graph.components`` (hence every solve's component check), the expander
-decomposition, Stoer-Wagner's contraction step and Karger contraction, which
-labels a whole block of trials per call, each on its own copy of the
-vertices.  It keeps every parent pointer at a lower vertex, so a root is the
-lowest vertex of its set.  The one-scan forest decomposition (``sparsify``)
-keeps one parent list per forest and runs a path-halving find and union
-inline: it probes a few forests per edge, one edge at a time.
+Connected components come from one labeller, ``component_roots``, the
+library's only union-find.  It serves ``Graph.components`` (hence every
+solve's component check), the expander decomposition, Stoer-Wagner's
+contraction step and Karger contraction, which labels a whole block of
+trials per call, each on its own copy of the vertices.  It keeps every
+parent pointer at a lower vertex, so a root is the lowest vertex of its
+set.
 """
 from __future__ import annotations
 
@@ -294,9 +293,6 @@ class KCut:
         value = (int(np.add.reduce(crossing)) if g.total_weight <= MAX_WEIGHT
                  else sum(crossing.tolist()))
         return KCut(k=k, labels=labels, value=value)
-
-    def canonical_key(self) -> tuple:
-        return canonical_labels(self.labels)
 
     def parts(self) -> tuple:
         """Vertex sets of the parts, indexed by part id."""

@@ -20,12 +20,12 @@ tie, so value and side are those of the full run.  On a dense simple graph
 Chartrand's floor, delta, holds before phase 1, and no phase runs.  Its
 result is memoised on the Graph object, and sv_2approx's first round runs
 on the input graph itself, so one solve computes the whole-graph min cut
-once and exact_min_kcut's lambda is free.
+once and exact_min_kcut's lambda is free.  ni_sparsify, the pipeline's
+Nagamochi-Ibaraki certificate, ranks the edges by one more such phase.
 """
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,35 +192,26 @@ def _kcut_search(setup: tuple, k: int, need: list, limit: int,
 
 
 def _min_kcut_search(g: Graph, k: int, order: Optional[Sequence[int]] = None,
-                     prune: bool = True, incumbent: Optional[KCut] = None,
-                     lam: int = 0) -> KCut:
+                     incumbent: Optional[KCut] = None, lam: int = 0) -> KCut:
     """The cheapest k-cut of g by ``_kcut_search`` in best mode.
 
     Vertices are assigned in ``order``, by default the memoised maximum-
     adjacency order; among cuts of the minimum value the one returned has
-    the lex-smallest label string read in that order.  With ``prune`` the
-    search skips a branch once ``partial + ceil((k - used) * lam / 2)``
-    matches or exceeds the best value so far.  With ``lam`` the global min
-    cut this is a lower bound on every completion: each unopened part holds
-    only unassigned vertices, so its boundary (at least lam) is still
-    uncounted, and an edge borders at most two such parts.  ``lam = 0`` is
-    the plain partial-weight bound.  Either way only branches that cannot
-    strictly beat the best are skipped, so the result does not depend on
-    ``lam``; without ``prune`` every partition is listed and the first
-    cheapest kept.  An ``incumbent`` cut seeds the bound and is returned
-    unchanged unless a strictly cheaper cut exists.
+    the lex-smallest label string read in that order.  The search skips a
+    branch once ``partial + ceil((k - used) * lam / 2)`` matches or exceeds
+    the best value so far.  With ``lam`` the global min cut this is a lower
+    bound on every completion: each unopened part holds only unassigned
+    vertices, so its boundary (at least lam) is still uncounted, and an edge
+    borders at most two such parts.  ``lam = 0`` is the plain partial-weight
+    bound.  Either way only branches that cannot strictly beat the best are
+    skipped, so the result does not depend on ``lam``.  An ``incumbent`` cut
+    seeds the bound and is returned unchanged unless a strictly cheaper cut
+    exists.
     """
     setup = _max_adjacency_setup(g) if order is None else _search_setup(g, order)
     best_val = incumbent.value if incumbent is not None else g.total_weight + 1
-    if prune:
-        need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
-        best = _kcut_search(setup, k, need, best_val - 1)[0]
-    else:
-        found: list = []
-        _kcut_search(setup, k, [0] * (k + 1), g.total_weight, found)
-        value, best = min(found, key=itemgetter(0), default=(best_val, None))
-        if value >= best_val:
-            best = None
+    need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
+    best = _kcut_search(setup, k, need, best_val - 1)[0]
     if best is None:
         if incumbent is not None:
             return incumbent
@@ -498,6 +489,39 @@ def _contractible(w: np.ndarray, order: np.ndarray, best: int) -> tuple:
     jj = pos[v]
     below = ii < jj
     return ii[below], jj[below]
+
+
+def ni_sparsify(g: Graph, s: int) -> Graph:
+    """Nagamochi-Ibaraki sparse certificate of simple g: its edges of rank at
+    most s, at most s*n of them, in which every k-cut of g-value <= s keeps
+    its exact crossing edge set.
+
+    An edge's rank is its q in one maximum-adjacency order of g, as
+    ``_contractible`` reads it.  The edges of rank r form a maximal spanning
+    forest of g minus the edges of lower rank (Nagamochi and Ibaraki 1992),
+    so an edge of rank above s has its ends joined in each of s edge-disjoint
+    forests, each of which then crosses every cut that the edge crosses: no
+    such cut has value <= s.  A rank is at most the degree of either end.
+
+    Degree certificate: if min(deg u, deg v) <= s for every edge (u, v), every
+    rank is at most s and g is returned.  Otherwise the result is the rows of
+    g's ``edge_array`` that one maximum-adjacency phase ranks at most s,
+    which stay sorted.
+    """
+    if not g.simple:
+        raise GraphError("ni_sparsify is defined for simple graphs")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    edges = g.edge_array
+    deg = np.bincount(edges[:, :2].ravel(), minlength=g.n)   # simple: degree = endpoint count
+    if (np.minimum(deg[edges[:, 0]], deg[edges[:, 1]]) <= s).all():
+        return g
+    w = weight_matrix(g)
+    order = np.array(_max_adjacency_phase(w)[0])
+    ii, jj = _contractible(w, order, s + 1)   # the edges of rank above s
+    a, b = order[ii], order[jj]
+    w[a, b] = w[b, a] = 0
+    return Graph._of_array(g.n, np.compress(w[edges[:, 0], edges[:, 1]] > 0, edges, axis=0), True)
 
 
 def _merge(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:

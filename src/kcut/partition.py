@@ -1,9 +1,9 @@
 """Vertex partitioning that preserves a border of every minimum k-cut.
 
-Pipeline: forest sparsification -> degree regularization -> expander
-decomposition -> trimming -> shaving -> shattering.  The surviving cores
-plus all singletons form the partition whose contraction the border-finder
-operates on.
+Pipeline: Nagamochi-Ibaraki sparsification -> degree regularization ->
+expander decomposition -> trimming -> shaving -> shattering.  The surviving
+cores plus all singletons form the partition whose contraction the
+border-finder operates on.
 
 After sparsification every stage works on one dense int64 weight matrix
 (that of the sparsified graph, then its regularized principal submatrix)
@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import Graph, GraphError, VertexPartition, component_roots, weight_matrix
-from .sparsify import ni_sparsify
+from .oracle import ni_sparsify
 
 EXACT_CONDUCTANCE_LIMIT = 16
 DECOMPOSITION_EDGE_CONST = 10

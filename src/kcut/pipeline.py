@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .borders import BorderParams, default_trials, enumerate_borders
-from .graph import (Graph, GraphError, InvalidCutError, KCut, canonical_labels,
-                    connected_components, contract)
+from .graph import Graph, GraphError, InvalidCutError, KCut, connected_components, contract
 from .islands import extend_border
 from .oracle import (_zero_value_kcut, exact_min_kcut, kcut_lower_bound,
                      stoer_wagner_mincut, sv_2approx)
 from .partition import kt_partition
 
-_THRESHOLD_CONST = 10    # lambda_bar <= 10 * n^(1/(t+1)) sends a solve to the exact branch
+_THRESHOLD_CONST = 10    # lambda_bar <= 10 * n^(1/3) sends a solve to the exact branch
 # Search nodes per border round.  The benchmark's rounds expand at most 96
 # and those of the 15 certified blown-up instances (tests/test_pipeline.py
 # runs six) at most 18,431; at 200,000 the first forced-sparsify round of
@@ -36,14 +35,11 @@ NODE_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    t: int = 2                      # exact-algorithm exponent knob
     trial_cap: int = 100_000        # caps the candidates a border round keeps
     force_branch: Optional[str] = None   # "exact" | "sparsify"
     node_budget: int = NODE_BUDGET  # search nodes a border round may expand
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
         if self.node_budget < 0:
             raise ValueError("node_budget must be >= 0")
         if self.force_branch not in (None, "exact", "sparsify"):
@@ -82,7 +78,7 @@ class SolveReport:
 def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveReport:
     """Solve minimum k-cut on a simple graph; see module docstring.
 
-    Unforced, the exact branch runs when lambda_bar <= 10 * n^(1/(t+1)) or
+    Unforced, the exact branch runs when lambda_bar <= 10 * n^(1/3) or
     when ceil(k * lambda / 2) >= lambda_bar, lambda being the global min cut
     that sv_2approx memoised on g; the second always holds at k = 2.  A
     forced branch runs whatever the bounds say.
@@ -107,7 +103,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     if lambda_bar < 1:  # zero-value cuts exited above
         raise InvalidCutError(f"2-approximation of a connected graph has value {lambda_bar}")
 
-    threshold = _THRESHOLD_CONST * g.n ** (1.0 / (cfg.t + 1))
+    threshold = _THRESHOLD_CONST * g.n ** (1 / 3)
     go_exact = cfg.force_branch == "exact" or (
         cfg.force_branch is None and (
             lambda_bar <= threshold
@@ -125,7 +121,8 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     gc, cmap = contract(g, partition)
     timings["kt"] = time.perf_counter() - t1
 
-    best_key = (sv_cut.value, sv_cut.canonical_key())
+    # Every candidate has canonical labels: sv_2approx numbers its parts by
+    # their least vertex, and extend_border canonicalizes its own.
     best_cut = sv_cut
     border_best: Optional[KCut] = None
     border_stats = []
@@ -146,19 +143,17 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
         candidates = enumerate_borders(gc, params, max_value=max_border)
         extended = 0
         for cand in candidates:
-            if cand.value > best_key[0]:
+            if cand.value > best_cut.value:
                 break
             # contract numbers blocks by their least vertex, so the gather
             # lifts a canonical labelling of gc to a canonical one of g.
             lifted = KCut.from_labels(g, tuple(cand.labels[c] for c in cmap), s)
-            # Inclusive cap: an equal value with a smaller key still wins.
-            ext = extend_border(g, lifted, i, max_value=best_key[0])
+            # Inclusive cap: an equal value with smaller labels still wins.
+            ext = extend_border(g, lifted, i, max_value=best_cut.value)
             extended += 1
             if ext is None:
                 continue
-            key = (ext.value, ext.canonical_key())
-            if key < best_key:
-                best_key = key
+            if (ext.value, ext.labels) < (best_cut.value, best_cut.labels):
                 best_cut = ext
             if border_best is None or ext.value < border_best.value:
                 border_best = ext
@@ -173,8 +168,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     timings["total"] = time.perf_counter() - t0
 
     fallback = border_best is None or border_best.value > sv_cut.value
-    final = KCut.from_labels(g, canonical_labels(best_cut.labels), k)
-    return SolveReport(k=k, value=final.value, cut=final, branch="sparsify",
+    return SolveReport(k=k, value=best_cut.value, cut=best_cut, branch="sparsify",
                        fallback=fallback, lambda_bar=lambda_bar,
                        partition_stats=kt_report, border_stats=border_stats,
                        timings=timings)

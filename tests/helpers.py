@@ -3,11 +3,12 @@
 Nothing in the library calls these: the per-entry merge loop that
 ``Graph.from_edges`` must reproduce, per-subset conductance, the scalar
 union-find of the one-edge-at-a-time references (Karger contraction, the
-forest passes, connected components), a scalar random s-cut, the listing of
-every k-cut within a bound that the partition search's list mode must
-reproduce, the cut-survival test of a contraction map, Wilson score bounds,
-the classical integer matmul, the border bookkeeping of a k-cut, and two
-fixed instance sets with known optima.
+forest passes, connected components), the Nagamochi-Ibaraki edge ranks of
+a maximum-adjacency order, the listing of every k-cut within a bound that
+the partition search's list mode must reproduce, the cut-survival test of
+a contraction map, Wilson score bounds, the classical integer matmul, the
+border bookkeeping of a k-cut, and two fixed instance sets with known
+optima.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from kcut.generators import (certified_min_kcut, cliques_bridge, cycle_graph, gn
                              planted_instance)
 from kcut.graph import MAX_WEIGHT, Graph, GraphError, KCut, VertexPartition, canonical_labels
 from kcut.oracle import brute_force_min_kcut
-from kcut.rng import SplitMix64
 
 
 def from_edges_reference(n: int, pairs: Iterable[tuple]) -> Graph:
@@ -106,19 +106,28 @@ def union_find(n: int) -> tuple:
     return find, union, parent
 
 
-def random_s_cut(g: Graph, s: int, rng: SplitMix64,
-                 max_attempts: Optional[int] = None) -> Optional[KCut]:
-    """Uniform independent labels in 0..s-1, rejecting vectors that miss a
-    label; None after 100*s^2 failed attempts or when s > n."""
-    if s > g.n:
-        return None
-    if max_attempts is None:
-        max_attempts = 100 * s * s
-    for _ in range(max_attempts):
-        labels = [rng.randrange(s) for _ in range(g.n)]
-        if len(set(labels)) == s:
-            return KCut.from_labels(g, labels, s)
-    return None
+def ni_ranks_reference(g: Graph) -> dict:
+    """Nagamochi-Ibaraki rank of every (u, v) pair of simple g, from a
+    maximum-adjacency order built one vertex at a time: start at vertex 0,
+    then place the unplaced vertex with the most placed neighbours, ties to
+    the lowest id.  The edges from a vertex back to the vertices placed
+    before it, in placement order, get ranks 1, 2, 3, ..."""
+    nbrs: list = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    position: dict = {}
+    attach = [0] * g.n
+    ranks = {}
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if x not in position), key=lambda x: (-attach[x], x))
+        position[v] = len(position)
+        back = sorted((u for u in nbrs[v] if u in position and u != v), key=position.get)
+        for r, u in enumerate(back, 1):
+            ranks[min(u, v), max(u, v)] = r
+        for u in nbrs[v]:
+            attach[u] += 1
+    return ranks
 
 
 def list_kcuts_reference(g: Graph, k: int, bound: int) -> list:

@@ -24,6 +24,7 @@ from kcut.graph import (
     induced_subgraph,
     weight_matrix,
 )
+from kcut.oracle import ni_sparsify
 from kcut.partition import (
     DECOMPOSITION_EDGE_CONST,
     EXACT_CONDUCTANCE_LIMIT,
@@ -31,7 +32,6 @@ from kcut.partition import (
     KTParams,
     _report,
 )
-from kcut.sparsify import ni_sparsify
 
 
 @dataclass

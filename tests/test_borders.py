@@ -34,7 +34,7 @@ from kcut.generators import (
 from kcut.graph import MAX_WEIGHT, VertexPartition, canonical_labels, contract, cut_value
 from kcut.rng import SplitMix64, mix64, stream_outputs
 
-from helpers import cut_survives, list_kcuts_reference, random_s_cut, union_find, wilson_lower
+from helpers import cut_survives, list_kcuts_reference, union_find, wilson_lower
 
 
 # --------------------------------------------------------------------- rng
@@ -313,36 +313,6 @@ def test_contracted_round_peak_memory():
         if not tracing:
             tracemalloc.stop()
     assert contract_peak <= 1.25 * map_bytes
-
-
-# -------------------------------------------------------------- random_s_cut
-
-def test_random_s_cut_bijection_when_n_equals_s():
-    g = path_graph(3)
-    cut = random_s_cut(g, 3, SplitMix64(1))
-    assert cut is not None
-    assert sorted(cut.labels) == [0, 1, 2]
-
-
-def test_random_s_cut_s1():
-    g = path_graph(3)
-    cut = random_s_cut(g, 1, SplitMix64(1))
-    assert cut.labels == (0, 0, 0)
-
-
-def test_random_s_cut_uniform_over_2cuts():
-    g = path_graph(3)
-    freq = Counter()
-    for t in range(10_000):
-        cut = random_s_cut(g, 2, SplitMix64(5 ^ t))
-        freq[canonical_labels(cut.labels)] += 1
-    assert len(freq) == 3
-    for count in freq.values():
-        assert abs(count / 10_000 - 1 / 3) < 0.03
-
-
-def test_random_s_cut_infeasible():
-    assert random_s_cut(path_graph(2), 3, SplitMix64(0)) is None
 
 
 # ---------------------------------------------------------------- parameters

@@ -24,9 +24,9 @@ from kcut import (
 )
 from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_graph
 from kcut.graph import MAX_WEIGHT, component_roots, weight_matrix
-from kcut.sparsify import forest_decomposition, ni_sparsify
+from kcut.oracle import ni_sparsify
 
-from helpers import conductance, from_edges_reference, union_find
+from helpers import conductance, from_edges_reference, ni_ranks_reference, union_find
 
 
 # ---------------------------------------------------------------- strategies
@@ -540,7 +540,8 @@ def test_contract_rejects_merged_overflow():
 @given(graphs(max_n=10, max_weight=1), st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
 def test_ni_sparsify_matches_from_edges(g, s):
-    union = Graph.from_edges(g.n, (e for f in forest_decomposition(g, s) for e in f))
+    ranks = ni_ranks_reference(g)
+    union = Graph.from_edges(g.n, (e for e in g.edges if ranks[e[:2]] <= s))
     assert_same_graph(ni_sparsify(g, s), union)
 
 

@@ -28,8 +28,8 @@ import kcut.partition
 from kcut.generators import (cliques_bridge, complete_graph, cycle_graph, gnp_graph,
                              planted_instance, star_graph)
 from kcut.graph import MAX_WEIGHT, weight_matrix
+from kcut.oracle import ni_sparsify
 from kcut.partition import KTParams, _degree_certified, _min_conductance
-from kcut.sparsify import ni_sparsify
 
 import partition_reference
 from helpers import border_agrees, borders_of_cut, conductance

@@ -1,6 +1,7 @@
 """Source-level rules for the library."""
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import kcut
@@ -67,3 +68,13 @@ def test_readme_cli_block_names_every_subcommand():
     documented = [line.split()[1] for line in block.splitlines() if line.startswith("kcut ")]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(documented) == sorted(sub.choices)
+
+
+def test_readme_key_modules_line_names_every_module():
+    # The README's "Key modules" paragraph names each module under src/kcut
+    # once, so adding, removing or renaming one must update it.
+    readme = (SRC.parents[1] / "README.md").read_text()
+    line = readme.split("Key modules: ", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"`(\w+)`", line)
+    modules = [p.stem for p in SRC.glob("*.py") if p.stem != "__init__"]
+    assert sorted(documented) == sorted(modules)

@@ -1,64 +1,71 @@
-"""Forest-decomposition sparsification."""
-import tracemalloc
+"""Nagamochi-Ibaraki sparsification."""
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kcut.sparsify
-from kcut import Graph, GraphError, connected_components, forest_decomposition, ni_sparsify
+import kcut.oracle
+from kcut import Graph, GraphError, connected_components, ni_sparsify
 from kcut.generators import complete_graph, cycle_graph, gnp_graph, path_graph
 
-from helpers import union_find
+from helpers import ni_ranks_reference, union_find
 
 
 def crossing_set(g, labels):
     return {(u, v) for u, v, _ in g.edges if labels[u] != labels[v]}
 
 
-# --------------------------------------------------------------- forests
+def assert_layer(g, s):
+    """Layer s, the edges ni_sparsify keeps at s but not at s - 1, is a
+    maximal spanning forest of g minus ni_sparsify(g, s - 1): what one more
+    pass of a forest decomposition would take."""
+    below = set(ni_sparsify(g, s - 1).edges) if s > 1 else set()
+    kept = set(ni_sparsify(g, s).edges)
+    assert below <= kept <= set(g.edges)
+    find, union, _ = union_find(g.n)
+    assert all(union(u, v) for u, v, _ in kept - below)   # a forest
+    assert all(find(u) == find(v) for u, v, _ in set(g.edges) - kept)   # maximal
+
+
+def by_rank(g, s):
+    """The reference certificate: g's edges of Nagamochi-Ibaraki rank <= s."""
+    ranks = ni_ranks_reference(g)
+    return Graph.from_edges(g.n, (e for e in g.edges if ranks[e[:2]] <= s))
+
+
+# ------------------------------------------------------------ rank layers
 
 def test_tree_input_s2():
-    g = path_graph(5)
-    f = forest_decomposition(g, 2)
-    assert f[0] == g.edges
-    assert f[1] == ()
+    # Edge (0, 1) has both degrees above 2, so the scan runs; every edge of
+    # a forest has rank 1.
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (6, 7)])
+    for s in (1, 2):
+        h = ni_sparsify(g, s)
+        assert h == g and h is not g
 
 
 def test_c4_s1():
-    f = forest_decomposition(cycle_graph(4), 1)
-    assert len(f[0]) == 3
+    h = ni_sparsify(cycle_graph(4), 1)
+    assert len(h.edges) == 3
+    assert len(connected_components(h).blocks) == 1
 
 
 def test_k4_s3():
-    f = forest_decomposition(complete_graph(4), 3)
-    assert [len(x) for x in f] == [3, 2, 1]
-    assert sorted(e for x in f for e in x) == sorted(complete_graph(4).edges)
+    assert [len(ni_sparsify(complete_graph(4), s).edges) for s in (1, 2, 3)] == [3, 5, 6]
 
 
 def test_forests_edge_disjoint():
+    # The layers split g's edges into edge-disjoint forests, one per s up
+    # to the largest degree.
     g = gnp_graph(9, 0.6, 1)
-    f = forest_decomposition(g, 3)
-    seen = set()
-    for forest in f:
-        for e in forest:
-            assert e not in seen
-            seen.add(e)
-
-
-def forests_by_passes(g, s):
-    """Reference: s passes over the remaining edges in sorted order, one
-    fresh union-find per pass."""
-    remaining, forests = list(g.edges), []
-    for _ in range(s):
-        _, union, _ = union_find(g.n)
-        taken, rest = [], []
-        for e in remaining:
-            (taken if union(e[0], e[1]) else rest).append(e)
-        forests.append(tuple(taken))
-        remaining = rest
-    return forests
+    top = max(g.degrees)
+    kept = [set()] + [set(ni_sparsify(g, s).edges) for s in range(1, top + 1)]
+    layers = [b - a for a, b in zip(kept, kept[1:])]
+    assert sum(map(len, layers)) == len(g.edges)
+    assert set().union(*layers) == set(g.edges)
+    for s in range(1, top + 1):
+        assert_layer(g, s)
 
 
 @st.composite
@@ -69,87 +76,53 @@ def simple_graphs(draw, max_n=25):
     return Graph.from_edges(n, [(u, v, 1) for u, v in chosen])
 
 
-@given(st.one_of(simple_graphs(),
-                 st.builds(gnp_graph, st.integers(2, 30), st.sampled_from([0.3, 0.6, 0.9]),
-                           st.integers(0, 10_000))),
-       st.integers(1, 12))
+def disjoint_union(a, b):
+    return Graph.from_edges(a.n + b.n, [*a.edges, *((u + a.n, v + a.n, w) for u, v, w in b.edges)])
+
+
+gnp = st.builds(gnp_graph, st.integers(2, 30), st.sampled_from([0.3, 0.6, 0.9]),
+                st.integers(0, 10_000))
+
+
+@given(st.one_of(simple_graphs(), gnp, st.builds(disjoint_union, gnp, gnp)))
 @settings(max_examples=80, deadline=None)
-def test_one_scan_equals_passes_and_nests(g, s):
-    forests = forest_decomposition(g, s)
-    assert forests == forests_by_passes(g, s)
-    # "connected in forest i+1" implies "connected in forest i", and every
-    # edge no forest took is connected in the last forest
-    comps = [connected_components(Graph.from_edges(g.n, f)).to_block_index(g.n) for f in forests]
-    for i in range(s - 1):
-        assert all(comps[i][u] == comps[i][v] for u in range(g.n) for v in range(g.n)
-                   if comps[i + 1][u] == comps[i + 1][v])
-    taken = {e for f in forests for e in f}
-    assert all(comps[-1][u] == comps[-1][v] for u, v, w in g.edges if (u, v, w) not in taken)
-
-
-def forest_ids_and_bounds(g, forests, s):
-    """Per edge in sorted order, the index of the forest holding it (s for
-    none), and its bound min(c(u), c(v), s), c(x) the earlier edges at x."""
-    where = {e: i for i, f in enumerate(forests) for e in f}
-    count = [0] * g.n
-    ids, bounds = [], []
-    for e in g.edges:
-        u, v, _ = e
-        ids.append(where.get(e, s))
-        bounds.append(min(count[u], count[v], s))
-        count[u] += 1
-        count[v] += 1
-    return ids, bounds
+def test_one_scan_equals_passes_and_nests(g):
+    # The one maximum-adjacency scan gives, at every s, what s passes of a
+    # forest decomposition give: each layer is a maximal spanning forest of
+    # what the lower layers left, on connected and disconnected graphs.
+    for s in range(1, max(g.degrees, default=0) + 2):
+        assert_layer(g, s)
+    assert ni_sparsify(g, max(g.degrees, default=0) + 1) == g
 
 
 @pytest.mark.parametrize("n, p, seed", [(40, 0.9, 1), (60, 0.8, 2), (100, 0.8, 3)])
 def test_one_scan_equals_passes_near_the_degree_bound(n, p, seed):
     # Dense graphs with s just below t = max_min_degree(g), at t - 5, at the
-    # smallest degree and at t / 2.  At every s some id lies 2 or more below
-    # its bound, so the downward search reaches its bisection; from the
-    # smallest degree down, the forests also reject edges.
+    # smallest degree and at t / 2.  Below t the scan runs; ranks stay near
+    # the smallest degree, so it keeps every edge at t - 1 and t - 5 and
+    # rejects edges from the smallest degree down.
     g = gnp_graph(n, p, seed)
     t, delta = max_min_degree(g), min(g.degrees)
     rejecting = []
     for s in (t - 1, t - 5, delta, t // 2):
-        forests = forest_decomposition(g, s)
-        assert forests == forests_by_passes(g, s)
-        ids, bounds = forest_ids_and_bounds(g, forests, s)
-        assert all(i <= b for i, b in zip(ids, bounds))
-        assert max(b - i for i, b in zip(ids, bounds)) >= 2
-        if s in ids:
+        h = ni_sparsify(g, s)
+        assert h is not g
+        assert h == by_rank(g, s)
+        assert_layer(g, s)
+        if h != g:
             rejecting.append(s)
     assert rejecting == [delta, t // 2]
 
 
 def test_forests_past_the_largest_degree_are_empty():
-    # Only forests that take an edge get a parent list: s = 10^5 on P_3
-    # peaks at about 8 MB (the output's 10^5 empty forests), where one
-    # union-find per forest took about 80 MB.
+    # A rank is at most the degree of either end, so layers past the
+    # largest degree are empty, whatever s asks for.
     g = path_graph(3)
-    tracemalloc.start()
-    try:
-        forests = forest_decomposition(g, 10**5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
-    assert len(forests) == 10**5
-    assert forests[0] == g.edges and not any(forests[1:])
+    assert ni_sparsify(g, 10**5) is g
     g = gnp_graph(20, 0.5, seed=4)
-    s = 10 * max(g.degrees)
-    forests = forest_decomposition(g, s)
-    assert len(forests) == s and not any(forests[max(g.degrees):])
-    assert forests[:max(g.degrees)] == forest_decomposition(g, max(g.degrees))
-    assert forests == forests_by_passes(g, s)
-
-
-def test_rejects_non_simple():
-    g = Graph.from_edges(2, [(0, 1, 2)])
-    with pytest.raises(GraphError):
-        forest_decomposition(g, 1)
-    with pytest.raises(ValueError):
-        forest_decomposition(path_graph(3), 0)
+    top = max(g.degrees)
+    assert ni_sparsify(g, top) == ni_sparsify(g, 10 * top) == g
+    assert max(ni_ranks_reference(g).values()) <= max_min_degree(g)
 
 
 # --------------------------------------------------------------- sparsify
@@ -200,15 +173,15 @@ def test_cut_preservation_exhaustive():
 # ------------------------------------------------------ degree certificate
 
 def max_min_degree(g):
-    """t = max over edges of min(deg u, deg v): for s >= t no forest can
-    reject an edge, so the s forests hold every edge of g."""
+    """t = max over edges of min(deg u, deg v): no rank exceeds it, so for
+    s >= t ni_sparsify keeps every edge of g."""
     deg = g.degrees
     return max(min(deg[u], deg[v]) for u, v, _ in g.edges)
 
 
 def test_certificate_boundary_matches_forest_union():
     # Every s from 1 to t + 1: the boundary t - 1, t, t + 1, and the small s
-    # at which the forests do drop edges.
+    # at which the layers do drop edges.
     dropped = 0
     for i in range(30):
         g = gnp_graph(6 + i % 15, [0.2, 0.5, 0.8][i % 3], seed=9000 + i)
@@ -216,7 +189,7 @@ def test_certificate_boundary_matches_forest_union():
             continue
         t = max_min_degree(g)
         for s in range(1, t + 2):
-            union = Graph.from_edges(g.n, (e for f in forest_decomposition(g, s) for e in f))
+            union = by_rank(g, s)
             assert ni_sparsify(g, s) == union
             if s >= t:
                 assert union == g
@@ -226,18 +199,18 @@ def test_certificate_boundary_matches_forest_union():
 
 def test_certificate_skips_the_forests(monkeypatch):
     calls = []
-    forests = kcut.sparsify._forest_ids
-    monkeypatch.setattr(kcut.sparsify, "_forest_ids",
-                        lambda g, s: calls.append(s) or forests(g, s))
+    phase = kcut.oracle._max_adjacency_phase
+    monkeypatch.setattr(kcut.oracle, "_max_adjacency_phase",
+                        lambda w: calls.append(len(w)) or phase(w))
     g = gnp_graph(30, 0.7, seed=3)
     t = max_min_degree(g)
     assert ni_sparsify(g, t) is g
     c9 = cycle_graph(9)
     assert ni_sparsify(c9, 2) is c9
     assert calls == []
-    # at s = t - 1 some edge has both degrees above s: the forests run
+    # at s = t - 1 some edge has both degrees above s: the scan runs
     ni_sparsify(g, t - 1)
-    assert calls == [t - 1]
+    assert calls == [30]
 
 
 def test_ni_sparsify_rejects_bad_input():

@@ -122,7 +122,7 @@ def ni_ranks_reference(g: Graph) -> dict:
     for _ in range(g.n):
         v = min((x for x in range(g.n) if x not in position), key=lambda x: (-attach[x], x))
         position[v] = len(position)
-        back = sorted((u for u in nbrs[v] if u in position and u != v), key=position.get)
+        back = sorted((u for u in nbrs[v] if u in position), key=position.get)
         for r, u in enumerate(back, 1):
             ranks[min(u, v), max(u, v)] = r
         for u in nbrs[v]:

@@ -17,13 +17,12 @@ extends only its first candidate) lists only the cuts of the least value.
 For s = 1 the only cut is all vertices in one part, with value 0, so that
 cut is built directly and no search is run.
 
-``contract_random``, Karger contraction of seeded random trials, is kept
-for its own tests and for the benchmark's tracing; the solver does not
-call it.
+``contract_random`` contracts seeded random trials by Karger's rule, each
+on its own splitmix64 stream.  The solver does not call it; it is kept for
+its tests and for the benchmark's tracing, which patches it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,37 +30,25 @@ import numpy as np
 
 from .graph import MAX_WEIGHT, Graph, GraphError, KCut, component_roots
 from .oracle import kcut_lower_bound, list_kcuts
-from .rng import stream_outputs
 
 
 @dataclass(frozen=True)
 class BorderParams:
     s: int            # cut arity
-    trials: int       # the most candidates a round keeps
+    trials: int       # the most candidates a round keeps: PipelineConfig.trial_cap
     lam: int = 0      # lower bound on the boundary of every part of an s-cut
     budget: int = -1  # search nodes a round may expand; negative for no limit
     cheapest: bool = False  # list only the s-cuts of the least value
 
 
-def default_trials(n: int, beta: float, k: int, cap: int) -> int:
-    """A round's candidate cap: the paper's trial count ceil(n^(beta*k) *
-    ln n), each trial giving at most one candidate, capped at ``cap``;
-    always at least 1.  A count past the float range is taken as above cap."""
-    if n < 2:
-        return 1
-    try:
-        raw = math.ceil(n ** (beta * k) * math.log(n))
-    except OverflowError:
-        return cap
-    return max(1, min(cap, raw))
-
-
-# Clocks held at once: a batch is contracted in blocks of trials, so its
-# clock memory does not grow with the number of trials.  Solving the
-# planted_contract instances in the benchmark loop, whose 150-trial rounds
-# have 589 and 647 edges, 2^15-clock blocks were faster than 2^14 and about
-# as fast as 2^16 and one block.
+# Clocks held at once: a batch is contracted in blocks of trials, so the
+# clocks, sort orders and edge pairs in memory do not grow with the number
+# of trials.
 _CLOCK_BLOCK = 1 << 15
+# splitmix64: the stream's step and the finaliser's two multipliers.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def contract_random(g: Graph, tau: int, seeds: np.ndarray) -> np.ndarray:
@@ -74,24 +61,34 @@ def contract_random(g: Graph, tau: int, seeds: np.ndarray) -> np.ndarray:
     outputs of stream ``seeds[t]`` and merges edges in stable clock order,
     stopping at the first edge that leaves tau super-vertices: the
     random-permutation view of repeatedly contracting a weight-proportional
-    edge (Karger).  Only the prefix of that order a trial can consume is
-    sorted (see ``_clock_prefix``), and the trials of a block are merged
-    together (see ``_merge``); a trial that runs out of its prefix continues
-    with its full order.  Every map is the identity when n <= tau or g has
-    no edges.
+    edge (Karger).  Each block of trials is sorted once and merged together
+    (see ``_merge``).  Every map is the identity when n <= tau or g has no
+    edges.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    n, m = g.n, len(g.edge_array)
-    if n <= tau or m == 0 or len(seeds) == 0:
+    n, edges = g.n, g.edge_array
+    if n <= tau or len(edges) == 0 or len(seeds) == 0:
         return np.tile(np.arange(n), (len(seeds), 1))
-    edges = g.edge_array
-    # n - tau merges are needed; the slack covers edges inside a super-vertex.
-    width = min(m, 2 * (n - tau) + 16)
-    step = max(1, _CLOCK_BLOCK // m)
+    step = max(1, _CLOCK_BLOCK // len(edges))
     out = np.empty((len(seeds), n), dtype=np.int64)
     for i in range(0, len(seeds), step):
-        out[i:i + step] = _contract_block(seeds[i:i + step], edges, n, tau, width)
+        order = np.argsort(_clocks(seeds[i:i + step], edges), axis=1, kind="stable")
+        out[i:i + step] = _merge(order, edges[:, :2], n, tau)
     return out
+
+
+def stream_outputs(seeds: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Splitmix64 stream outputs: entry (i, j) is output steps[j] (0-based)
+    of stream seeds[i], mix64(seed + (step + 1) * GOLDEN)."""
+    seeds = seeds.astype(np.uint64).reshape(-1, 1)
+    incr = ((steps.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)).reshape(1, -1)
+    z = seeds + incr
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _clocks(seeds: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -108,47 +105,11 @@ def _clocks(seeds: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return clock
 
 
-def _clock_prefix(clock: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` entries of every row's stable argsort.
-
-    A row's candidates are its clocks <= c, for one cut-off c: the
-    2*width-th smallest clock of the first row, so that a row of the same
-    law has about 2*width of them.  Every clock above c comes after every
-    candidate, so the candidates sorted by (clock, edge index) begin the
-    row's stable order whatever c is.  They are sorted without the edge
-    index, which decides only between equal clocks: a row with two equal
-    values among its first width + 1 sorted ones, or with fewer than
-    ``width`` candidates, takes its full stable argsort instead.
-    """
-    rows, m = clock.shape
-    if 2 * width >= m:
-        return np.argsort(clock, axis=1, kind="stable")[:, :width]
-    cut = np.partition(clock[0], 2 * width)[2 * width]
-    flat = np.flatnonzero(clock <= cut)
-    row, col = np.divmod(flat, m)
-    count = np.bincount(row, minlength=rows)
-    # The candidates, left-aligned in rows padded with inf.
-    wide = max(int(count.max()), width)
-    slot = np.arange(len(flat)) + (wide * np.arange(rows) - np.cumsum(count) + count)[row]
-    vals = np.full((rows, wide), np.inf)
-    vals.ravel()[slot] = clock.ravel()[flat]
-    idx = np.zeros((rows, wide), dtype=np.int64)
-    idx.ravel()[slot] = col
-    order = np.argsort(vals, axis=1)[:, :width + 1]
-    head = np.take_along_axis(vals, order, axis=1)
-    prefix = np.take_along_axis(idx, order[:, :width], axis=1)
-    redo = (count < width) | (head[:, 1:] == head[:, :-1]).any(axis=1)
-    if redo.any():
-        prefix[redo] = np.argsort(clock[redo], axis=1, kind="stable")[:, :width]
-    return prefix
-
-
-def _merge(order: np.ndarray, ends: np.ndarray, n: int, tau: int) -> tuple:
+def _merge(order: np.ndarray, ends: np.ndarray, n: int, tau: int) -> np.ndarray:
     """Contract each row's edges ``order`` (edge indices into ``ends``) in
-    turn, stopping at the first that leaves tau super-vertices.  Returns
-    (maps, short): per row the vertex -> super-vertex map, super-vertices
-    numbered by their first vertex, and the rows still above tau after their
-    whole order.
+    turn, stopping at the first that leaves tau super-vertices or at the
+    row's end; returns per row the vertex -> super-vertex map, super-vertices
+    numbered by their first vertex.
 
     Row r owns the vertices r*n .. r*n+n-1 of one ``component_roots`` call
     per pass.  Its first n - tau edges are taken at once; a row left with
@@ -175,20 +136,7 @@ def _merge(order: np.ndarray, ends: np.ndarray, n: int, tau: int) -> tuple:
         if not need.any():
             # A root is the first vertex of its super-vertex.
             rank = np.cumsum(is_root, axis=1) - 1
-            return rank.ravel()[root].reshape(rows, n), nv[:, 0] > tau
-
-
-def _contract_block(seeds: np.ndarray, edges: np.ndarray,
-                    n: int, tau: int, width: int) -> np.ndarray:
-    """contract_random for one block of seeds."""
-    ends = edges[:, :2]
-    maps, short = _merge(_clock_prefix(_clocks(seeds, edges), width), ends, n, tau)
-    if width < len(edges) and short.any():
-        out = np.flatnonzero(short)
-        full = np.stack([np.argsort(_clocks(seeds[t:t + 1], edges)[0], kind="stable")
-                         for t in out])
-        maps[out] = _merge(full, ends, n, tau)[0]
-    return maps
+            return rank.ravel()[root].reshape(rows, n)
 
 
 class Borders(list):

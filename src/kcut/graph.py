@@ -23,11 +23,11 @@ above that.
 
 Connected components come from one labeller, ``component_roots``, the
 library's only union-find.  It serves ``Graph.components`` (hence every
-solve's component check), the expander decomposition, Stoer-Wagner's
-contraction step and Karger contraction, which labels a whole block of
-trials per call, each on its own copy of the vertices.  It keeps every
-parent pointer at a lower vertex, so a root is the lowest vertex of its
-set.
+solve's component check), the expander decomposition and Stoer-Wagner's
+contraction step.  ``borders.contract_random``, which the solver does not
+call, labels a block of Karger trials per call, each on its own copy of
+the vertices.  It keeps every parent pointer at a lower vertex, so a root
+is the lowest vertex of its set.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .borders import BorderParams, default_trials, enumerate_borders
+from .borders import BorderParams, enumerate_borders
 from .graph import Graph, GraphError, InvalidCutError, KCut, connected_components, contract
 from .islands import extend_border
 from .oracle import (_zero_value_kcut, exact_min_kcut, kcut_lower_bound,
@@ -35,11 +35,13 @@ NODE_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    trial_cap: int = 100_000        # caps the candidates a border round keeps
+    trial_cap: int = 100_000        # the most candidates a border round keeps
     force_branch: Optional[str] = None   # "exact" | "sparsify"
     node_budget: int = NODE_BUDGET  # search nodes a border round may expand
 
     def __post_init__(self):
+        if self.trial_cap < 1:
+            raise ValueError("trial_cap must be >= 1")
         if self.node_budget < 0:
             raise ValueError("node_budget must be >= 0")
         if self.force_branch not in (None, "exact", "sparsify"):
@@ -132,12 +134,11 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     for i in range(k):
         s = k - i
         beta = min(1.0, max(0.0, 1.0 - (1.0 - 2.0 / log2n) * i / k))
-        trials = default_trials(g.n, beta, k, cfg.trial_cap)
         # In round 0 a candidate is its own extension, and lifting keeps
         # the (value, labels) order of canonical labels, so no candidate can
         # beat the first: the round lists only its cheapest cuts, and extends
         # the first of them.
-        params = BorderParams(s=s, trials=trials, lam=lam,
+        params = BorderParams(s=s, trials=cfg.trial_cap, lam=lam,
                               budget=cfg.node_budget, cheapest=i == 0)
         max_border = math.floor(beta * lambda_bar)
         candidates = enumerate_borders(gc, params, max_value=max_border)
@@ -160,7 +161,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
             if i == 0:
                 break
         border_stats.append({
-            "i": i, "s": s, "beta": beta, "trials": trials,
+            "i": i, "s": s, "beta": beta, "trials": cfg.trial_cap,
             "candidates": len(candidates), "extended": extended,
             "truncated": candidates.truncated,
         })

@@ -2,6 +2,7 @@
 
 Nothing in the library calls these: the per-entry merge loop that
 ``Graph.from_edges`` must reproduce, per-subset conductance, the scalar
+splitmix64 stream that ``borders.stream_outputs`` must reproduce, the scalar
 union-find of the one-edge-at-a-time references (Karger contraction, the
 forest passes, connected components), the Nagamochi-Ibaraki edge ranks of
 a maximum-adjacency order, the listing of every k-cut within a bound that
@@ -74,6 +75,30 @@ def conductance(g: Graph, s: Iterable[int]):
     if denom == 0:
         return math.inf
     return Fraction(boundary, denom)
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finaliser of one 64-bit state."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """One splitmix64 stream, read in order: output j is
+    mix64(seed + (j + 1) * GOLDEN)."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK
+        return mix64(self._state)
 
 
 def union_find(n: int) -> tuple:

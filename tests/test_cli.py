@@ -61,6 +61,11 @@ def test_bad_k_is_usage_error(c6_path, capsys):
     assert main(["solve", "--graph", c6_path, "--k", "9"]) == 1
 
 
+def test_nonpositive_trial_cap_is_usage_error(c6_path, capsys):
+    assert main(["solve", "--graph", c6_path, "--k", "3", "--trial-cap", "0"]) == 1
+    assert "trial_cap" in capsys.readouterr().err
+
+
 def test_solve_value_disagreeing_with_cut_is_invariant_error(c6_path, capsys, monkeypatch):
     def understated(g, k, cfg):
         report = min_kcut(g, k, cfg)

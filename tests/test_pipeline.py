@@ -73,8 +73,10 @@ def test_never_worse_than_sv():
         n = rng.randint(6, 12)
         g = gnp_graph(n, rng.choice([0.3, 0.5, 0.8]), seed=1000 + i)
         k = rng.choice([2, 3, 4])
-        rep = min_kcut(g, k, PipelineConfig(force_branch="sparsify", trial_cap=2000))
+        cfg = PipelineConfig(force_branch="sparsify", trial_cap=2000)
+        rep = min_kcut(g, k, cfg)
         assert rep.value <= sv_2approx(g, k).value
+        assert all(r["trials"] == cfg.trial_cap for r in rep.border_stats)
         assert cut_value(g, rep.cut) == rep.value
         assert rep.cut.k == k
         assert rep.cut.labels == canonical_labels(rep.cut.labels)
@@ -268,3 +270,12 @@ def test_node_budget_must_be_nonnegative():
     with pytest.raises(ValueError):
         PipelineConfig(node_budget=-1)
     assert PipelineConfig(node_budget=0).node_budget == 0
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_trial_cap_must_be_positive(cap):
+    # A round keeping no candidate would be rejected by enumerate_borders on
+    # the sparsify branch only; the config rejects it for both branches.
+    with pytest.raises(ValueError, match="trial_cap"):
+        PipelineConfig(trial_cap=cap)
+    assert PipelineConfig(trial_cap=1).trial_cap == 1

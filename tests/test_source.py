@@ -60,6 +60,14 @@ def test_every_library_function_has_a_caller():
     assert uncalled == []
 
 
+def test_every_exported_name_is_unique_and_resolves():
+    # A name deleted from the library but left in __all__ breaks
+    # `from kcut import *`.
+    assert len(set(kcut.__all__)) == len(kcut.__all__)
+    missing = [name for name in kcut.__all__ if not hasattr(kcut, name)]
+    assert missing == []
+
+
 def test_readme_cli_block_names_every_subcommand():
     # The README's CLI block shows one `kcut <subcommand>` line per
     # subcommand, so adding or removing one must update it.

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MAX_WEIGHT, Graph, GraphError, KCut, component_roots
+from .graph import Graph, KCut, component_roots
 from .oracle import kcut_lower_bound, list_kcuts
 
 
@@ -163,8 +163,6 @@ def enumerate_borders(g: Graph, params: BorderParams,
     s, trials = params.s, params.trials
     if s < 1 or trials < 1:
         raise ValueError("need s >= 1 and trials >= 1")
-    if g.total_weight > MAX_WEIGHT:
-        raise GraphError("total edge weight overflows the 64-bit cut values")
     bound = g.total_weight if max_value is None else max_value
     if s == 1:
         return Borders([KCut(k=1, labels=(0,) * g.n, value=0)] if bound >= 0 else [])

@@ -5,21 +5,23 @@ Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 "multigraph" only ever means integer weights >= 2.  All types are immutable
 after construction and every operation is a pure function.
 
+Every graph's total weight is at most MAX_WEIGHT = 2^63 - 1: ``from_edges``
+(hence ``parse_graph`` and the generators) rejects a running total past it,
+and a derived graph (``induced_subgraph``, ``contract``, ``ni_sparsify``'s
+certificate) keeps, drops or merges edges, so its total is no larger.  Every
+weight sum (merged weights, degrees, cut values, the weight matrix's subset
+sums) is at most the total and is taken in int64.
+
 A graph's edges live in one of two forms, and the other is built from it on
-first use and then kept.  ``from_edges`` (hence ``parse_graph`` and the
-generators) checks its entries as one int64 array (Python ints past int64),
-sorts the (lo, hi) pairs stably by lo * n + hi and sums each pair's weights
-with ``np.add.reduceat`` (in Python ints if a sum could pass int64).  Its
+first use and then kept.  ``from_edges`` checks its entries as one int64
+array (Python ints past int64), sorts the (lo, hi) pairs stably by
+lo * n + hi and sums each pair's weights with ``np.add.reduceat``.  Its
 graph holds the tuple of (u, v, w) triples, zipped from the three columns; its
 read-only (m, 3) int64 ``edge_array`` costs one ``np.fromiter`` pass.  Every
-graph this library derives (``induced_subgraph``, ``contract``,
-``ni_sparsify``'s certificate) is built from arrays and holds only
-``edge_array``; its ``edges`` tuple is built only when a Python loop asks
-for it (the exact search, the oracles, the CLI).  Equality and hashing go
-by (n, edges, simple) in either form.  Total weight, degrees and cut values
-are numpy reductions over ``edge_array``, in int64 only where
-``total_weight <= MAX_WEIGHT`` bounds every such sum, and in Python ints
-above that.
+derived graph is built from arrays and holds only ``edge_array``; its
+``edges`` tuple is built only when a Python loop asks for it (the exact
+search, the oracles, the CLI).  Equality and hashing go by (n, edges,
+simple) in either form.
 
 Connected components come from one labeller, ``component_roots``, the
 library's only union-find.  It serves ``Graph.components`` (hence every
@@ -59,9 +61,10 @@ class Graph:
 
     ``simple`` is true iff every stored weight is 1 (i.e. the input had no
     duplicate pairs and no weight above 1).  ``Graph(n=, edges=, simple=)``,
-    as ``from_edges`` calls it, holds the edge tuple as given; the graphs this
-    module derives hold only ``edge_array`` (see the module docstring).
-    Immutable; equal and hashed by (n, edges, simple).
+    as ``from_edges`` calls it, trusts its edge tuple: sorted, distinct,
+    u < v, weights totalling at most MAX_WEIGHT.  Derived graphs hold only
+    ``edge_array`` (see the module docstring).  Immutable; equal and hashed
+    by (n, edges, simple).
     """
 
     n: int
@@ -100,7 +103,7 @@ class Graph:
     def from_edges(n: int, pairs: Iterable[tuple]) -> "Graph":
         """Build a graph from (u, v) or (u, v, w) entries of integers (a bool
         is one), merging duplicates.  A self-loop, a vertex id outside 0..n-1,
-        a weight below 1, a merged weight above MAX_WEIGHT and an entry that is
+        a weight below 1, a running total above MAX_WEIGHT and an entry that is
         not two or three integers raise GraphError for the first such entry."""
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -126,22 +129,20 @@ class Graph:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         loop, out, light = u == v, (lo < 0) | (hi >= n), w < 1
         stop = int(min(np.flatnonzero(loop | out | light), default=m))   # rows before it are valid
-        key = lo[:stop].astype(object if n * n > MAX_WEIGHT else lo.dtype) * n + hi[:stop]
-        order = key.argsort(kind="stable")   # each pair's rows stay in input order
-        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-        ws = w[order]   # pairs whose merged weight could pass int64 sum in Python ints
-        ws = ws.astype(object) if stop * int(ws.max(initial=0)) > MAX_WEIGHT else ws
-        merged = np.add.reduceat(ws, starts)
-        if ws.dtype == object and max(merged, default=0) > MAX_WEIGHT:
-            run = np.cumsum(ws)   # each pair's running total, in input order
-            run -= np.repeat(np.r_[0, run][starts], np.diff(np.r_[starts, stop]))
-            j = np.where(run > MAX_WEIGHT, order, m).argmin()
-            raise GraphError(f"edge weight {run[j]} overflows the 64-bit weight budget")
+        if stop * int(w[:stop].max(initial=0)) > MAX_WEIGHT:   # the total could pass int64
+            run = np.cumsum(w[:stop].astype(object))
+            if run[-1] > MAX_WEIGHT:
+                total = run[(run > MAX_WEIGHT).argmax()]
+                raise GraphError(f"total edge weight {total} overflows the 64-bit weight budget")
         if stop < m:
             u, v, w = (*entries[stop], 1)[:3]
             raise GraphError(f"self-loop at vertex {u}" if loop[stop] else
                              f"vertex id out of range in edge ({u}, {v})" if out[stop] else
                              f"edge weight must be positive, got {w}")
+        key = lo.astype(object if n * n > MAX_WEIGHT else lo.dtype) * n + hi
+        order = key.argsort(kind="stable")   # each pair's rows stay in input order
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        merged = np.add.reduceat(w[order], starts)
         edges = tuple(zip(lo[order][starts].tolist(), hi[order][starts].tolist(), merged.tolist()))
         return Graph(n=n, edges=edges, simple=bool((merged == 1).all()))
 
@@ -160,23 +161,13 @@ class Graph:
 
     @cached_property
     def total_weight(self) -> int:
-        # The ufunc reductions skip ndarray.sum's and .max's Python wrappers,
-        # which cost more than the sums themselves on graphs of a few dozen
-        # edges.
-        w = self.edge_array[:, 2]
-        if len(w) and len(w) * int(np.maximum.reduce(w)) > MAX_WEIGHT:
-            return sum(w.tolist())   # the int64 sum could wrap around
-        return int(np.add.reduce(w))
+        # The ufunc reduction skips ndarray.sum's Python wrapper, which costs
+        # more than the sum itself on graphs of a few dozen edges.
+        return int(np.add.reduce(self.edge_array[:, 2]))
 
     @cached_property
     def degrees(self) -> tuple:
         """Weighted degree of every vertex."""
-        if self.total_weight > MAX_WEIGHT:   # a degree could pass the int64 range
-            deg = [0] * self.n
-            for u, v, w in self.edge_array.tolist():
-                deg[u] += w
-                deg[v] += w
-            return tuple(deg)
         u, v, w = self.edge_array.T
         deg = np.zeros(self.n, dtype=np.int64)
         np.add.at(deg, u, w)
@@ -244,6 +235,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"malformed header at line {header_line}: negative count")
     if len(entries) != m:
         raise ParseError(f"header at line {header_line} promises {m} edges, found {len(entries)}")
+    total = 0
     for lineno, (u, v, w) in entries:
         if u == v:
             raise ParseError(f"self-loop at line {lineno}")
@@ -251,6 +243,10 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"nonpositive weight at line {lineno}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex id out of range at line {lineno}")
+        total += w
+        if total > MAX_WEIGHT:
+            raise ParseError(f"total edge weight {total} overflows the 64-bit weight budget "
+                             f"at line {lineno}")
     return Graph.from_edges(n, [e for _, e in entries])
 
 
@@ -290,9 +286,7 @@ class KCut:
         lab = np.fromiter(labels, np.int64, len(labels))
         edges = g.edge_array
         crossing = edges[:, 2][lab[edges[:, 0]] != lab[edges[:, 1]]]
-        value = (int(np.add.reduce(crossing)) if g.total_weight <= MAX_WEIGHT
-                 else sum(crossing.tolist()))
-        return KCut(k=k, labels=labels, value=value)
+        return KCut(k=k, labels=labels, value=int(np.add.reduce(crossing)))
 
     def parts(self) -> tuple:
         """Vertex sets of the parts, indexed by part id."""
@@ -348,12 +342,12 @@ class VertexPartition:
         return VertexPartition(blocks=tuple(blocks))
 
     def to_block_index(self, n: int) -> tuple:
-        """Per-vertex index of its block (dense relabeling by block order)."""
-        idx = [0] * n
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                idx[v] = i
-        return tuple(idx)
+        """Per-vertex index of its block (dense relabeling by block order);
+        raises GraphError unless the blocks cover 0..n-1 exactly."""
+        pos = {v: i for i, b in enumerate(self.blocks) for v in b}
+        if sorted(pos) != list(range(n)) or sum(map(len, self.blocks)) != n:
+            raise GraphError("partition does not cover 0..n-1 exactly")
+        return tuple(map(pos.__getitem__, range(n)))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -365,8 +359,7 @@ def contract(g: Graph, p: VertexPartition) -> tuple:
     Super-edge weight is the total weight between the two blocks; intra-block
     edges are discarded.  Blocks relabel densely in canonical block order.
     The crossing edges merge by one ``np.unique`` over lo * nb + hi, which
-    is (lo, hi) order; a merged weight above MAX_WEIGHT raises as in
-    ``Graph.from_edges``.
+    is (lo, hi) order.
     """
     cmap = p.to_block_index(g.n)
     nb = len(p.blocks)
@@ -376,29 +369,16 @@ def contract(g: Graph, p: VertexPartition) -> tuple:
     crossing = bu != bv
     bu, bv, w = bu[crossing], bv[crossing], w[crossing]
     keys, slot = np.unique(np.minimum(bu, bv) * nb + np.maximum(bu, bv), return_inverse=True)
-    if g.total_weight > MAX_WEIGHT:
-        merged = [0] * len(keys)
-        for i, x in zip(slot.tolist(), w.tolist()):
-            merged[i] += x
-        if max(merged, default=0) > MAX_WEIGHT:
-            raise GraphError(f"edge weight {max(merged)} overflows the 64-bit weight budget")
-        weights = np.array(merged, dtype=np.int64)
-    else:
-        weights = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(weights, slot, w)
+    weights = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(weights, slot, w)
     arr = np.column_stack((keys // nb, keys % nb, weights))   # no keys when nb = 0
     return Graph._of_array(nb, arr, bool((weights == 1).all())), cmap
 
 
 def weight_matrix(g: Graph) -> np.ndarray:
-    """Dense symmetric int64 weight matrix of g.
-
-    Rejects a total weight above MAX_WEIGHT: every sum formed from the matrix
-    (merged weights, degrees, subset weights) is then at most the total
-    weight and cannot wrap around.
-    """
-    if g.total_weight > MAX_WEIGHT:
-        raise GraphError("total edge weight overflows the 64-bit cut values")
+    """Dense symmetric int64 weight matrix of g.  Every sum formed from it
+    (merged weights, degrees, subset weights) is at most g's total weight,
+    so it cannot wrap around (see the module docstring)."""
     w = np.zeros((g.n, g.n), dtype=np.int64)
     u, v, wt = g.edge_array.T
     w[u, v] = wt

@@ -193,7 +193,7 @@ def _host_islands(g: Graph, part: tuple, cnt: int, cap: Optional[int]) -> Option
     islands cost at most ``cap``.
 
     A host that is all of g is solved on g itself, not on an induced copy.
-    In any other host of a simple g, each vertex's degree inside the part
+    In any other host of the simple g, each vertex's degree inside the part
     comes first, from one mask over the edges.  One island costs its degree,
     so for cnt = 1 the first vertex of least degree is the answer, as the
     search would find it.  cnt islands cost at least their cnt smallest
@@ -203,18 +203,17 @@ def _host_islands(g: Graph, part: tuple, cnt: int, cap: Optional[int]) -> Option
     if len(part) == g.n:
         solved = solve_r_island(g, cnt, max_value=cap)
         return None if solved is None else solved[1]
-    if g.simple:
-        idx = list(part)
-        inside = np.zeros(g.n, dtype=bool)
-        inside[idx] = True
-        u, v = g.edge_array[:, 0], g.edge_array[:, 1]
-        kept = inside[u] & inside[v]
-        deg = (np.bincount(u[kept], minlength=g.n) + np.bincount(v[kept], minlength=g.n))[idx]
-        if cnt == 1:
-            j = int(deg.argmin())
-            return (part[j],) if cap is None or deg[j] <= cap else None
-        if cap is not None and int(np.sort(deg)[:cnt].sum()) - cnt * (cnt - 1) // 2 > cap:
-            return None
+    idx = list(part)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[idx] = True
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    kept = inside[u] & inside[v]
+    deg = (np.bincount(u[kept], minlength=g.n) + np.bincount(v[kept], minlength=g.n))[idx]
+    if cnt == 1:
+        j = int(deg.argmin())
+        return (part[j],) if cap is None or deg[j] <= cap else None
+    if cap is not None and int(np.sort(deg)[:cnt].sum()) - cnt * (cnt - 1) // 2 > cap:
+        return None
     sub, back = induced_subgraph(g, part)
     solved = solve_r_island(sub, cnt, max_value=cap)
     return None if solved is None else tuple(back[v] for v in solved[1])
@@ -232,8 +231,10 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     cap ``max_value`` minus the border's value, and a composition with a
     host over its cap is skipped.
 
-    Each host is solved by ``_host_islands``.
+    Each host is solved by ``_host_islands``; g must be simple.
     """
+    if not g.simple:
+        raise GraphError("island extension is defined for simple graphs")
     if i < 0:
         raise ValueError("island count must be nonnegative")
     if max_value is not None and border_cut.value > max_value:

@@ -47,8 +47,8 @@ from .graph import (
 BRUTE_FORCE_KCUT_LIMIT = 14
 BRUTE_FORCE_ISLAND_LIMIT = 18
 # Key of a placed (or dead) vertex in a maximum-adjacency phase.  Later
-# placements add at most its degree, at most MAX_WEIGHT (see weight_matrix),
-# so it stays negative and below every unplaced key.
+# placements add at most its degree, at most the total weight, which fits
+# int64 (see graph.py), so it stays negative and below every unplaced key.
 _PLACED = np.iinfo(np.int64).min
 
 

@@ -30,10 +30,12 @@ from kcut.oracle import brute_force_min_kcut
 def from_edges_reference(n: int, pairs: Iterable[tuple]) -> Graph:
     """Build a graph from (u, v) or (u, v, w) entries one entry at a time,
     merging duplicates in a dict and raising GraphError at the first
-    offending entry."""
+    offending entry, an entry that takes the running weight total past
+    MAX_WEIGHT among them."""
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     merged: dict = {}
+    total = 0
     for entry in pairs:
         if len(entry) == 2:
             u, v = entry
@@ -46,11 +48,11 @@ def from_edges_reference(n: int, pairs: Iterable[tuple]) -> Graph:
             raise GraphError(f"vertex id out of range in edge ({u}, {v})")
         if w < 1:
             raise GraphError(f"edge weight must be positive, got {w}")
-        key = (u, v) if u < v else (v, u)
-        total = merged.get(key, 0) + w
+        total += w
         if total > MAX_WEIGHT:
-            raise GraphError(f"edge weight {total} overflows the 64-bit weight budget")
-        merged[key] = total
+            raise GraphError(f"total edge weight {total} overflows the 64-bit weight budget")
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0) + w
     edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
     simple = all(w == 1 for _, _, w in edges)
     return Graph(n=n, edges=edges, simple=simple)

@@ -372,9 +372,14 @@ def test_fast_path_equals_slow_path(contracted):
 
 @pytest.mark.parametrize("s", [5, 2])
 def test_total_weight_beyond_int64_is_rejected(s):
-    g = Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)])
+    # enumerate_borders keeps no budget check of its own: a graph past int64
+    # is refused when it is built, and one at the budget lists exact values.
     with pytest.raises(GraphError, match="overflows"):
-        enumerate_borders(g, _params(s))
+        Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)])
+    g = Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62 - 1)])
+    cuts = enumerate_borders(g, _params(s))
+    assert cuts == _listed(g, s)
+    assert all(c.value == cut_value(g, c) for c in cuts)
 
 
 def test_max_value_filter():

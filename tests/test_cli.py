@@ -80,3 +80,15 @@ def test_bench_and_solve_seed_are_gone(c6_path, capsys):
     # perfbench is the one benchmark, and the solver draws nothing at random.
     assert main(["bench", "--suite", "small"]) == 1
     assert main(["solve", "--graph", c6_path, "--k", "3", "--seed", "7"]) == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("3 2\n0 1 9223372036854775807\n1 0 1\n",
+     "total edge weight 9223372036854775808 overflows the 64-bit weight budget at line 3"),
+    ("3 2\n0 1\n2 2\n", "self-loop at line 3"),
+], ids=["overflow", "self_loop"])
+def test_malformed_document_is_io_error_naming_its_line(tmp_path, capsys, doc, message):
+    p = tmp_path / "g.txt"
+    p.write_text(doc)
+    assert main(["oracle", "--graph", str(p), "--k", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {p}: {message}\n"

@@ -41,12 +41,27 @@ def graphs(draw, max_n=8, min_n=1, max_weight=4, weights=None):
     return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, drawn)])
 
 
-def heavy_graphs(max_n=9):
-    """Graphs with small weights, weights at the 64-bit limit and anything
-    between, so that totals, degrees and cut values fall both below and
-    above MAX_WEIGHT."""
-    return graphs(max_n=max_n, weights=st.one_of(
-        st.integers(1, 3), st.integers(MAX_WEIGHT - 2, MAX_WEIGHT), st.integers(1, MAX_WEIGHT)))
+@st.composite
+def weights_totalling(draw, total, count):
+    """``count`` >= 1 weights of at least 1 that sum to ``total``, split at
+    sorted cut points, so one draw mixes weights of 1 with weights near the
+    total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total - count),
+                                min_size=count - 1, max_size=count - 1)))
+    return [1 + b - a for a, b in zip([0, *cuts], [*cuts, total - count])]
+
+
+@st.composite
+def heavy_graphs(draw, max_n=9, totals=st.one_of(
+        st.sampled_from([MAX_WEIGHT, MAX_WEIGHT - 1, MAX_WEIGHT - 2]), st.integers(2**62, MAX_WEIGHT))):
+    """Graphs whose weights total MAX_WEIGHT, just below it or anything from
+    2^62 up to it, so that totals, degrees, merged weights and cut values
+    reach the 64-bit limit."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
+    weights = draw(weights_totalling(draw(totals), len(chosen)))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
 def assert_same_graph(got, want):
@@ -117,7 +132,7 @@ def test_parse_roundtrip(g):
     assert parse_graph(graph_to_text(g)) == g
 
 
-@given(graphs(max_weight=2**62))
+@given(st.one_of(graphs(), heavy_graphs(max_n=8)))
 @settings(max_examples=60, deadline=None)
 def test_edge_array_rows_are_the_edges(g):
     arr = g.edge_array
@@ -382,17 +397,24 @@ BAD_ENTRIES = [(1, 1), (2, 2, 3), (0, 9), (-1, 0, 2), (0, 1, 0), (1, 0, -5),
 @st.composite
 def entry_lists(draw):
     """(n, entries): valid (u, v) and (u, v, w) entries in both orientations,
-    with repeats, weights that merge to MAX_WEIGHT, past it or nowhere near,
-    and sometimes a bad entry (then maybe more valid ones) after them."""
+    with repeats, whose weights total a few per entry, MAX_WEIGHT, one
+    either side of it or anything up to 2^64 (so a single weight can pass
+    int64 too), and sometimes a bad entry (then maybe more valid ones, of
+    any weight) after them."""
     n = draw(st.integers(0, 6))
-    weights = st.one_of(st.integers(1, 3), st.integers(MAX_WEIGHT // 2 - 1, MAX_WEIGHT // 2 + 1),
-                        st.integers(MAX_WEIGHT - 2, 2**63 + 1), st.integers(1, MAX_WEIGHT))
     valid = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-    entry = st.one_of(valid, st.tuples(valid, weights).map(lambda e: (*e[0], e[1])))
-    entries = draw(st.lists(entry, max_size=12)) if n >= 2 else []
+    pairs = draw(st.lists(valid, max_size=12)) if n >= 2 else []
+    entries = []
+    if pairs:
+        total = draw(st.one_of(st.sampled_from([MAX_WEIGHT - 1, MAX_WEIGHT, MAX_WEIGHT + 1]),
+                               st.integers(len(pairs), 3 * len(pairs)),
+                               st.integers(len(pairs), 2**64)))
+        weights = draw(weights_totalling(total, len(pairs)))
+        entries = [p if w == 1 and draw(st.booleans()) else (*p, w) for p, w in zip(pairs, weights)]
     if draw(st.booleans()):
         entries.append(draw(st.sampled_from(BAD_ENTRIES)))
-        entries += draw(st.lists(entry, max_size=3)) if n >= 2 else []
+        weighted = st.tuples(valid, st.integers(1, 2**64)).map(lambda e: (*e[0], e[1]))
+        entries += draw(st.lists(st.one_of(valid, weighted), max_size=3)) if n >= 2 else []
     return n, entries
 
 
@@ -425,11 +447,13 @@ def test_from_edges_matches_the_loop(case, container):
 
 @pytest.mark.parametrize("entries", [
     [(0, 1, MAX_WEIGHT - 1), (1, 0)],                        # merges to MAX_WEIGHT
-    [(0, 1, MAX_WEIGHT - 1), (2, 1, 5), (1, 0, 2)],          # to MAX_WEIGHT + 1
-    [(0, 1, MAX_WEIGHT), (1, 2, MAX_WEIGHT), (0, 2, 7)],     # the total passes int64
+    [(0, 1, MAX_WEIGHT - 1), (2, 1, 5), (1, 0, 2)],          # the second entry passes it
+    [(0, 1, 2**62), (1, 2, 2**62 - 1), (0, 2, 1)],           # passes it on a new pair
     [(1, 2, MAX_WEIGHT), (2, 1), (0, 0)],                    # overflow before the self-loop
     [(2, 1), (1, 2, 3), (0, 2)],                             # mixed (u, v) and (u, v, w)
     [(0, 1, 2**63)], [(0, 1, 2**62), (1, 0, 2**62)], [],
+    [(0, 1), (1, 2, MAX_WEIGHT - 2), (0, 2)],                # totals MAX_WEIGHT on three pairs
+    [(0, 1, MAX_WEIGHT), (2, 2), (0, 2, 2**64)],             # the self-loop comes first
 ])
 def test_from_edges_merges_like_the_loop(entries):
     assert_builds_like_the_loop(3, lambda: entries)
@@ -509,32 +533,48 @@ def test_induced_subgraph_rejects_unknown_vertex():
 
 # ------------------------------------------------------------ derived graphs
 
-@given(heavy_graphs(), st.data())
+@given(st.one_of(graphs(max_n=9), heavy_graphs()), st.data())
 @settings(max_examples=150, deadline=None)
 def test_contract_matches_from_edges(g, data):
     labels = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
     p = VertexPartition.from_labels(labels, g.n)
     cmap = p.to_block_index(g.n)
     crossing = [(cmap[u], cmap[v], w) for u, v, w in g.edges if cmap[u] != cmap[v]]
-    try:
-        want = Graph.from_edges(len(p.blocks), crossing)
-    except GraphError:
-        # A merged super-edge weight above MAX_WEIGHT: contract raises too.
-        with pytest.raises(GraphError):
-            contract(g, p)
-        return
     gc, got_cmap = contract(g, p)
     assert got_cmap == cmap
-    assert_same_graph(gc, want)
+    assert_same_graph(gc, Graph.from_edges(len(p.blocks), crossing))
+
+
+@pytest.mark.parametrize("p", [
+    VertexPartition.from_blocks([[0], [1]], 2),               # vertices 2 and 3 in no block
+    VertexPartition.from_blocks([[0, 1], [2, 3], [4]], 5),    # vertex 4 past the graph
+    VertexPartition(blocks=((-1, 0), (1, 2))),                # an id below 0, vertex 3 in none
+    VertexPartition(blocks=((0, 1), (1, 2, 3))),              # vertex 1 in two blocks
+], ids=["short", "long", "negative", "overlapping"])
+def test_contract_rejects_a_partition_not_covering_the_graph(p):
+    with pytest.raises(GraphError, match="does not cover"):
+        p.to_block_index(4)
+    with pytest.raises(GraphError, match="does not cover"):
+        contract(path_graph(4), p)
 
 
 def test_contract_rejects_merged_overflow():
-    g = Graph.from_edges(3, [(0, 1, MAX_WEIGHT), (0, 2, 1)])
-    p = VertexPartition.from_blocks([[0], [1, 2]], 3)
-    with pytest.raises(GraphError, match="overflows"):
-        contract(g, p)
-    with pytest.raises(GraphError, match="overflows"):
-        Graph.from_edges(2, [(0, 1, MAX_WEIGHT), (0, 1, 1)])
+    # A graph whose contraction {0} | {1, 2}, or whose merged pair, would
+    # weigh past int64 is refused when it is built; at exactly the budget
+    # the contraction merges to MAX_WEIGHT.
+    for n, entries in ((3, [(0, 1, MAX_WEIGHT), (0, 2, 1)]),
+                       (2, [(0, 1, MAX_WEIGHT), (0, 1, 1)])):
+        with pytest.raises(GraphError, match=f"^total edge weight {2**63} overflows"):
+            Graph.from_edges(n, entries)
+    g = Graph.from_edges(3, [(0, 1, MAX_WEIGHT - 1), (0, 2, 1)])
+    h, _ = contract(g, VertexPartition.from_blocks([[0], [1, 2]], 3))
+    assert h.edges == ((0, 1, MAX_WEIGHT),)
+
+
+def test_total_past_the_budget_is_rejected_at_construction():
+    with pytest.raises(GraphError, match=f"^total edge weight {2**63} overflows"):
+        Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)])
+    assert Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62 - 1)]).total_weight == MAX_WEIGHT
 
 
 @given(graphs(max_n=10, max_weight=1), st.integers(1, 4))
@@ -557,25 +597,43 @@ def test_adjacency_matches_per_edge_lists(g, data):
         assert h.adjacency == tuple(tuple(sorted(a)) for a in adj)
 
 
-@given(heavy_graphs(), st.data())
+def draw_labels(data, h):
+    """Canonical labels of some k-cut of h."""
+    return canonical_labels(data.draw(st.lists(st.integers(0, max(h.n - 1, 0)),
+                                               min_size=h.n, max_size=h.n)))
+
+
+def assert_exact_sums(h, labels):
+    """h's total weight, degrees, weight-matrix row sums and the value of the
+    cut ``labels`` equal their Python-int sums, and the total is in budget."""
+    assert h.total_weight == sum(w for _, _, w in h.edges) <= MAX_WEIGHT
+    assert h.degrees == python_degrees(h) == tuple(weight_matrix(h).sum(axis=1).tolist())
+    value = sum(w for u, v, w in h.edges if labels[u] != labels[v])
+    assert KCut.from_labels(h, labels).value == value
+
+
+@given(st.one_of(graphs(), heavy_graphs()), st.data())
 @settings(max_examples=150, deadline=None)
 def test_sums_match_python_ints(g, data):
-    labels = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
-    labels = canonical_labels(labels)
-    p = VertexPartition.from_labels(labels, g.n)
-    derived = [g, induced_subgraph(g, range(0, g.n, 2))[0]]
-    try:
-        derived.append(contract(g, p)[0])
-    except GraphError:
-        pass   # a merged weight overflows; covered by test_contract_matches_from_edges
+    assert_exact_sums(g, draw_labels(data, g))
+
+
+@given(heavy_graphs(totals=st.just(MAX_WEIGHT)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_derived_graphs_of_a_full_budget_keep_exact_sums(g, data):
+    # g's weights total exactly MAX_WEIGHT.  A derivation keeps, drops or
+    # merges edges, so none raises and every derived sum still fits int64,
+    # a derivation of a derived graph included.  ni_sparsify takes simple
+    # graphs only, whose totals are at most C(n, 2): it runs on g's edges
+    # with unit weights.
+    sub = induced_subgraph(g, data.draw(st.lists(st.integers(0, g.n - 1))))[0]
+    derived = [g, sub]
+    for h in (g, sub):
+        derived.append(contract(h, VertexPartition.from_labels(draw_labels(data, h), h.n))[0])
+    unit = Graph.from_edges(g.n, [(u, v) for u, v, _ in g.edges])
+    derived.append(ni_sparsify(unit, data.draw(st.integers(1, 4))))
     for h in derived:
-        assert h.total_weight == sum(w for _, _, w in h.edges)
-        assert h.degrees == python_degrees(h)
-    cut = KCut.from_labels(g, labels)
-    assert cut.value == sum(w for u, v, w in g.edges if labels[u] != labels[v])
-    if g.total_weight > MAX_WEIGHT:
-        with pytest.raises(GraphError):
-            weight_matrix(g)
+        assert_exact_sums(h, draw_labels(data, h))
 
 
 def test_derived_graph_builds_its_edge_tuple_on_demand():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kcut import (
     Graph,
+    GraphError,
     KCut,
     brute_force_min_kcut,
     brute_force_r_island,
@@ -268,6 +269,17 @@ def test_extend_two_k5_bridge():
     assert ext.value == 5
     assert ext.value == brute_force_min_kcut(g, 3).value
     assert ext.value == cut_value(g, ext)
+
+
+@pytest.mark.parametrize("labels", [(0, 0, 1, 1, 1), (0, 1, 1, 1, 1)])
+def test_extend_rejects_a_weighted_graph(labels):
+    # Where the weight-3 edge sits must not decide between an error and a
+    # cut: every border of a non-simple graph is refused up front.
+    g = Graph.from_edges(5, [(0, 1, 3), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+    cut = KCut.from_labels(g, labels, 2)
+    for i in (0, 1):
+        with pytest.raises(GraphError, match="simple graphs"):
+            extend_border(g, cut, i)
 
 
 def test_extend_infeasible():

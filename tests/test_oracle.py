@@ -434,7 +434,8 @@ def test_deep_search_needs_no_recursion():
 
 
 def test_sw_total_weight_beyond_int64_is_rejected():
-    with pytest.raises(GraphError):
+    # No Graph holds such weights: the input is rejected when it is built.
+    with pytest.raises(GraphError, match="overflows"):
         stoer_wagner_mincut(Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62)]))
     # a total of exactly 2^63 - 1 still fits
     value, cut = stoer_wagner_mincut(Graph.from_edges(3, [(0, 1, 2**62), (1, 2, 2**62 - 1)]))

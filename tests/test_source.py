@@ -42,6 +42,16 @@ def test_library_does_not_import_networkx():
     assert found == []
 
 
+def test_only_the_graph_module_names_the_weight_budget():
+    # Every Graph's total weight fits int64 from construction on, so no
+    # module but graph.py needs to know the bound or check against it.
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if str(name) != "graph.py"
+             and (isinstance(node, ast.Name) and node.id == "MAX_WEIGHT"
+                  or isinstance(node, ast.alias) and "MAX_WEIGHT" in (node.name, node.asname)
+                  or isinstance(node, ast.Attribute) and node.attr == "MAX_WEIGHT")]
+    assert found == []
+
+
 def test_every_library_function_has_a_caller():
     # A function or class that nothing in the library references and the
     # package does not export is dead code, or a test helper living in src/;

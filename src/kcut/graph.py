@@ -1,5 +1,5 @@
 """Weighted multigraph substrate: parsing, cut evaluation, contraction,
-connected components, induced subgraphs.
+connected components, weight-1 bridges, induced subgraphs.
 
 Vertices are dense 0-based ids.  Parallel edges are always stored merged, so
 "multigraph" only ever means integer weights >= 2.  All types are immutable
@@ -26,10 +26,10 @@ simple) in either form.
 Connected components come from one labeller, ``component_roots``, the
 library's only union-find.  It serves ``Graph.components`` (hence every
 solve's component check), the expander decomposition and Stoer-Wagner's
-contraction step.  ``borders.contract_random``, which the solver does not
-call, labels a block of Karger trials per call, each on its own copy of
-the vertices.  It keeps every parent pointer at a lower vertex, so a root
-is the lowest vertex of its set.
+connectivity floor and contraction step.  ``borders.contract_random``,
+which the solver does not call, labels a block of Karger trials per call,
+each on its own copy of the vertices.  It keeps every parent pointer at a
+lower vertex, so a root is the lowest vertex of its set.
 """
 from __future__ import annotations
 
@@ -173,20 +173,6 @@ class Graph:
         np.add.at(deg, u, w)
         np.add.at(deg, v, w)
         return tuple(deg.tolist())
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        """Per-vertex tuple of (neighbor, weight) pairs, sorted by neighbor id."""
-        # Rows (vertex, neighbor, weight): row 2i is edge i reversed, row
-        # 2i + 1 edge i itself.  A vertex's reversed rows (neighbors below
-        # it) all come before its own (neighbors above it), each group in
-        # ascending neighbor order, so a stable sort by vertex alone orders
-        # the rows by (vertex, neighbor).
-        rows = self.edge_array[:, (1, 0, 2, 0, 1, 2)].reshape(-1, 3)
-        rows = rows[rows[:, 0].argsort(kind="stable")]
-        pairs = list(zip(rows[:, 1].tolist(), rows[:, 2].tolist()))
-        stops = np.bincount(rows[:, 0], minlength=self.n).cumsum().tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + stops, stops))
 
     @cached_property
     def components(self) -> "VertexPartition":
@@ -414,6 +400,49 @@ def component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return root
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
         root = compress_roots(root)
+
+
+def nonzeros(w: np.ndarray) -> tuple:
+    """(rows, columns) of the nonzeros of square ``w``, row-major, by a flat
+    boolean scan: several times faster than ``w.nonzero()`` on int64."""
+    return np.divmod(np.flatnonzero(w.ravel() != 0), len(w))
+
+
+def has_unit_bridge(w: np.ndarray) -> bool:
+    """Whether the part of weight matrix ``w``'s graph that vertex 0 reaches
+    has a bridge of weight 1, i.e. a cut of value 1 when it is connected.
+
+    Tarjan's low-link depth-first search from vertex 0 on an explicit stack
+    (no recursion limit on n).  A pair has one entry a side, so the edge
+    back to a vertex's parent is skipped by the parent's id.
+    """
+    a, b = nonzeros(w)
+    pairs = list(zip(b.tolist(), w[a, b].tolist()))
+    stops = np.bincount(a, minlength=len(w)).cumsum().tolist()
+    adj = [pairs[s:e] for s, e in zip([0] + stops, stops)]
+    disc = [-1] * len(w)
+    low = [0] * len(w)
+    disc[0] = 0
+    clock = 1
+    stack = [(0, -1, 0, iter(adj[0]))]   # (vertex, parent, tree-edge weight, neighbours left)
+    while stack:
+        v, parent, w_in, it = stack[-1]
+        for u, wt in it:
+            if u == parent:
+                continue
+            if disc[u] < 0:
+                disc[u] = low[u] = clock
+                clock += 1
+                stack.append((u, v, wt, iter(adj[u])))
+                break
+            low[v] = min(low[v], disc[u])
+        else:
+            stack.pop()
+            if parent >= 0:
+                if low[v] > disc[parent] and w_in == 1:
+                    return True
+                low[parent] = min(low[parent], low[v])
+    return False
 
 
 def connected_components(g: Graph) -> VertexPartition:

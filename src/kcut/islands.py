@@ -30,14 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    GraphError,
-    KCut,
-    canonical_labels,
-    induced_subgraph,
-    weight_matrix,
-)
+from .graph import Graph, GraphError, KCut, canonical_labels, weight_matrix
 
 STRASSEN_THRESHOLD = 256
 _STRASSEN_BASE = 64
@@ -161,25 +154,33 @@ def _branch_and_bound(adj: np.ndarray, deg: np.ndarray, r: int, best: int) -> tu
     return best, found
 
 
-def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None) -> Optional[tuple]:
+def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None,
+                   w: Optional[np.ndarray] = None) -> Optional[tuple]:
     """Exact minimum (r+1)-cut with exactly r singleton components.
 
     Returns (value, island tuple); ties take the lex-smallest island set.
     With ``max_value`` the same result is returned when its value is at most
-    ``max_value``, and None otherwise.
-    The branch and bound of ``_branch_and_bound`` runs on the vertices that
-    pass the degree test of the module docstring, with their whole-graph
-    degrees, and starts from one above the smaller of ``max_value`` and the
-    cost of the r lowest-degree vertices, so that set or a cheaper one is
-    found whenever it is within the cap.  The test is exact because the
-    graph is simple: at most C(r, 2) edges lie inside the set.
+    ``max_value``, and None otherwise.  ``w`` is g's weight matrix, built
+    when absent.
     """
     if not g.simple:
         raise GraphError("r-island solving is defined for simple graphs")
     if not 1 <= r <= g.n - 1:
         raise ValueError(f"r must be in 1..n-1, got r={r} with n={g.n}")
-    adj = weight_matrix(g)
-    deg = adj.sum(axis=1)
+    adj = weight_matrix(g) if w is None else w
+    return _r_island(adj, adj.sum(axis=1), r, max_value)
+
+
+def _r_island(adj: np.ndarray, deg: np.ndarray, r: int,
+              max_value: Optional[int]) -> Optional[tuple]:
+    """``solve_r_island`` on the simple graph with 0/1 weight matrix ``adj``
+    and degrees ``deg``: the branch and bound of ``_branch_and_bound`` on
+    the vertices that pass the degree test of the module docstring, with
+    their whole-graph degrees, from one above the smaller of ``max_value``
+    and the cost of the r lowest-degree vertices, so that set or a cheaper
+    one is found whenever it is within the cap.  The test is exact because
+    the graph is simple: at most C(r, 2) edges lie inside the set.
+    """
     upper, kept = _island_candidates(adj, deg, r, max_value)
     value, islands = _branch_and_bound(adj[np.ix_(kept, kept)], deg[kept], r, upper + 1)
     if islands is None:   # only when the cap is below the optimum
@@ -187,40 +188,37 @@ def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None) -> Optiona
     return value, tuple(kept[list(islands)].tolist())
 
 
-def _host_islands(g: Graph, part: tuple, cnt: int, cap: Optional[int]) -> Optional[tuple]:
+def _host_islands(g: Graph, w: np.ndarray, part: tuple, cnt: int,
+                  cap: Optional[int]) -> Optional[tuple]:
     """``solve_r_island``'s islands (as ids of g) of the subgraph of g
     induced by the increasing vertex ids ``part``, or None when no cnt
-    islands cost at most ``cap``.
+    islands cost at most ``cap``; ``w`` is g's weight matrix.
 
-    A host that is all of g is solved on g itself, not on an induced copy.
-    In any other host of the simple g, each vertex's degree inside the part
-    comes first, from one mask over the edges.  One island costs its degree,
+    A host that is all of g is ``solve_r_island`` on g itself.  Any other
+    host of the simple g is the part's principal submatrix of ``w``, whose
+    row sums are the degrees inside the part.  One island costs its degree,
     so for cnt = 1 the first vertex of least degree is the answer, as the
     search would find it.  cnt islands cost at least their cnt smallest
     degrees less the C(cnt, 2) edges they can share, so when that floor is
-    above ``cap`` no subgraph is built.
+    above ``cap`` no search runs.
     """
     if len(part) == g.n:
-        solved = solve_r_island(g, cnt, max_value=cap)
+        solved = solve_r_island(g, cnt, max_value=cap, w=w)
         return None if solved is None else solved[1]
-    idx = list(part)
-    inside = np.zeros(g.n, dtype=bool)
-    inside[idx] = True
-    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
-    kept = inside[u] & inside[v]
-    deg = (np.bincount(u[kept], minlength=g.n) + np.bincount(v[kept], minlength=g.n))[idx]
+    adj = w.take(part, 0).take(part, 1)
+    deg = adj.sum(axis=1)
     if cnt == 1:
         j = int(deg.argmin())
         return (part[j],) if cap is None or deg[j] <= cap else None
     if cap is not None and int(np.sort(deg)[:cnt].sum()) - cnt * (cnt - 1) // 2 > cap:
         return None
-    sub, back = induced_subgraph(g, part)
-    solved = solve_r_island(sub, cnt, max_value=cap)
-    return None if solved is None else tuple(back[v] for v in solved[1])
+    solved = _r_island(adj, deg, cnt, cap)
+    return None if solved is None else tuple(part[v] for v in solved[1])
 
 
 def extend_border(g: Graph, border_cut: KCut, i: int,
-                  max_value: Optional[int] = None) -> Optional[KCut]:
+                  max_value: Optional[int] = None,
+                  w: Optional[np.ndarray] = None) -> Optional[KCut]:
     """Carve i islands out of the border's non-singleton parts, trying every
     composition of i over the hosts; returns the best resulting (k+i)-cut,
     or None when no composition fits.
@@ -231,7 +229,8 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     cap ``max_value`` minus the border's value, and a composition with a
     host over its cap is skipped.
 
-    Each host is solved by ``_host_islands``; g must be simple.
+    Each host is solved by ``_host_islands`` on g's weight matrix ``w``,
+    built when absent; g must be simple.
     """
     if not g.simple:
         raise GraphError("island extension is defined for simple graphs")
@@ -242,13 +241,15 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     if i == 0:
         return border_cut
     host_cap = None if max_value is None else max_value - border_cut.value
+    if w is None:
+        w = weight_matrix(g)
     hosts = [p for p in border_cut.parts() if len(p) >= 2]
     cache: dict = {}
 
     def host_islands(part: tuple, cnt: int) -> Optional[tuple]:
         key = (part, cnt)
         if key not in cache:
-            cache[key] = _host_islands(g, part, cnt, host_cap)
+            cache[key] = _host_islands(g, w, part, cnt, host_cap)
         return cache[key]
 
     best = None

@@ -6,22 +6,19 @@ runs the same partition search in maximum-adjacency order, seeded with the
 sv_2approx cut and pruned by the lower bound ceil((k - used) * lambda / 2) on
 the weight still to be cut, lambda being the global min cut;
 brute_force_min_kcut searches without that bound, so it stays an independent
-check of it.  sv_2approx and stoer_wagner_mincut are the classical
-subroutines the pipeline itself uses.  stoer_wagner_mincut is a numpy
-Stoer-Wagner whose phases are the maximum-adjacency ordering exact_min_kcut
-uses; the library needs no graph package (the tests compare it with
-networkx's implementation).  Each phase offers its phase cut, its prefix
-cuts and, after contracting every edge whose attachment reaches the best
-cut so far (Nagamochi, Ono and Ibaraki), the degrees of the new
-super-vertices; a candidate replaces the best only when strictly smaller.
-It stops once the best cut reaches a certified lower bound on lambda (1 on
-a connected graph, 2 without a weight-1 bridge); later candidates could only
-tie, so value and side are those of the full run.  On a dense simple graph
-Chartrand's floor, delta, holds before phase 1, and no phase runs.  Its
-result is memoised on the Graph object, and sv_2approx's first round runs
-on the input graph itself, so one solve computes the whole-graph min cut
-once and exact_min_kcut's lambda is free.  ni_sparsify, the pipeline's
-Nagamochi-Ibaraki certificate, ranks the edges by one more such phase.
+check of it.  sv_2approx, stoer_wagner_mincut and ni_sparsify are the
+classical subroutines the pipeline itself uses; the library needs no graph
+package (the tests compare Stoer-Wagner with networkx's).
+
+A solve builds its graph's weight matrix once, and each layer here takes it
+as an optional trailing argument (built when absent) and only reads it.
+``_stoer_wagner`` contracts a matrix in place, with phases in the
+maximum-adjacency order exact_min_kcut searches in: stoer_wagner_mincut
+gives it a copy and memoises the checked cut on the Graph, and sv_2approx's
+first round is that call on the input graph, so one solve computes the
+whole-graph min cut once and exact_min_kcut's lambda is free.  Every later
+sv_2approx part is a principal submatrix, already a fresh array.
+ni_sparsify ranks the edges by one more maximum-adjacency phase.
 """
 from __future__ import annotations
 
@@ -40,7 +37,8 @@ from .graph import (
     component_roots,
     connected_components,
     cut_value,
-    induced_subgraph,
+    has_unit_bridge,
+    nonzeros,
     weight_matrix,
 )
 
@@ -99,13 +97,14 @@ def _search_setup(g: Graph, order: Sequence[int]) -> tuple:
     return pos.tolist(), earlier, back
 
 
-def _max_adjacency_setup(g: Graph) -> tuple:
-    """``_search_setup`` in maximum-adjacency order, memoised on g itself,
-    so every search on one graph (the exact branch, every border round)
-    builds it once."""
+def _max_adjacency_setup(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
+    """``_search_setup`` in maximum-adjacency order (of g's weight matrix
+    ``w``, built when absent), memoised on g itself, so every search on one
+    graph (the exact branch, every border round) builds it once."""
     memo = vars(g).get("_search_setup")
     if memo is None:
-        memo = vars(g)["_search_setup"] = _search_setup(g, _max_adjacency_order(g))
+        order = _max_adjacency_phase(weight_matrix(g) if w is None else w)[0]
+        memo = vars(g)["_search_setup"] = _search_setup(g, order)
     return memo
 
 
@@ -192,7 +191,8 @@ def _kcut_search(setup: tuple, k: int, need: list, limit: int,
 
 
 def _min_kcut_search(g: Graph, k: int, order: Optional[Sequence[int]] = None,
-                     incumbent: Optional[KCut] = None, lam: int = 0) -> KCut:
+                     incumbent: Optional[KCut] = None, lam: int = 0,
+                     w: Optional[np.ndarray] = None) -> KCut:
     """The cheapest k-cut of g by ``_kcut_search`` in best mode.
 
     Vertices are assigned in ``order``, by default the memoised maximum-
@@ -206,9 +206,9 @@ def _min_kcut_search(g: Graph, k: int, order: Optional[Sequence[int]] = None,
     bound.  Either way only branches that cannot strictly beat the best are
     skipped, so the result does not depend on ``lam``.  An ``incumbent`` cut
     seeds the bound and is returned unchanged unless a strictly cheaper cut
-    exists.
+    exists.  ``w`` is g's weight matrix, for the default order.
     """
-    setup = _max_adjacency_setup(g) if order is None else _search_setup(g, order)
+    setup = _max_adjacency_setup(g, w) if order is None else _search_setup(g, order)
     best_val = incumbent.value if incumbent is not None else g.total_weight + 1
     need = [kcut_lower_bound(k - u, lam) for u in range(k + 1)]
     best = _kcut_search(setup, k, need, best_val - 1)[0]
@@ -229,10 +229,9 @@ def list_kcuts(g: Graph, k: int, bound: int, lam: int = 0, budget: int = -1,
     For k >= 2, ``lam`` must be at most the boundary of every part of a
     k-cut of g (the global min cut of g, or of a graph that g contracts),
     so that ``ceil((k - used) * lam / 2)`` bounds the weight still to be
-    cut.  The
-    search expands at most ``budget`` nodes (a negative budget is no limit);
-    ``truncated`` says that it ran out, and the cuts are then the ones found
-    before it did.
+    cut.  The search expands at most ``budget`` nodes (a negative budget is
+    no limit); ``truncated`` says that it ran out, and the cuts are then the
+    ones found before it did.
     """
     setup = _max_adjacency_setup(g)
     lam = lam if k > 1 else 0   # one part has no boundary
@@ -262,21 +261,22 @@ def brute_force_min_kcut(g: Graph, k: int, n_limit: int = BRUTE_FORCE_KCUT_LIMIT
     return _min_kcut_search(g, k, range(g.n))
 
 
-def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
+def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None,
+                   w: Optional[np.ndarray] = None) -> KCut:
     """Exact minimum k-cut without a size guard: pruned assignment search.
 
     A graph with at least k components gets the lex-smallest 0-value cut.
     Otherwise vertices are assigned in maximum-adjacency order, so a label
     that deviates from the already assigned neighbours is charged at once and
-    pruning bites early.  ``incumbent`` (a k-cut of g, by default the
-    Saran-Vazirani 2-approximation) seeds the bound and is returned unchanged
-    when nothing strictly cheaper exists; an incumbent whose stored value is
-    not its cut value is rejected.  The search prunes on ``partial +
-    ceil((k - used) * lambda / 2)``, lambda being the global min cut from
-    stoer_wagner_mincut (0 on a disconnected graph); when sv_2approx(g) made
-    the incumbent, its first round computed lambda on this Graph object, and
-    the call is a memo hit.  At the root the bound is the certificate
-    opt >= ``kcut_lower_bound(k, lambda)``: when the incumbent meets it, the
+    pruning bites early; ``w`` is g's weight matrix, built when absent.
+    ``incumbent`` (a k-cut of g, by default the Saran-Vazirani
+    2-approximation) seeds the bound and is returned unchanged when nothing
+    strictly cheaper exists; an incumbent whose stored value is not its cut
+    value is rejected.  The search prunes on ``partial + ceil((k - used) *
+    lambda / 2)``, lambda being the global min cut from stoer_wagner_mincut
+    (0 on a disconnected graph), a memo hit when sv_2approx(g) made the
+    incumbent.  At the root the bound is the certificate opt >=
+    ``kcut_lower_bound(k, lambda)``: when the incumbent meets it, the
     incumbent is returned before the maximum-adjacency order is built.
     """
     if not 2 <= k <= g.n:
@@ -284,22 +284,18 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None) -> KCut:
     comps = connected_components(g)
     if len(comps.blocks) >= k:
         return _zero_value_kcut(g, k, comps)
+    if w is None:
+        w = weight_matrix(g)
     if incumbent is None:
-        incumbent = sv_2approx(g, k)
+        incumbent = sv_2approx(g, k, w)
     elif incumbent.k != k or len(incumbent.labels) != g.n:
         raise ValueError(f"incumbent is not a {k}-cut of a {g.n}-vertex graph")
     elif incumbent.value != (actual := cut_value(g, incumbent)):
         raise ValueError(f"incumbent claims value {incumbent.value}, its cut has value {actual}")
-    lam = stoer_wagner_mincut(g)[0]
+    lam = stoer_wagner_mincut(g, w)[0]
     if kcut_lower_bound(k, lam) >= incumbent.value:
         return incumbent   # the root bound closes the search
-    return _min_kcut_search(g, k, incumbent=incumbent, lam=lam)
-
-
-def _max_adjacency_order(g: Graph) -> list:
-    """Greedy ordering: start at vertex 0, repeatedly append the unplaced
-    vertex with maximum edge weight into the placed set (ties to lowest id)."""
-    return _max_adjacency_phase(weight_matrix(g))[0]
+    return _min_kcut_search(g, k, incumbent=incumbent, lam=lam, w=w)
 
 
 def _max_adjacency_phase(w: np.ndarray, dead: Optional[np.ndarray] = None) -> tuple:
@@ -353,20 +349,42 @@ def brute_force_r_island(g: Graph, r: int,
     return best, best_set
 
 
-def stoer_wagner_mincut(g: Graph) -> tuple:
+def stoer_wagner_mincut(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
     """Exact global minimum weighted 2-cut; (0, component split) if disconnected.
 
-    Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction, in place on the
-    weight matrix (merged vertices are marked dead, and later phases skip
-    them).  The best cut so far, lambda-hat, starts as the smallest weighted
-    degree.  Each phase orders the current super-vertices by maximum
-    adjacency v_1, ..., v_m and offers, in this order:
+    ``_stoer_wagner`` on g's weight matrix (``w`` copied, or built), told
+    that g is connected when ``g.components``, which every solve labels
+    first, already says so.  Vertex 0 is on side 0.  The cut is re-evaluated on g's edges
+    and memoised on g itself (like its cached properties), so the
+    whole-graph min cut is computed once however many layers ask for it.
+    """
+    memo = vars(g).get("_min_cut")
+    if memo is not None:
+        return memo
+    if g.n < 2:
+        raise ValueError("stoer_wagner_mincut needs n >= 2")
+    connected = "components" in vars(g) and len(g.components.blocks) == 1
+    value, side = _stoer_wagner(weight_matrix(g) if w is None else w.copy(), g.simple, connected)
+    cut = KCut.from_labels(g, (~side).astype(np.int64).tolist(), 2)
+    if cut.value != value:
+        raise InvalidCutError(f"Stoer-Wagner reported {value}, its cut has value {cut.value}")
+    vars(g)["_min_cut"] = result = (value, cut)
+    return result
 
-    - the phase cut, the last vertex's attachment, then the certified floors
-      below;
-    - every prefix cut {v_1..v_i}, i < m, of value sum over j <= i of
-      deg(v_j) - 2 attach(v_j);
-    - after the merge, the degree of every new super-vertex.
+
+def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple:
+    """Global minimum cut of the graph with weight matrix ``w`` (n >= 2),
+    ``simple`` if every entry is 0 or 1, ``connected`` if known to be:
+    (value, mask of vertex 0's side).
+
+    Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction, in place on ``w``
+    (merged vertices are marked dead, and later phases skip them).  The best
+    cut so far, lambda-hat, starts as the smallest weighted degree.  Each
+    phase orders the current super-vertices by maximum adjacency
+    v_1, ..., v_m and offers, in this order: the phase cut (the last
+    vertex's attachment), then the certified floors below; every prefix cut
+    {v_1..v_i}, i < m, of value sum over j <= i of deg(v_j) - 2 attach(v_j);
+    after the merge, the degree of every new super-vertex.
 
     The merge contracts every edge (v_i, v_j), i < j, whose q, the weight
     from v_j to v_1..v_i, is at least lambda-hat: such an edge crosses no cut
@@ -376,50 +394,45 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
     loop ends when two super-vertices are left, whose cut is a degree
     already offered.  A candidate replaces the best only when it is strictly
     smaller: degrees go by lowest super-vertex id, prefixes by shortest
-    prefix.  Vertex 0 is on side 0.
+    prefix.
 
     No candidate is below lambda, so once the best reaches a certified lower
     bound L <= lambda no later candidate can replace it, and the loop stops
     there with the value and side of the full run.  L is the largest of:
 
     - delta, on a simple graph with minimum degree delta >= floor(n/2)
-      (Chartrand 1966), which also makes g connected; checked before
+      (Chartrand 1966), which also makes it connected; checked before
       phase 1, so no phase runs;
-    - 1, when g is connected (weights are positive);
-    - 2, when g has no bridge of weight 1 (a cut of value 1 is one such
-      edge); checked by one depth-first search, only once the best is 2.
+    - 1, when the graph is connected (weights are positive);
+    - 2, when it has no bridge of weight 1 (a cut of value 1 is one such
+      edge); checked by one depth-first search over the current ``w``,
+      only once the best is 2.  Merges so far kept every cut below the
+      best, then at least 2, so a cut of value 1 is still a bridge there.
 
     When delta <= 2 (and Chartrand does not apply), both are read before
-    phase 1: ``g.components`` gives connectivity (a disconnected g returns 0
-    and vertex 0's component, as phase 1 would), and at delta = 2 the bridge
-    search runs at once; if they certify delta, no phase runs.  At delta >= 3
-    no floor can certify the best before a phase, so connectivity is left to
-    phase 1, which has placed every vertex with a nonzero attachment when g
+    phase 1: unless ``connected``, ``component_roots`` over the nonzeros of
+    ``w`` gives connectivity (a disconnected graph returns 0 and vertex 0's
+    component, as phase 1 would), and at delta = 2 the bridge search runs at
+    once; if they certify delta, no phase runs.  At delta >= 3 no floor can
+    certify the best before a phase, so connectivity is left to phase 1,
+    which has placed every vertex with a nonzero attachment when the graph
     is connected, and the floors are checked after the phase cut and again
     after the prefix cuts, before any contraction work.
-    The result is memoised on g itself (like its cached properties), so the
-    whole-graph min cut is computed once however many layers ask for it.
     """
-    memo = vars(g).get("_min_cut")
-    if memo is not None:
-        return memo
-    if g.n < 2:
-        raise ValueError("stoer_wagner_mincut needs n >= 2")
-    n = g.n
-    w = weight_matrix(g)
+    n = len(w)
     deg = w.sum(axis=1)
     rep = np.arange(n)   # the super-vertex of every vertex
     best_value, best_side = int(deg.min()), rep == deg.argmin()
-    certified = g.simple and best_value >= n // 2   # Chartrand
+    certified = simple and best_value >= n // 2   # Chartrand
     lower = 1
     bridge_searched = False
     if n > 2 and best_value <= 2 and not certified:
-        blocks = g.components.blocks
-        if len(blocks) > 1:
-            best_value, best_side = 0, _inside(rep, list(blocks[0]))
+        root = None if connected else component_roots(n, *nonzeros(w))
+        if root is not None and root.any():   # some vertex outside vertex 0's component
+            best_value, best_side = 0, root == 0
         elif best_value == 2:
             bridge_searched = True
-            lower = 1 if _has_unit_bridge(g) else 2
+            lower = 1 if has_unit_bridge(w) else 2
         certified = best_value <= lower
     dead = np.zeros(n, dtype=bool)
     m = n   # super-vertices left
@@ -434,7 +447,7 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
             best_value, best_side = attach[-1], rep == order[-1]
         if best_value == 2 and not bridge_searched:
             bridge_searched = True
-            lower = 1 if _has_unit_bridge(g) else 2
+            lower = 1 if has_unit_bridge(w) else 2
         if best_value <= lower:
             break
         order, attach = np.array(order), np.array(attach)
@@ -459,12 +472,7 @@ def stoer_wagner_mincut(g: Graph) -> tuple:
         if deg[sup[i]] < best_value:
             best_value = int(deg[sup[i]])
             best_side = rep == sup[deg[sup] == best_value].min()
-    labels = (best_side != best_side[0]).astype(np.int64).tolist()
-    cut = KCut.from_labels(g, labels, 2)
-    if cut.value != best_value:
-        raise InvalidCutError(f"Stoer-Wagner reported {best_value}, its cut has value {cut.value}")
-    vars(g)["_min_cut"] = result = (best_value, cut)
-    return result
+    return best_value, best_side == best_side[0]
 
 
 def _inside(rep: np.ndarray, supers) -> np.ndarray:
@@ -491,22 +499,25 @@ def _contractible(w: np.ndarray, order: np.ndarray, best: int) -> tuple:
     return ii[below], jj[below]
 
 
-def ni_sparsify(g: Graph, s: int) -> Graph:
+def ni_sparsify(g: Graph, s: int, w: Optional[np.ndarray] = None) -> Graph:
     """Nagamochi-Ibaraki sparse certificate of simple g: its edges of rank at
     most s, at most s*n of them, in which every k-cut of g-value <= s keeps
     its exact crossing edge set.
 
-    An edge's rank is its q in one maximum-adjacency order of g, as
-    ``_contractible`` reads it.  The edges of rank r form a maximal spanning
-    forest of g minus the edges of lower rank (Nagamochi and Ibaraki 1992),
-    so an edge of rank above s has its ends joined in each of s edge-disjoint
-    forests, each of which then crosses every cut that the edge crosses: no
-    such cut has value <= s.  A rank is at most the degree of either end.
+    The rank of the edge (v_i, v_j), i < j, in one maximum-adjacency order
+    of g is the number of v_j's neighbours among v_1..v_i.  The edges of
+    rank r form a maximal spanning forest of g minus the edges of lower rank
+    (Nagamochi and Ibaraki 1992), so an edge of rank above s has its ends
+    joined in each of s edge-disjoint forests, each of which then crosses
+    every cut that the edge crosses: no such cut has value <= s.  A rank is
+    at most the degree of either end.
 
     Degree certificate: if min(deg u, deg v) <= s for every edge (u, v), every
-    rank is at most s and g is returned.  Otherwise the result is the rows of
-    g's ``edge_array`` that one maximum-adjacency phase ranks at most s,
-    which stay sorted.
+    rank is at most s and g is returned.  Otherwise the order is one phase on
+    g's weight matrix ``w`` (built when absent, only read); sorted by (later
+    position, earlier position), an edge row's rank is one more than its
+    index among its later end's rows.  The result is the rows of g's
+    ``edge_array`` of rank at most s, which stay sorted.
     """
     if not g.simple:
         raise GraphError("ni_sparsify is defined for simple graphs")
@@ -516,12 +527,16 @@ def ni_sparsify(g: Graph, s: int) -> Graph:
     deg = np.bincount(edges[:, :2].ravel(), minlength=g.n)   # simple: degree = endpoint count
     if (np.minimum(deg[edges[:, 0]], deg[edges[:, 1]]) <= s).all():
         return g
-    w = weight_matrix(g)
-    order = np.array(_max_adjacency_phase(w)[0])
-    ii, jj = _contractible(w, order, s + 1)   # the edges of rank above s
-    a, b = order[ii], order[jj]
-    w[a, b] = w[b, a] = 0
-    return Graph._of_array(g.n, np.compress(w[edges[:, 0], edges[:, 1]] > 0, edges, axis=0), True)
+    order = _max_adjacency_phase(weight_matrix(g) if w is None else w)[0]
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    a, b = pos[edges[:, 0]], pos[edges[:, 1]]
+    late = np.maximum(a, b)
+    by = np.argsort(late * g.n + np.minimum(a, b))
+    late = late[by]
+    keep = np.empty(len(by), dtype=bool)
+    keep[by] = np.arange(len(by)) - np.searchsorted(late, late) < s   # 0-based ranks
+    return Graph._of_array(g.n, np.compress(keep, edges, axis=0), True)
 
 
 def _merge(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:
@@ -552,71 +567,50 @@ def _merge(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:
     return sup, src
 
 
-def _has_unit_bridge(g: Graph) -> bool:
-    """Whether connected g has a bridge of weight 1, i.e. a cut of value 1.
-
-    Tarjan's low-link depth-first search from vertex 0, on an explicit stack
-    (no recursion limit on n).  Stored pairs are distinct, so the edge back
-    to a vertex's parent is skipped by the parent's id.
-    """
-    adj = g.adjacency
-    disc = [-1] * g.n
-    low = [0] * g.n
-    disc[0] = 0
-    clock = 1
-    stack = [(0, -1, 0, iter(adj[0]))]   # (vertex, parent, tree-edge weight, neighbours left)
-    while stack:
-        v, parent, w_in, it = stack[-1]
-        for u, w in it:
-            if u == parent:
-                continue
-            if disc[u] < 0:
-                disc[u] = low[u] = clock
-                clock += 1
-                stack.append((u, v, w, iter(adj[u])))
-                break
-            low[v] = min(low[v], disc[u])
-        else:
-            stack.pop()
-            if parent >= 0:
-                if low[v] > disc[parent] and w_in == 1:
-                    return True
-                low[parent] = min(low[parent], low[v])
-    return False
-
-
-def sv_2approx(g: Graph, k: int) -> KCut:
+def sv_2approx(g: Graph, k: int, w: Optional[np.ndarray] = None) -> KCut:
     """Greedy splitting 2-approximation: repeatedly apply the globally
     cheapest minimum 2-cut of any current part's induced subgraph.
 
     Each part's min 2-cut is computed once, and only while another split is
-    still needed: at most 2k-3 Stoer-Wagner runs.  The first part is all of
-    g, and its cut is taken on g itself, not on an induced copy, so the
-    global min cut is memoised on g for later callers.
+    still needed: at most 2k-3 Stoer-Wagner runs.  The first part, all of g,
+    is cut by ``stoer_wagner_mincut`` on g with g's weight matrix ``w``
+    (built when absent), which memoises the global min cut on g; every later
+    part by ``_stoer_wagner`` on its principal submatrix of ``w``.  Each
+    edge of the final cut was cut by exactly one split, so a final value
+    other than the sum of the split costs raises InvalidCutError.
     """
     if not 2 <= k <= g.n:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
+    if w is None:
+        w = weight_matrix(g)
     parts: list = [np.arange(g.n)]   # increasing vertex ids
     cuts: list = []   # per part: ((cost, part min vertex), side-0 mask over the part), None if a singleton
+    value = 0
     while len(parts) < k:
         for part in parts[len(cuts):]:
             if len(part) < 2:
                 cuts.append(None)
                 continue
-            # induced_subgraph keeps the increasing order, so sub's vertex j is part[j].
-            sub = g if len(part) == g.n else induced_subgraph(g, part.tolist())[0]
-            cost, cut2 = stoer_wagner_mincut(sub)
-            cuts.append(((cost, int(part[0])), np.array(cut2.labels) == 0))
+            if len(part) == g.n:
+                cost, cut2 = stoer_wagner_mincut(g, w)
+                side = np.array(cut2.labels) == 0
+            else:
+                cost, side = _stoer_wagner(w.take(part, 0).take(part, 1), g.simple)
+            cuts.append(((cost, int(part[0])), side))
         splittable = [i for i, c in enumerate(cuts) if c is not None]
         if not splittable:
             raise InvalidCutError(f"no part left to split at {len(parts)} of {k} parts")
         idx = min(splittable, key=lambda i: cuts[i][0])
         part = parts.pop(idx)
-        _, side = cuts.pop(idx)
+        (cost, _), side = cuts.pop(idx)
+        value += cost
         parts.append(part[side])
         parts.append(part[~side])
     # Parts are numbered by their smallest vertex.
     labels = np.empty(g.n, dtype=np.int64)
     for label, part in enumerate(sorted(parts, key=lambda p: p[0])):
         labels[part] = label
-    return KCut.from_labels(g, labels.tolist(), k)
+    cut = KCut.from_labels(g, labels.tolist(), k)
+    if cut.value != value:
+        raise InvalidCutError(f"greedy splitting cut {value}, its cut has value {cut.value}")
+    return cut

@@ -6,8 +6,9 @@ cores plus all singletons form the partition whose contraction the
 border-finder operates on.
 
 After sparsification every stage works on one dense int64 weight matrix
-(that of the sparsified graph, then its regularized principal submatrix)
-and on vertex index arrays; no stage builds a ``Graph``.  Trimming,
+(that of the sparsified graph, or the solve's own matrix when sparsification
+keeps every edge; then its regularized principal submatrix) and on vertex
+index arrays; no stage builds a ``Graph`` or writes to the matrix.  Trimming,
 shaving and shattering take and return one int64 label per vertex: its
 cluster (or core) index, or -1 for a singleton.  A vertex's weight into
 its cluster is a row sum over a same-label mask, updated by one matrix row
@@ -52,6 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -92,7 +94,8 @@ def regularize(w: np.ndarray, k: int, lambda_bar: int) -> tuple:
     lambda_bar/(2(k-1)) from the simple graph with weight matrix ``w``.
 
     Returns (weight matrix of the remaining graph, removed ids in removal
-    order, array mapping remaining ids to ids of ``w``).  Raises if >= k
+    order, array mapping remaining ids to ids of ``w``); the matrix is ``w``
+    itself when no vertex is removed.  Raises if >= k
     vertices would be removed, which would certify lambda_bar below the
     true optimum.
     """
@@ -117,7 +120,7 @@ def regularize(w: np.ndarray, k: int, lambda_bar: int) -> tuple:
         alive[victim] = False
         deg -= w[victim]
     keep = np.flatnonzero(alive)
-    return w[keep[:, None], keep], removed, keep
+    return (w[keep[:, None], keep] if removed else w), removed, keep
 
 
 @lru_cache(maxsize=None)
@@ -411,8 +414,9 @@ def _singletons_certified(w: np.ndarray, deg: np.ndarray, k: int) -> bool:
     return bool((w[:, deg == 1].sum(axis=1) < k).all())
 
 
-def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
+def kt_partition(g: Graph, k: int, lambda_bar: int, w: Optional[np.ndarray] = None) -> tuple:
     """Full partitioning pipeline; returns (partition of V(g), report dict).
+    ``w`` is g's weight matrix, built when absent and only read.
 
     Singleton certificate.  When the regularized graph has minimum degree
     1 (so gamma = 1), k >= 3 and no vertex has k or more neighbours of
@@ -467,8 +471,9 @@ def kt_partition(g: Graph, k: int, lambda_bar: int) -> tuple:
         raise GraphError("kt_partition is defined for simple graphs")
     if lambda_bar < 1:
         raise ValueError("lambda_bar must be >= 1 (zero-cut inputs exit earlier)")
-    h = ni_sparsify(g, lambda_bar)
-    wr, removed, back = regularize(weight_matrix(h), k, lambda_bar)
+    h = ni_sparsify(g, lambda_bar, w)
+    w = w if h is g and w is not None else weight_matrix(h)
+    wr, removed, back = regularize(w, k, lambda_bar)
     if len(wr) <= 1:
         blocks = [(v,) for v in removed]
         if len(wr) == 1:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .borders import BorderParams, enumerate_borders
-from .graph import Graph, GraphError, InvalidCutError, KCut, connected_components, contract
+from .graph import (Graph, GraphError, InvalidCutError, KCut, connected_components, contract,
+                    weight_matrix)
 from .islands import extend_border
 from .oracle import (_zero_value_kcut, exact_min_kcut, kcut_lower_bound,
                      stoer_wagner_mincut, sv_2approx)
@@ -99,7 +100,10 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
         return SolveReport(k=k, value=0, cut=cut, branch="disconnected",
                            fallback=False, lambda_bar=None, timings=timings)
 
-    sv_cut = sv_2approx(g, k)
+    # One weight matrix serves every layer; parts and hosts are its slices.
+    w = weight_matrix(g)
+    w.flags.writeable = False
+    sv_cut = sv_2approx(g, k, w)
     lambda_bar = sv_cut.value
     timings["approx"] = time.perf_counter() - t0
     if lambda_bar < 1:  # zero-value cuts exited above
@@ -112,14 +116,14 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
             or kcut_lower_bound(k, stoer_wagner_mincut(g)[0]) >= lambda_bar))
 
     if go_exact:
-        cut = exact_min_kcut(g, k, incumbent=sv_cut)
+        cut = exact_min_kcut(g, k, incumbent=sv_cut, w=w)
         timings["exact"] = time.perf_counter() - t0 - timings["approx"]
         timings["total"] = time.perf_counter() - t0
         return SolveReport(k=k, value=cut.value, cut=cut, branch="exact",
                            fallback=False, lambda_bar=lambda_bar, timings=timings)
 
     t1 = time.perf_counter()
-    partition, kt_report = kt_partition(g, k, lambda_bar)
+    partition, kt_report = kt_partition(g, k, lambda_bar, w)
     gc, cmap = contract(g, partition)
     timings["kt"] = time.perf_counter() - t1
 
@@ -150,7 +154,7 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
             # lifts a canonical labelling of gc to a canonical one of g.
             lifted = KCut.from_labels(g, tuple(cand.labels[c] for c in cmap), s)
             # Inclusive cap: an equal value with smaller labels still wins.
-            ext = extend_border(g, lifted, i, max_value=best_cut.value)
+            ext = extend_border(g, lifted, i, max_value=best_cut.value, w=w)
             extended += 1
             if ext is None:
                 continue

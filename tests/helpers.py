@@ -1,15 +1,16 @@
 """Reference helpers the tests check the library against.
 
 Nothing in the library calls these: the per-entry merge loop that
-``Graph.from_edges`` must reproduce, per-subset conductance, the scalar
-splitmix64 stream that ``borders.stream_outputs`` must reproduce, the scalar
-union-find of the one-edge-at-a-time references (Karger contraction, the
-forest passes, connected components), the Nagamochi-Ibaraki edge ranks of
-a maximum-adjacency order, the listing of every k-cut within a bound that
-the partition search's list mode must reproduce, the cut-survival test of
-a contraction map, Wilson score bounds, the classical integer matmul, the
-border bookkeeping of a k-cut, and two fixed instance sets with known
-optima.
+``Graph.from_edges`` must reproduce, the graph strategies several test
+modules draw from, per-vertex adjacency lists, per-subset conductance, the
+scalar splitmix64 stream that ``borders.stream_outputs`` must reproduce, the
+scalar union-find of the one-edge-at-a-time references (Karger contraction,
+the forest passes, connected components), the Nagamochi-Ibaraki edge ranks
+of a maximum-adjacency order, greedy splitting on induced subgraphs, the
+listing of every k-cut within a bound that the partition search's list mode
+must reproduce, the cut-survival test of a contraction map, Wilson score
+bounds, the classical integer matmul, the border bookkeeping of a k-cut,
+and two fixed instance sets with known optima.
 """
 from __future__ import annotations
 
@@ -20,11 +21,13 @@ from itertools import combinations, product
 from typing import Iterable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from kcut.generators import (certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph,
                              planted_instance)
-from kcut.graph import MAX_WEIGHT, Graph, GraphError, KCut, VertexPartition, canonical_labels
-from kcut.oracle import brute_force_min_kcut
+from kcut.graph import (MAX_WEIGHT, Graph, GraphError, KCut, VertexPartition, canonical_labels,
+                        induced_subgraph)
+from kcut.oracle import brute_force_min_kcut, stoer_wagner_mincut
 
 
 def from_edges_reference(n: int, pairs: Iterable[tuple]) -> Graph:
@@ -56,6 +59,48 @@ def from_edges_reference(n: int, pairs: Iterable[tuple]) -> Graph:
     edges = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
     simple = all(w == 1 for _, _, w in edges)
     return Graph(n=n, edges=edges, simple=simple)
+
+
+@st.composite
+def graphs(draw, max_n=8, min_n=1, max_weight=4, weights=None):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    weight = weights if weights is not None else st.integers(1, max_weight)
+    drawn = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, drawn)])
+
+
+@st.composite
+def weights_totalling(draw, total, count):
+    """``count`` >= 1 weights of at least 1 that sum to ``total``, split at
+    sorted cut points, so one draw mixes weights of 1 with weights near the
+    total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total - count),
+                                min_size=count - 1, max_size=count - 1)))
+    return [1 + b - a for a, b in zip([0, *cuts], [*cuts, total - count])]
+
+
+@st.composite
+def heavy_graphs(draw, max_n=9, totals=st.one_of(
+        st.sampled_from([MAX_WEIGHT, MAX_WEIGHT - 1, MAX_WEIGHT - 2]), st.integers(2**62, MAX_WEIGHT))):
+    """Graphs whose weights total MAX_WEIGHT, just below it or anything from
+    2^62 up to it, so that totals, degrees, merged weights and cut values
+    reach the 64-bit limit."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
+    weights = draw(weights_totalling(draw(totals), len(chosen)))
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
+def adjacency(g: Graph) -> tuple:
+    """Per-vertex tuple of (neighbour, weight) pairs, sorted by neighbour."""
+    adj: list = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return tuple(tuple(sorted(a)) for a in adj)
 
 
 def conductance(g: Graph, s: Iterable[int]):
@@ -155,6 +200,32 @@ def ni_ranks_reference(g: Graph) -> dict:
         for u in nbrs[v]:
             attach[u] += 1
     return ranks
+
+
+def sv_2approx_reference(g: Graph, k: int) -> KCut:
+    """Greedy splitting on induced copies: each part's min 2-cut is
+    ``stoer_wagner_mincut`` on the part's induced subgraph (on g itself for
+    the first part), computed once; the part with the least (cost, least
+    vertex) splits, and the parts are numbered by their least vertex."""
+    parts = [list(range(g.n))]
+    cuts: list = []
+    while len(parts) < k:
+        for part in parts[len(cuts):]:
+            if len(part) < 2:
+                cuts.append(None)
+                continue
+            sub = g if len(part) == g.n else induced_subgraph(g, part)[0]
+            cost, cut2 = stoer_wagner_mincut(sub)
+            cuts.append(((cost, part[0]), cut2.labels))
+        idx = min((i for i, c in enumerate(cuts) if c is not None), key=lambda i: cuts[i][0])
+        part = parts.pop(idx)
+        _, side = cuts.pop(idx)
+        parts += [[v for v, s in zip(part, side) if s == 0], [v for v, s in zip(part, side) if s]]
+    labels = [0] * g.n
+    for label, part in enumerate(sorted(parts)):
+        for v in part:
+            labels[v] = label
+    return KCut.from_labels(g, labels, k)
 
 
 def list_kcuts_reference(g: Graph, k: int, bound: int) -> list:

@@ -33,6 +33,8 @@ from kcut.partition import (
     _report,
 )
 
+from helpers import adjacency
+
 
 @dataclass
 class ClusterState:
@@ -61,7 +63,7 @@ def regularize(g: Graph, k: int, lambda_bar: int) -> tuple:
     deg = list(g.degrees)
     alive = [True] * g.n
     removed = []
-    adj = g.adjacency
+    adj = adjacency(g)
     while True:
         victim = None
         for v in range(g.n):
@@ -129,7 +131,7 @@ def _fiedler_sweep(g: Graph) -> tuple:
     vals, vecs = np.linalg.eigh(lap)
     fiedler = vecs[:, 1] * dinv
     order = sorted(range(n), key=lambda v: (fiedler[v], v))
-    adj = g.adjacency
+    adj = adjacency(g)
     in_s = [False] * n
     vol = 0
     boundary = 0
@@ -153,7 +155,7 @@ def _fiedler_sweep(g: Graph) -> tuple:
 
 def _is_star(g: Graph) -> bool:
     """Whether the connected graph ``g`` is a star: n - 1 edges, all at one vertex."""
-    return len(g.edges) == g.n - 1 and max(len(a) for a in g.adjacency) == g.n - 1
+    return len(g.edges) == g.n - 1 and max(len(a) for a in adjacency(g)) == g.n - 1
 
 
 def _lightest_edge(g: Graph) -> tuple:
@@ -209,7 +211,7 @@ def trim(g: Graph, state: ClusterState) -> ClusterState:
     """Move vertices keeping at most 2/5 of their degree inside their cluster
     to the singleton set, lowest id first, until a fixpoint."""
     deg = g.degrees
-    adj = g.adjacency
+    adj = adjacency(g)
     clusters = [set(c) for c in state.clusters]
     singles = set(state.singletons)
     internal = []
@@ -246,7 +248,7 @@ def shave(g: Graph, state: ClusterState, epsilon: float) -> ClusterState:
     their degree outside their cluster move to the singletons; the remainder
     of each cluster becomes its core."""
     deg = g.degrees
-    adj = g.adjacency
+    adj = adjacency(g)
     singles = set(state.singletons)
     cores = []
     for c in state.clusters:
@@ -319,7 +321,7 @@ def is_expander(g: Graph, gamma: Fraction) -> bool:
 def _validate_state(h: Graph, post_trim: ClusterState, post_shave: ClusterState,
                     post_shatter: ClusterState, params: KTParams) -> None:
     deg = h.degrees
-    adj = h.adjacency
+    adj = adjacency(h)
     for c in post_trim.clusters:
         cset = set(c)
         for v in c:

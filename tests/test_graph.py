@@ -26,43 +26,11 @@ from kcut.generators import cliques_bridge, complete_graph, cycle_graph, path_gr
 from kcut.graph import MAX_WEIGHT, component_roots, weight_matrix
 from kcut.oracle import ni_sparsify
 
-from helpers import conductance, from_edges_reference, ni_ranks_reference, union_find
+from helpers import (conductance, from_edges_reference, graphs, heavy_graphs, ni_ranks_reference,
+                     union_find, weights_totalling)
 
 
 # ---------------------------------------------------------------- strategies
-
-@st.composite
-def graphs(draw, max_n=8, min_n=1, max_weight=4, weights=None):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    weight = weights if weights is not None else st.integers(1, max_weight)
-    drawn = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
-    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, drawn)])
-
-
-@st.composite
-def weights_totalling(draw, total, count):
-    """``count`` >= 1 weights of at least 1 that sum to ``total``, split at
-    sorted cut points, so one draw mixes weights of 1 with weights near the
-    total."""
-    cuts = sorted(draw(st.lists(st.integers(0, total - count),
-                                min_size=count - 1, max_size=count - 1)))
-    return [1 + b - a for a, b in zip([0, *cuts], [*cuts, total - count])]
-
-
-@st.composite
-def heavy_graphs(draw, max_n=9, totals=st.one_of(
-        st.sampled_from([MAX_WEIGHT, MAX_WEIGHT - 1, MAX_WEIGHT - 2]), st.integers(2**62, MAX_WEIGHT))):
-    """Graphs whose weights total MAX_WEIGHT, just below it or anything from
-    2^62 up to it, so that totals, degrees, merged weights and cut values
-    reach the 64-bit limit."""
-    n = draw(st.integers(2, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
-    weights = draw(weights_totalling(draw(totals), len(chosen)))
-    return Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
-
 
 def assert_same_graph(got, want):
     """Equal in n, edges, simple and edge_array, and equally hashed."""
@@ -585,18 +553,6 @@ def test_ni_sparsify_matches_from_edges(g, s):
     assert_same_graph(ni_sparsify(g, s), union)
 
 
-@given(graphs(max_n=24, max_weight=3), st.data())
-@settings(max_examples=80, deadline=None)
-def test_adjacency_matches_per_edge_lists(g, data):
-    subset = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
-    for h in (g, induced_subgraph(g, subset)[0]):
-        adj: list = [[] for _ in range(h.n)]
-        for u, v, w in h.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        assert h.adjacency == tuple(tuple(sorted(a)) for a in adj)
-
-
 def draw_labels(data, h):
     """Canonical labels of some k-cut of h."""
     return canonical_labels(data.draw(st.lists(st.integers(0, max(h.n - 1, 0)),
@@ -645,7 +601,7 @@ def test_derived_graph_builds_its_edge_tuple_on_demand():
              contract(g, VertexPartition.from_blocks([[0, 1], [2, 3], [4, 5]], 6))[0]]
     for h in parts:
         assert "edges" not in vars(h)
-        h.total_weight, h.degrees, h.components, h.adjacency, weight_matrix(h)
+        h.total_weight, h.degrees, h.components, weight_matrix(h)
         KCut.from_labels(h, [0] + [1] * (h.n - 1))
         assert "edges" not in vars(h)
         twin = Graph(n=h.n, edges=tuple(map(tuple, h.edge_array.tolist())), simple=h.simple)

@@ -318,12 +318,17 @@ def test_extend_cap_edges():
                                   (complete_graph(8), 3)])
 def test_whole_graph_host_is_not_copied(monkeypatch, g, i):
     # The one-part border (the s = 1 round) is solved on g itself: the
-    # islands are solve_r_island's on g, and no induced copy is made.
+    # islands are solve_r_island's on g, given g's own matrix, not a slice.
     value, islands = solve_r_island(g, i)
-    def forbidden(*args):
-        raise AssertionError("a host that is all of g needs no induced copy")
-    monkeypatch.setattr(kcut.islands, "induced_subgraph", forbidden)
-    ext = extend_border(g, KCut.from_labels(g, (0,) * g.n, 1), i)
+    calls = []
+    solve = kcut.islands.solve_r_island
+    def spy(h, r, max_value=None, w=None):
+        calls.append((h, w))
+        return solve(h, r, max_value, w)
+    monkeypatch.setattr(kcut.islands, "solve_r_island", spy)
+    w = weight_matrix(g)
+    ext = extend_border(g, KCut.from_labels(g, (0,) * g.n, 1), i, w=w)
+    assert len(calls) == 1 and calls[0][0] is g and calls[0][1] is w
     labels = [0] * g.n
     for j, v in enumerate(islands):
         labels[v] = j + 1
@@ -401,4 +406,4 @@ def test_host_islands_equal_solving_the_induced_host(n, p, seed, data):
     cap = data.draw(st.one_of(st.none(), st.integers(best - 2, best + 2)), label="cap")
     solved = solve_r_island(sub, cnt, max_value=cap)
     want = None if solved is None else tuple(back[v] for v in solved[1])
-    assert _host_islands(g, part, cnt, cap) == want
+    assert _host_islands(g, weight_matrix(g), part, cnt, cap) == want

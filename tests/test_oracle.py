@@ -13,6 +13,7 @@ import kcut.oracle
 from kcut import (
     Graph,
     GraphError,
+    InvalidCutError,
     KCut,
     SizeLimitError,
     brute_force_min_kcut,
@@ -33,10 +34,10 @@ from kcut.generators import (
     planted_instance,
     star_graph,
 )
-from kcut.graph import weight_matrix
-from kcut.oracle import _max_adjacency_order, _max_adjacency_phase, _min_kcut_search, list_kcuts
+from kcut.graph import has_unit_bridge, weight_matrix
+from kcut.oracle import _max_adjacency_phase, _min_kcut_search, list_kcuts
 
-from helpers import list_kcuts_reference
+from helpers import adjacency, graphs, heavy_graphs, list_kcuts_reference, sv_2approx_reference
 
 
 def two_triangles_bridge():
@@ -188,7 +189,7 @@ def test_exact_min_kcut_takes_lambda_from_one_stoer_wagner_call(monkeypatch):
     calls = []
     sw = kcut.oracle.stoer_wagner_mincut
     monkeypatch.setattr(kcut.oracle, "stoer_wagner_mincut",
-                        lambda g: calls.append(g.n) or sw(g))
+                        lambda g, *w: calls.append(g.n) or sw(g, *w))
     g = cycle_graph(400)
     incumbent = KCut.from_labels(g, (0,) * 398 + (1, 2), 3)
     assert exact_min_kcut(g, 3, incumbent=incumbent) is incumbent
@@ -601,7 +602,7 @@ def test_sw_stops_at_connectivity_and_bridge_floors(monkeypatch):
     assert len(phases) == 1
     # a weight-2 bridge is no cut of value 1: two C_5s joined by (0, 5, 2)
     g = Graph.from_edges(10, ring + [(u + 5, v + 5) for u, v in ring] + [(0, 5, 2)])
-    assert not kcut.oracle._has_unit_bridge(g)
+    assert not has_unit_bridge(weight_matrix(g))
     assert stoer_wagner_mincut(g)[0] == 2
 
 
@@ -636,8 +637,8 @@ def test_sw_disconnected_below_three_runs_no_phase(monkeypatch, g):
 def test_unit_bridge_search_needs_no_recursion():
     # The depth-first search runs 1,500 vertices deep on C_1500 and P_1500.
     assert 1500 > sys.getrecursionlimit()
-    assert not kcut.oracle._has_unit_bridge(cycle_graph(1500))
-    assert kcut.oracle._has_unit_bridge(path_graph(1500))
+    assert not has_unit_bridge(weight_matrix(cycle_graph(1500)))
+    assert has_unit_bridge(weight_matrix(path_graph(1500)))
     assert stoer_wagner_mincut(cycle_graph(1500))[0] == 2
 
 
@@ -648,7 +649,7 @@ def test_unit_bridge_search_matches_networkx(g):
     ref.add_nodes_from(range(g.n))
     ref.add_weighted_edges_from(g.edges)
     expected = any(ref[u][v]["weight"] == 1 for u, v in nx.bridges(ref))
-    assert kcut.oracle._has_unit_bridge(g) == expected
+    assert has_unit_bridge(weight_matrix(g)) == expected
 
 
 def test_sw_result_is_memoised_per_graph_object(monkeypatch):
@@ -688,7 +689,7 @@ def reference_max_adjacency_order(g):
                 key=lambda v: (-weight_to_placed[v], v))
         placed[v] = True
         order.append(v)
-        for u, w in g.adjacency[v]:
+        for u, w in adjacency(g)[v]:
             if not placed[u]:
                 weight_to_placed[u] += w
     return order
@@ -702,7 +703,7 @@ def test_max_adjacency_order_matches_reference():
                                     gnp_graph(n, 0.4, seed=9500 + n).edges])
                for n in range(2, 16)]
     for g in graphs:
-        assert _max_adjacency_order(g) == reference_max_adjacency_order(g)
+        assert _max_adjacency_phase(weight_matrix(g))[0] == reference_max_adjacency_order(g)
 
 
 # --------------------------------------------------------------- sv_2approx
@@ -720,15 +721,65 @@ def test_sv_c6_k3():
 
 
 def test_sv_2approx_caches_part_cuts(monkeypatch):
-    # Each part's min 2-cut is computed once: 2k-3 Stoer-Wagner runs, made
-    # through the module attribute that perfbench's tracer patches.
-    calls = []
-    sw = kcut.oracle.stoer_wagner_mincut
+    # Each part's min 2-cut is computed once: 2k-3 Stoer-Wagner runs.  The
+    # first, on the whole graph, goes through the module attribute that
+    # perfbench's tracer patches; the others run the matrix core on slices.
+    graph_calls, core_calls = [], []
+    sw, core = kcut.oracle.stoer_wagner_mincut, kcut.oracle._stoer_wagner
     monkeypatch.setattr(kcut.oracle, "stoer_wagner_mincut",
-                        lambda g: calls.append(g.n) or sw(g))
+                        lambda g, *w: graph_calls.append(g.n) or sw(g, *w))
+    monkeypatch.setattr(kcut.oracle, "_stoer_wagner",
+                        lambda w, *flags: core_calls.append(len(w)) or core(w, *flags))
     cut = sv_2approx(cliques_bridge(6, 5, 1), 4)
-    assert len(calls) == 2 * 4 - 3
+    assert graph_calls == [30]
+    assert len(core_calls) == 2 * 4 - 3 and core_calls[0] == 30
     assert cut.value == 3
+
+
+@st.composite
+def dense_graphs(draw):
+    """G(n, p) with p >= 0.8, where Chartrand's floor certifies most parts'
+    min cuts before any phase."""
+    return gnp_graph(draw(st.integers(2, 40)), draw(st.sampled_from([0.8, 0.9, 1.0])),
+                     draw(st.integers(0, 10**6)))
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Two drawn graphs side by side, their vertex ids interleaved by a
+    drawn permutation."""
+    a, b = draw(graphs(max_n=6)), draw(graphs(max_n=6, max_weight=1))
+    perm = draw(st.permutations(range(a.n + b.n)))
+    edges = [(u, v, w) for u, v, w in a.edges] + [(u + a.n, v + a.n, w) for u, v, w in b.edges]
+    return Graph.from_edges(a.n + b.n, [(perm[u], perm[v], w) for u, v, w in edges])
+
+
+@given(st.one_of(graphs(max_n=10, min_n=2), heavy_graphs(), dense_graphs(),
+                 disconnected_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sv_2approx_matches_the_induced_subgraph_reference(g, data):
+    # The library cuts each part on a slice of one weight matrix; the
+    # reference builds each part's induced subgraph and runs
+    # stoer_wagner_mincut on it, on a distinct Graph object.
+    k = data.draw(st.integers(2, g.n), label="k")
+    cut = sv_2approx(g, k)
+    ref = sv_2approx_reference(Graph(n=g.n, edges=g.edges, simple=g.simple), k)
+    assert (cut.value, cut.labels) == (ref.value, ref.labels)
+
+
+def test_sv_2approx_rejects_a_split_cost_that_is_not_its_cut(monkeypatch):
+    # The final cut is checked against the sum of the split costs, so a
+    # sub-part's min cut reported one too low is caught; the whole graph's
+    # cut, which stoer_wagner_mincut checks itself, is left alone.
+    core = kcut.oracle._stoer_wagner
+
+    def understated(w, *flags):
+        value, side = core(w, *flags)
+        return value - (len(w) < 30), side
+
+    monkeypatch.setattr(kcut.oracle, "_stoer_wagner", understated)
+    with pytest.raises(InvalidCutError, match="greedy splitting"):
+        sv_2approx(cliques_bridge(6, 5, 1), 4)
 
 
 def test_sv_zero_on_disconnected():

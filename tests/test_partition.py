@@ -32,7 +32,7 @@ from kcut.oracle import ni_sparsify
 from kcut.partition import KTParams, _degree_certified, _min_conductance
 
 import partition_reference
-from helpers import border_agrees, borders_of_cut, conductance
+from helpers import adjacency, border_agrees, borders_of_cut, conductance
 
 
 def two_k8_bridge():
@@ -371,7 +371,7 @@ def _singletons_certified(g, k, lambda_bar):
         return False
     if h.n <= 1 or k < 3 or min(h.degrees) != 1:
         return False
-    return all(sum(h.degrees[u] == 1 for u, _ in nbrs) < k for nbrs in h.adjacency)
+    return all(sum(h.degrees[u] == 1 for u, _ in nbrs) < k for nbrs in adjacency(h))
 
 
 _SKIPPED_STAGES = {"clusters": None, "trimmed": None, "shaved": None, "shattered": None}

@@ -1,10 +1,13 @@
 """End-to-end solver behavior."""
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kcut.graph
+import kcut.islands
 import kcut.oracle
 import kcut.partition
 import kcut.pipeline
@@ -19,7 +22,9 @@ from kcut import (
     stoer_wagner_mincut,
     sv_2approx,
 )
-from kcut.generators import PlantedInfo, certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph
+from kcut.generators import (PlantedInfo, certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph,
+                             planted_instance)
+from kcut.graph import weight_matrix
 from kcut.oracle import _min_kcut_search, kcut_lower_bound
 from kcut.pipeline import PipelineConfig
 
@@ -126,9 +131,9 @@ def test_exact_min_kcut_above_oracle_limit():
 def test_exact_branch_computes_sv_once(monkeypatch):
     calls = []
 
-    def counted(g, k):
+    def counted(g, k, *w):
         calls.append(k)
-        return sv_2approx(g, k)
+        return sv_2approx(g, k, *w)
 
     monkeypatch.setattr(kcut.pipeline, "sv_2approx", counted)
     monkeypatch.setattr(kcut.oracle, "sv_2approx", counted)
@@ -163,9 +168,9 @@ def test_k2_root_certificate_routes_to_exact(monkeypatch):
     # certifies it before the partition.
     misses = []
 
-    def counted(g):
+    def counted(g, *w):
         misses.append("_min_cut" not in vars(g))
-        return stoer_wagner_mincut(g)
+        return stoer_wagner_mincut(g, *w)
 
     monkeypatch.setattr(kcut.oracle, "stoer_wagner_mincut", counted)
     monkeypatch.setattr(kcut.pipeline, "stoer_wagner_mincut", counted)
@@ -184,7 +189,7 @@ def test_forced_sparsify_ignores_root_certificate(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[1:])
+        calls.append(args[1:3])
         return kcut.partition.kt_partition(*args)
 
     monkeypatch.setattr(kcut.pipeline, "kt_partition", counted)
@@ -192,6 +197,37 @@ def test_forced_sparsify_ignores_root_certificate(monkeypatch):
     assert rep.branch == "sparsify"
     assert calls == [(2, 68)]
     assert rep.partition_stats is not None and len(rep.border_stats) == 2
+
+
+@pytest.mark.parametrize("g, k, cfg", [
+    (gnp_graph(60, 0.85, 0), 5, PipelineConfig()),
+    (planted_instance(4, 20, 0.9, 0.01, 3, seed=1)[0], 4,
+     PipelineConfig(force_branch="sparsify", trial_cap=150)),
+])
+def test_a_solve_builds_one_weight_matrix(monkeypatch, g, k, cfg):
+    # Every layer reads the solve's matrix of g: sv_2approx's parts, the
+    # partition and the island hosts are its slices, never induced graphs,
+    # and no layer writes to it.
+    built = []
+
+    def spy(h):
+        w = weight_matrix(h)
+        if h is g:
+            built.append(w)
+        return w
+
+    def forbidden(*args):
+        raise AssertionError("a solve built an induced subgraph")
+
+    for mod in (kcut.pipeline, kcut.oracle, kcut.partition, kcut.islands):
+        monkeypatch.setattr(mod, "weight_matrix", spy)
+    for mod in (kcut.graph, kcut.pipeline, kcut.oracle, kcut.partition, kcut.islands):
+        monkeypatch.setattr(mod, "induced_subgraph", forbidden, raising=False)
+    rep = min_kcut(g, k, cfg)
+    assert rep.branch == "sparsify" and rep.value == cut_value(g, rep.cut)
+    assert len(built) == 1
+    assert not built[0].flags.writeable
+    assert np.array_equal(built[0], weight_matrix(g))
 
 
 def test_island_cap_changes_no_sparsify_output(monkeypatch):
@@ -204,7 +240,7 @@ def test_island_cap_changes_no_sparsify_output(monkeypatch):
     capped = [min_kcut(*run) for run in runs]
     uncapped_extend = kcut.pipeline.extend_border
     monkeypatch.setattr(kcut.pipeline, "extend_border",
-                        lambda g, border, i, max_value: uncapped_extend(g, border, i))
+                        lambda g, border, i, max_value, w: uncapped_extend(g, border, i, w=w))
     for rep, run in zip(capped, runs):
         free = min_kcut(*run)
         assert (rep.value, rep.cut, rep.fallback) == (free.value, free.cut, free.fallback)

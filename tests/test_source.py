@@ -96,3 +96,15 @@ def test_readme_key_modules_line_names_every_module():
     documented = re.findall(r"`(\w+)`", line)
     modules = [p.stem for p in SRC.glob("*.py") if p.stem != "__init__"]
     assert sorted(documented) == sorted(modules)
+
+
+def test_only_graph_construction_modules_name_induced_subgraph():
+    # A solve slices its one weight matrix for every part and host, so no
+    # solver layer builds an induced Graph; the generators still cut
+    # clusters out of the graphs they build.
+    allowed = {"graph.py", "generators.py", "__init__.py"}
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if str(name) not in allowed
+             and (isinstance(node, ast.Name) and node.id == "induced_subgraph"
+                  or isinstance(node, ast.alias) and "induced_subgraph" in (node.name, node.asname)
+                  or isinstance(node, ast.Attribute) and node.attr == "induced_subgraph")]
+    assert found == []

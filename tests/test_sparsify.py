@@ -1,6 +1,7 @@
 """Nagamochi-Ibaraki sparsification."""
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import kcut.oracle
 from kcut import Graph, GraphError, connected_components, ni_sparsify
 from kcut.generators import complete_graph, cycle_graph, gnp_graph, path_graph
+from kcut.graph import weight_matrix
 
 from helpers import ni_ranks_reference, union_find
 
@@ -112,6 +114,26 @@ def test_one_scan_equals_passes_near_the_degree_bound(n, p, seed):
         if h != g:
             rejecting.append(s)
     assert rejecting == [delta, t // 2]
+
+
+@given(st.one_of(gnp, st.builds(gnp_graph, st.integers(30, 90), st.sampled_from([0.05, 0.2, 0.8]),
+                                 st.integers(0, 10_000))), st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_sorted_ranks_keep_the_edges_stoer_wagner_ranks_keep(g, s):
+    # The ranks come from one sort of the edge rows; Stoer-Wagner's
+    # contraction reads the same ranks as running sums (``_contractible``).
+    # Given the solve's read-only matrix, ni_sparsify reads it and keeps
+    # the same edges.
+    w = weight_matrix(g)
+    order = np.array(kcut.oracle._max_adjacency_phase(w)[0])
+    ii, jj = kcut.oracle._contractible(w, order, s + 1)   # the edges of rank above s
+    w[order[ii], order[jj]] = 0
+    w[order[jj], order[ii]] = 0
+    want = [(u, v, 1) for u, v, _ in g.edges if w[u, v]]
+    shared = weight_matrix(g)
+    shared.flags.writeable = False
+    assert ni_sparsify(g, s).edges == ni_sparsify(g, s, shared).edges == tuple(want)
+    assert np.array_equal(shared, weight_matrix(g))
 
 
 def test_forests_past_the_largest_degree_are_empty():

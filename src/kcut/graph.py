@@ -335,9 +335,6 @@ class VertexPartition:
             raise GraphError("partition does not cover 0..n-1 exactly")
         return tuple(map(pos.__getitem__, range(n)))
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def contract(g: Graph, p: VertexPartition) -> tuple:
     """Contract each block into a super-vertex; returns (graph, contraction map).

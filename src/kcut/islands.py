@@ -18,9 +18,10 @@ Before the search, vertices are pruned by degree.  |E(S)| <= C(r, 2), so a
 vertex v lies in a set costing at most a bound only if deg(v) + (the r-1
 smallest other degrees) - C(r, 2) is at most that bound.  The bound is the
 cost of a known feasible set (the r lowest-degree vertices), or a caller's
-cap when that is smaller, for a caller that only wants sets costing at most
-the cap.  Every optimal set within the bound passes, so the value and the
-lex-smallest optimum are those of the unpruned search.
+cap when that is smaller.  The cap is an int inside this module; the public
+entries read None as the graph's total weight, which no set costs more than.
+Every optimal set within the bound passes, so the value and the lex-smallest
+optimum are those of the unpruned search.
 """
 from __future__ import annotations
 
@@ -90,7 +91,7 @@ def _island_cost(adj: np.ndarray, deg: np.ndarray, subset) -> int:
 
 
 def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int,
-                       max_value: Optional[int] = None) -> tuple:
+                       max_value: int) -> tuple:
     """(upper, kept) for a simple graph: upper is the cost of the r
     lowest-degree vertices, which bounds the optimum, or ``max_value`` when
     that is smaller, and kept the increasing ids of the vertices that can lie
@@ -100,13 +101,12 @@ def _island_candidates(adj: np.ndarray, deg: np.ndarray, r: int,
     C(r, 2) <= upper.  For v outside the r smallest degrees, the r-1
     smallest other degrees are the r-1 smallest overall.  For v among them,
     the sum taken may hold deg(v) in place of the r-th smallest degree, so
-    it is at most the true one and the test can only keep more; without a
-    cap it always passes there, as upper is at least their sum minus C(r, 2).
+    it is at most the true one and the test can only keep more; when the
+    cap is not below their cost it always passes there, as upper is then at
+    least their sum minus C(r, 2).
     """
     order = np.argsort(deg, kind="stable")
-    upper = _island_cost(adj, deg, order[:r])
-    if max_value is not None:
-        upper = min(upper, max_value)
+    upper = min(_island_cost(adj, deg, order[:r]), max_value)
     rest = int(deg[order[:r - 1]].sum())
     return upper, np.flatnonzero(deg + rest - r * (r - 1) // 2 <= upper)
 
@@ -160,7 +160,8 @@ def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None,
 
     Returns (value, island tuple); ties take the lex-smallest island set.
     With ``max_value`` the same result is returned when its value is at most
-    ``max_value``, and None otherwise.  ``w`` is g's weight matrix, built
+    ``max_value``, and None otherwise; None stands for g's total weight,
+    which no island set costs more than.  ``w`` is g's weight matrix, built
     when absent.
     """
     if not g.simple:
@@ -168,11 +169,12 @@ def solve_r_island(g: Graph, r: int, max_value: Optional[int] = None,
     if not 1 <= r <= g.n - 1:
         raise ValueError(f"r must be in 1..n-1, got r={r} with n={g.n}")
     adj = weight_matrix(g) if w is None else w
-    return _r_island(adj, adj.sum(axis=1), r, max_value)
+    cap = g.total_weight if max_value is None else max_value
+    return _r_island(adj, adj.sum(axis=1), r, cap)
 
 
 def _r_island(adj: np.ndarray, deg: np.ndarray, r: int,
-              max_value: Optional[int]) -> Optional[tuple]:
+              max_value: int) -> Optional[tuple]:
     """``solve_r_island`` on the simple graph with 0/1 weight matrix ``adj``
     and degrees ``deg``: the branch and bound of ``_branch_and_bound`` on
     the vertices that pass the degree test of the module docstring, with
@@ -189,7 +191,7 @@ def _r_island(adj: np.ndarray, deg: np.ndarray, r: int,
 
 
 def _host_islands(g: Graph, w: np.ndarray, part: tuple, cnt: int,
-                  cap: Optional[int]) -> Optional[tuple]:
+                  cap: int) -> Optional[tuple]:
     """``solve_r_island``'s islands (as ids of g) of the subgraph of g
     induced by the increasing vertex ids ``part``, or None when no cnt
     islands cost at most ``cap``; ``w`` is g's weight matrix.
@@ -198,9 +200,7 @@ def _host_islands(g: Graph, w: np.ndarray, part: tuple, cnt: int,
     host of the simple g is the part's principal submatrix of ``w``, whose
     row sums are the degrees inside the part.  One island costs its degree,
     so for cnt = 1 the first vertex of least degree is the answer, as the
-    search would find it.  cnt islands cost at least their cnt smallest
-    degrees less the C(cnt, 2) edges they can share, so when that floor is
-    above ``cap`` no search runs.
+    search would find it.
     """
     if len(part) == g.n:
         solved = solve_r_island(g, cnt, max_value=cap, w=w)
@@ -209,9 +209,7 @@ def _host_islands(g: Graph, w: np.ndarray, part: tuple, cnt: int,
     deg = adj.sum(axis=1)
     if cnt == 1:
         j = int(deg.argmin())
-        return (part[j],) if cap is None or deg[j] <= cap else None
-    if cap is not None and int(np.sort(deg)[:cnt].sum()) - cnt * (cnt - 1) // 2 > cap:
-        return None
+        return (part[j],) if deg[j] <= cap else None
     solved = _r_island(adj, deg, cnt, cap)
     return None if solved is None else tuple(part[v] for v in solved[1])
 
@@ -224,7 +222,8 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
     or None when no composition fits.
 
     With ``max_value`` the same cut is returned when its value is at most
-    ``max_value``, and None otherwise.  Carving adds each host's island cost
+    ``max_value``, and None otherwise; None stands for g's total weight,
+    which no cut costs more than.  Carving adds each host's island cost
     (within the host) to the border's value, so each host is solved with the
     cap ``max_value`` minus the border's value, and a composition with a
     host over its cap is skipped.
@@ -236,11 +235,13 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
         raise GraphError("island extension is defined for simple graphs")
     if i < 0:
         raise ValueError("island count must be nonnegative")
-    if max_value is not None and border_cut.value > max_value:
+    if max_value is None:
+        max_value = g.total_weight
+    if border_cut.value > max_value:
         return None
     if i == 0:
         return border_cut
-    host_cap = None if max_value is None else max_value - border_cut.value
+    host_cap = max_value - border_cut.value
     if w is None:
         w = weight_matrix(g)
     hosts = [p for p in border_cut.parts() if len(p) >= 2]
@@ -271,7 +272,7 @@ def extend_border(g: Graph, border_cut: KCut, i: int,
         key = (cut.value, cut.labels)
         if best is None or key < best[0]:
             best = (key, cut)
-    if best is None or (max_value is not None and best[1].value > max_value):
+    if best is None or best[1].value > max_value:
         return None
     return best[1]
 

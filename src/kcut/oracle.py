@@ -73,23 +73,29 @@ def kcut_lower_bound(parts: int, lam: int) -> int:
     return -(-parts * lam // 2)
 
 
+def _edges_by_position(g: Graph, order: Sequence[int]) -> tuple:
+    """(pos, by, early, late) for the vertex order ``order``: pos[v] is v's
+    position, ``by`` sorts the rows of g's ``edge_array`` by (later,
+    earlier) end position, and early and late are those positions, sorted."""
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[np.asarray(order, dtype=np.int64)] = np.arange(g.n)
+    a, b = pos[g.edge_array[:, 0]], pos[g.edge_array[:, 1]]
+    early, late = np.minimum(a, b), np.maximum(a, b)
+    by = np.argsort(late * g.n + early)   # keys are distinct: no parallel edges
+    return pos, by, early[by], late[by]
+
+
 def _search_setup(g: Graph, order: Sequence[int]) -> tuple:
     """The per-graph part of the partition search that assigns vertices in
     ``order``: (pos, earlier, back), pos[v] being v's position, earlier[b]
     the (a, w) pairs of the edges from position b to the earlier positions
-    a, and back[b] their total weight.  Built by one sort of the edge rows
-    by later position; the sums are Python ints, so no weight wraps around.
+    a, and back[b] their total weight.  Built from ``_edges_by_position``;
+    the sums are Python ints, so no weight wraps around.
     """
-    n = g.n
-    edges = g.edge_array
-    pos = np.empty(n, dtype=np.int64)
-    pos[np.asarray(order, dtype=np.int64)] = np.arange(n)
-    a, b = pos[edges[:, 0]], pos[edges[:, 1]]
-    late = np.maximum(a, b)
-    by = np.argsort(late, kind="stable")
-    w = edges[by, 2].tolist()
-    pairs = list(zip(np.minimum(a, b)[by].tolist(), w))
-    stops = np.bincount(late, minlength=n).cumsum().tolist()
+    pos, by, early, late = _edges_by_position(g, order)
+    w = g.edge_array[by, 2].tolist()
+    pairs = list(zip(early.tolist(), w))
+    stops = np.bincount(late, minlength=g.n).cumsum().tolist()
     starts = [0] + stops[:-1]
     total = [0, *accumulate(w)]
     earlier = [pairs[s:e] for s, e in zip(starts, stops)]
@@ -381,10 +387,12 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
     (merged vertices are marked dead, and later phases skip them).  The best
     cut so far, lambda-hat, starts as the smallest weighted degree.  Each
     phase orders the current super-vertices by maximum adjacency
-    v_1, ..., v_m and offers, in this order: the phase cut (the last
-    vertex's attachment), then the certified floors below; every prefix cut
-    {v_1..v_i}, i < m, of value sum over j <= i of deg(v_j) - 2 attach(v_j);
-    after the merge, the degree of every new super-vertex.
+    v_1, ..., v_m and offers, after the certified floors below, every prefix
+    cut {v_1..v_i}, i < m, of value sum over j <= i of deg(v_j) -
+    2 attach(v_j); after the merge, the degree of every new super-vertex.
+    The phase cut, i = m - 1, has value attach(v_m) = deg(v_m), a current
+    degree; each was offered (the least at the start, a super-vertex's after
+    its merge, which leaves other degrees alone), so it is not offered again.
 
     The merge contracts every edge (v_i, v_j), i < j, whose q, the weight
     from v_j to v_1..v_i, is at least lambda-hat: such an edge crosses no cut
@@ -416,8 +424,8 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
     once; if they certify delta, no phase runs.  At delta >= 3 no floor can
     certify the best before a phase, so connectivity is left to phase 1,
     which has placed every vertex with a nonzero attachment when the graph
-    is connected, and the floors are checked after the phase cut and again
-    after the prefix cuts, before any contraction work.
+    is connected, and the floors are checked once the phase has ordered the
+    vertices and again after the prefix cuts, before any contraction work.
     """
     n = len(w)
     deg = w.sum(axis=1)
@@ -443,8 +451,6 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
             # placed before the first zero are vertex 0's component.
             best_value, best_side = 0, _inside(rep, order[:attach.index(0, 1)])
             break
-        if attach[-1] < best_value:
-            best_value, best_side = attach[-1], rep == order[-1]
         if best_value == 2 and not bridge_searched:
             bridge_searched = True
             lower = 1 if has_unit_bridge(w) else 2
@@ -515,9 +521,9 @@ def ni_sparsify(g: Graph, s: int, w: Optional[np.ndarray] = None) -> Graph:
     Degree certificate: if min(deg u, deg v) <= s for every edge (u, v), every
     rank is at most s and g is returned.  Otherwise the order is one phase on
     g's weight matrix ``w`` (built when absent, only read); sorted by (later
-    position, earlier position), an edge row's rank is one more than its
-    index among its later end's rows.  The result is the rows of g's
-    ``edge_array`` of rank at most s, which stay sorted.
+    position, earlier position) (``_edges_by_position``), an edge row's rank
+    is one more than its index among its later end's rows.  The result is
+    the rows of g's ``edge_array`` of rank at most s, which stay sorted.
     """
     if not g.simple:
         raise GraphError("ni_sparsify is defined for simple graphs")
@@ -528,12 +534,7 @@ def ni_sparsify(g: Graph, s: int, w: Optional[np.ndarray] = None) -> Graph:
     if (np.minimum(deg[edges[:, 0]], deg[edges[:, 1]]) <= s).all():
         return g
     order = _max_adjacency_phase(weight_matrix(g) if w is None else w)[0]
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(g.n)
-    a, b = pos[edges[:, 0]], pos[edges[:, 1]]
-    late = np.maximum(a, b)
-    by = np.argsort(late * g.n + np.minimum(a, b))
-    late = late[by]
+    _, by, _, late = _edges_by_position(g, order)
     keep = np.empty(len(by), dtype=bool)
     keep[by] = np.arange(len(by)) - np.searchsorted(late, late) < s   # 0-based ranks
     return Graph._of_array(g.n, np.compress(keep, edges, axis=0), True)

@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, GraphError, VertexPartition, component_roots, weight_matrix
+from .graph import Graph, GraphError, VertexPartition, component_roots, nonzeros, weight_matrix
 from .oracle import ni_sparsify
 
 EXACT_CONDUCTANCE_LIMIT = 16
@@ -66,9 +66,6 @@ DECOMPOSITION_EDGE_CONST = 10
 # a relative 1/total^2 > 2^-50 at least, so their float64 quotients are
 # distinct and in the same order: a float argmin is the exact first minimum.
 _FLOAT_EXACT_TOTAL = 1 << 25
-# Blocks up to this size are enumerated from one subset table; above it the
-# subsets split into two halves (one table grows as 2^n * n^2 work).
-_ONE_TABLE_LIMIT = 8
 
 
 class KTInvariantError(GraphError):
@@ -168,34 +165,31 @@ def _min_conductance(w: np.ndarray) -> tuple:
     matrix ``w`` (2 <= n <= 16): (Fraction or inf, sorted index array).
 
     Enumerates the subsets holding vertex 0 (conductance is complement-
-    symmetric).  Above ``_ONE_TABLE_LIMIT`` vertices they form a (high
-    subset, low subset) grid whose ravel order is ascending subset-mask
-    order, so either way ties go to the smallest mask.  Sums are int64 and
-    may wrap for huge weights; every quantity read from them is at most the
-    total weight, hence exact.
+    symmetric).  They form a (high subset, low subset) grid whose ravel
+    order is ascending subset-mask order, so ties go to the smallest mask.
+    Sums are int64 and may wrap for huge weights; every quantity read from
+    them is at most the total weight, hence exact.
     """
     n = len(w)
-    a = n if n <= _ONE_TABLE_LIMIT else (n + 1) // 2
+    a = (n + 1) // 2
     low = _subset_bits(a)[1::2]           # subsets of 0..a-1 holding 0
+    high = _subset_bits(n - a)            # subsets of a..n-1
     deg = w.sum(axis=1)
     upper = w * _strict_upper(n)          # every edge once
     total = int(upper.sum())
     vol = low @ deg[:a]
-    bd = vol - 2 * ((low @ upper[:a, :a]) * low).sum(axis=1)
-    if a < n:
-        high = _subset_bits(n - a)        # subsets of a..n-1
-        # Row h: boundary of (high subset h) + (low subset l) for every l,
-        # less the high subset's own boundary, built one high vertex at a
-        # time: rows 2^i..2^(i+1)-1 are rows 0..2^i-1 less twice the weight
-        # from vertex a+i into the low subset.
-        grid = np.empty((len(high), len(low)), dtype=np.int64)
-        grid[0] = bd
-        for i, row in enumerate((low @ w[:a, a:]).T * -2):
-            np.add(grid[:1 << i], row, out=grid[1 << i:2 << i])
-        vol_high = high @ deg[a:]
-        grid += (vol_high - 2 * ((high @ upper[a:, a:]) * high).sum(axis=1))[:, None]
-        bd = grid.ravel()
-        vol = np.add(vol, vol_high[:, None]).ravel()
+    # Row h: boundary of (high subset h) + (low subset l) for every l, less
+    # the high subset's own boundary, built one high vertex at a time: rows
+    # 2^i..2^(i+1)-1 are rows 0..2^i-1 less twice the weight from vertex
+    # a+i into the low subset.
+    grid = np.empty((len(high), len(low)), dtype=np.int64)
+    grid[0] = vol - 2 * ((low @ upper[:a, :a]) * low).sum(axis=1)
+    for i, row in enumerate((low @ w[:a, a:]).T * -2):
+        np.add(grid[:1 << i], row, out=grid[1 << i:2 << i])
+    vol_high = high @ deg[a:]
+    grid += (vol_high - 2 * ((high @ upper[a:, a:]) * high).sum(axis=1))[:, None]
+    bd = grid.ravel()
+    vol = np.add(vol, vol_high[:, None]).ravel()
     denom = _min_side_volumes(vol, total)
     i = _first_min_ratio(bd, denom, total)
     if i is None:
@@ -204,7 +198,7 @@ def _min_conductance(w: np.ndarray) -> tuple:
     h, l = divmod(i, len(low))
     side = low[l].nonzero()[0]
     if h:
-        side = np.concatenate([side, a + _subset_bits(n - a)[h].nonzero()[0]])
+        side = np.concatenate([side, a + high[h].nonzero()[0]])
     return Fraction(int(bd[i]), int(denom[i])), side
 
 
@@ -248,9 +242,9 @@ def _degree_certified(deg: np.ndarray, wmax: int, gamma: Fraction) -> bool:
 
 
 def _fiedler_sweep(w: np.ndarray, deg: np.ndarray) -> tuple:
-    """Best prefix cut of the Fiedler-vector order of the graph with weight
-    matrix ``w`` and row sums ``deg``; returns (conductance, sorted index
-    array)."""
+    """Best prefix cut of the Fiedler-vector order of the connected graph
+    with weight matrix ``w`` and row sums ``deg`` (so every prefix cut has
+    volume on both sides); returns (conductance, sorted index array)."""
     n = len(w)
     dinv = 1.0 / np.sqrt(np.maximum(deg.astype(np.float64), 1e-12))
     lap = np.eye(n) - (w.astype(np.float64) * dinv).T * dinv
@@ -264,8 +258,6 @@ def _fiedler_sweep(w: np.ndarray, deg: np.ndarray) -> tuple:
     denom = _min_side_volumes(vol, total)
     bd = vol - 2 * np.cumsum(lower)[:-1]
     j = _first_min_ratio(bd, denom, total)
-    if j is None:
-        return math.inf, order[:1]
     return Fraction(int(bd[j]), int(denom[j])), np.sort(order[:j + 1])
 
 
@@ -328,7 +320,7 @@ def expander_decompose(g, gamma: Fraction) -> VertexPartition:
                 blocks.append(idx.tolist())
                 continue
         if not connected:
-            roots = component_roots(len(idx), *sub.nonzero())
+            roots = component_roots(len(idx), *nonzeros(sub))
             heads = np.flatnonzero(roots == np.arange(len(idx)))
             if len(heads) > 1:
                 stack.extend((idx[roots == h], True) for h in heads[::-1])
@@ -416,7 +408,9 @@ def _singletons_certified(w: np.ndarray, deg: np.ndarray, k: int) -> bool:
 
 def kt_partition(g: Graph, k: int, lambda_bar: int, w: Optional[np.ndarray] = None) -> tuple:
     """Full partitioning pipeline; returns (partition of V(g), report dict).
-    ``w`` is g's weight matrix, built when absent and only read.
+    ``w`` is g's weight matrix, built when absent and only read.  With k in
+    2..n, ``regularize`` leaves two or more vertices or raises: were one
+    left (so n = k), its degree 0 would make it the k-th removal.
 
     Singleton certificate.  When the regularized graph has minimum degree
     1 (so gamma = 1), k >= 3 and no vertex has k or more neighbours of
@@ -469,18 +463,13 @@ def kt_partition(g: Graph, k: int, lambda_bar: int, w: Optional[np.ndarray] = No
     """
     if not g.simple:
         raise GraphError("kt_partition is defined for simple graphs")
+    if not 2 <= k <= g.n:
+        raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
     if lambda_bar < 1:
         raise ValueError("lambda_bar must be >= 1 (zero-cut inputs exit earlier)")
     h = ni_sparsify(g, lambda_bar, w)
     w = w if h is g and w is not None else weight_matrix(h)
     wr, removed, back = regularize(w, k, lambda_bar)
-    if len(wr) <= 1:
-        blocks = [(v,) for v in removed]
-        if len(wr) == 1:
-            blocks.append(tuple(back.tolist()))
-        partition = VertexPartition.from_blocks(blocks, g.n)
-        report = _report(partition, removed, 0, 0, 0, 0, KTParams.derive(2, k, 1))
-        return partition, report
     deg = wr.sum(axis=1)
     params = KTParams.derive(len(wr), k, int(deg.min()))
     if _singletons_certified(wr, deg, k):

@@ -108,12 +108,13 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     timings["approx"] = time.perf_counter() - t0
     if lambda_bar < 1:  # zero-value cuts exited above
         raise InvalidCutError(f"2-approximation of a connected graph has value {lambda_bar}")
+    lam = stoer_wagner_mincut(g)[0]   # memoised by sv_2approx
 
     threshold = _THRESHOLD_CONST * g.n ** (1 / 3)
     go_exact = cfg.force_branch == "exact" or (
         cfg.force_branch is None and (
             lambda_bar <= threshold
-            or kcut_lower_bound(k, stoer_wagner_mincut(g)[0]) >= lambda_bar))
+            or kcut_lower_bound(k, lam) >= lambda_bar))
 
     if go_exact:
         cut = exact_min_kcut(g, k, incumbent=sv_cut, w=w)
@@ -132,7 +133,6 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     best_cut = sv_cut
     border_best: Optional[KCut] = None
     border_stats = []
-    lam = stoer_wagner_mincut(g)[0]   # memoised by sv_2approx
     log2n = math.log2(g.n) if g.n >= 2 else 1.0
     t2 = time.perf_counter()
     for i in range(k):

@@ -164,7 +164,7 @@ def solve_r_island(g: Graph, r: int) -> tuple:
         return _solve_small(g, r)
     adj = weight_matrix(g)
     deg = adj.sum(axis=1)
-    upper, kept = _island_candidates(adj, deg, r)
+    upper, kept = _island_candidates(adj, deg, r, g.total_weight)
     search = TripleSearch(adj[np.ix_(kept, kept)], deg[kept], r)
     value, witnesses = search.best_with_witnesses(upper)
     best_key = None

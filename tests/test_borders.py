@@ -313,6 +313,8 @@ def test_single_trial_small_graph():
     assert cuts.truncated
     full = enumerate_borders(g, _params(2, trials=3))
     assert full == _listed(g, 2) and not full.truncated
+    with pytest.raises(ValueError, match="need s >= 1"):
+        enumerate_borders(g, _params(0))
 
 
 def test_bridge_cut_found():

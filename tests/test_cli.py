@@ -6,7 +6,7 @@ import pytest
 
 from kcut import cli, min_kcut
 from kcut.cli import main
-from kcut.generators import cycle_graph
+from kcut.generators import cliques_bridge, cycle_graph, gnp_graph
 from kcut.graph import graph_to_text, parse_graph
 
 
@@ -45,6 +45,22 @@ def test_gen_then_solve(tmp_path, capsys):
 def test_gen_stdout(capsys):
     assert main(["gen", "--kind", "cycle", "--n", "4", "--out", "-"]) == 0
     assert parse_graph(capsys.readouterr().out) == cycle_graph(4)
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--kind", "gnp", "--n", "9", "--p", "0.5", "--seed", "3"], gnp_graph(9, 0.5, 3)),
+    (["--kind", "cliques_bridge", "--size", "4", "--count", "3", "--bridges", "2"],
+     cliques_bridge(4, 3, 2)),
+], ids=["gnp", "cliques_bridge"])
+def test_gen_kinds(args, want, capsys):
+    assert main(["gen", *args, "--out", "-"]) == 0
+    assert parse_graph(capsys.readouterr().out) == want
+
+
+def test_gen_to_unwritable_path_is_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.txt"
+    assert main(["gen", "--kind", "cycle", "--n", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_usage_errors(capsys):

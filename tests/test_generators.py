@@ -66,6 +66,17 @@ def test_gen_instance_unknown_kind():
         gen_instance("torus", {}, 0)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("cycle", {"n": 2}),
+    ("cliques_bridge", {"size": 1, "count": 2}),
+    ("planted", {"k": 1, "size": 8, "p_in": 0.9, "p_out": 0.02}),
+    ("planted", {"k": 3, "size": 2, "p_in": 0.9, "p_out": 0.02}),
+], ids=["cycle_n2", "clique_size1", "planted_k1", "planted_size2"])
+def test_gen_instance_rejects_invalid_parameters(kind, params):
+    with pytest.raises(ValueError):
+        gen_instance(kind, params, 0)
+
+
 def test_planted_structure():
     g, info = planted_instance(3, 8, 0.9, 0.02, islands=2, seed=4)
     assert g.n == 26
@@ -92,6 +103,8 @@ def test_planted_oracle_separates_clusters():
         if found >= 5:
             break
     assert found >= 5
+    # Four parts of three clusters: the certificate does not apply.
+    assert certified_min_kcut(g, info, 4) is None
 
 
 def test_certificate_matches_brute_force_at_desk_scale():

@@ -1,5 +1,6 @@
 """Graph substrate: parsing, cut evaluation, contraction, conductance."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,15 @@ def test_parse_errors():
         parse_graph("3 2\n0 1")
     with pytest.raises(ParseError, match="header"):
         parse_graph("")
+    for doc, message in [
+        ("3\n", "malformed header at line 1: expected 'n m'"),
+        ("# c\nthree 2\n", "malformed header at line 2: expected integers"),
+        ("3 -1\n", "malformed header at line 1: negative count"),
+        ("3 1\n0 1 2 3\n", "malformed edge at line 2: expected 'u v [w]'"),
+        ("3 1\n0 x\n", "malformed edge at line 2: expected integers"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_graph(doc)
 
 
 @given(graphs())
@@ -141,6 +151,8 @@ def test_cut_value_rejects_empty_part():
         cut_value(g, KCut(k=3, labels=(0, 1, 1), value=0))
     with pytest.raises(InvalidCutError):
         KCut.from_labels(g, (0, 2, 2), 3)
+    with pytest.raises(InvalidCutError, match="label vector has length 2, graph has 3 vertices"):
+        KCut.from_labels(g, (0, 1), 2)
 
 
 @given(graphs_with_labels())
@@ -228,6 +240,8 @@ def test_contract_invalid_partition():
         VertexPartition.from_blocks([[0], [1]], 3)
     with pytest.raises(GraphError):
         VertexPartition.from_blocks([[0, 1], [1, 2]], 3)
+    with pytest.raises(GraphError, match="empty block"):
+        VertexPartition.from_blocks([[0, 1, 2], []], 3)
 
 
 # ---------------------------------------------------------------- components
@@ -611,3 +625,6 @@ def test_derived_graph_builds_its_edge_tuple_on_demand():
     assert parts[0].edges == ((0, 1, 3), (0, 3, 1), (1, 2, 1), (2, 3, 1))
     with pytest.raises(AttributeError):
         parts[0].n = 3
+    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+        del parts[0].n
+    assert parts[0] != (parts[0].n, parts[0].edges, parts[0].simple)   # only a Graph is equal

@@ -57,6 +57,8 @@ def test_matmul_2x2():
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
         matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        matmul_strassen(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
 def test_strassen_equals_cubic_50x50():
@@ -113,6 +115,8 @@ def test_r_island_domain_errors():
         solve_r_island(g, 4)
     with pytest.raises(Exception):
         solve_r_island(Graph.from_edges(2, [(0, 1, 2)]), 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        extend_border(g, KCut.from_labels(g, (0, 0, 1, 1), 2), -1)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -151,7 +155,7 @@ def test_degree_prune_drops_hubs(r):
     edges += [(0, 1), (0, 2), (1, 2)]
     g = Graph.from_edges(17, edges)
     adj = weight_matrix(g)
-    _, kept = _island_candidates(adj, adj.sum(axis=1), r)
+    _, kept = _island_candidates(adj, adj.sum(axis=1), r, g.total_weight)
     assert len(kept) < g.n
     assert solve_r_island(g, r) == brute_force_r_island(g, r)
 
@@ -222,7 +226,7 @@ def test_cap_shrinks_the_prefilter():
     g = gnp_graph(50, 0.9, 8)
     adj = weight_matrix(g)
     deg = adj.sum(axis=1)
-    upper, kept = _island_candidates(adj, deg, 5)
+    upper, kept = _island_candidates(adj, deg, 5, g.total_weight)
     capped_upper, capped = _island_candidates(adj, deg, 5, 194)
     assert (upper, capped_upper) == (196, 194)
     assert len(capped) < len(kept) == 37
@@ -396,8 +400,8 @@ def test_capped_extend_is_uncapped_within_cap(case, data):
 @given(st.integers(3, 12), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 10**6), st.data())
 @settings(max_examples=150, deadline=None)
 def test_host_islands_equal_solving_the_induced_host(n, p, seed, data):
-    # The one-island shortcut and the degree floor must change no answer,
-    # ties and caps included.
+    # The one-island shortcut must change no answer, ties and caps included;
+    # no cap is the host's total weight.
     g = gnp_graph(n, p, seed)
     part = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2), label="part")))
     cnt = data.draw(st.integers(1, len(part) - 1), label="cnt")
@@ -406,4 +410,5 @@ def test_host_islands_equal_solving_the_induced_host(n, p, seed, data):
     cap = data.draw(st.one_of(st.none(), st.integers(best - 2, best + 2)), label="cap")
     solved = solve_r_island(sub, cnt, max_value=cap)
     want = None if solved is None else tuple(back[v] for v in solved[1])
-    assert _host_islands(g, weight_matrix(g), part, cnt, cap) == want
+    host_cap = sub.total_weight if cap is None else cap
+    assert _host_islands(g, weight_matrix(g), part, cnt, host_cap) == want

@@ -78,6 +78,13 @@ def test_size_and_domain_errors():
         brute_force_min_kcut(g, 6)
     with pytest.raises(ValueError):
         brute_force_min_kcut(g, 1)
+    for k in (1, 6):
+        with pytest.raises(ValueError, match=f"k must be in 2..n, got k={k}"):
+            exact_min_kcut(g, k)
+        with pytest.raises(ValueError, match=f"k must be in 2..n, got k={k}"):
+            sv_2approx(g, k)
+    with pytest.raises(ValueError, match="n >= 2"):
+        stoer_wagner_mincut(Graph.from_edges(1, []))
 
 
 def test_disconnected_zero_cut():
@@ -220,6 +227,8 @@ def test_r_island_domain_errors():
         brute_force_r_island(g, 0)
     with pytest.raises(ValueError):
         brute_force_r_island(g, 4)
+    with pytest.raises(SizeLimitError):
+        brute_force_r_island(complete_graph(19), 1)
 
 
 def test_r_island_cross_enumeration():

@@ -152,6 +152,7 @@ def test_min_conductance_domain_errors():
 
 def test_is_expander_k8():
     assert is_expander(complete_graph(8), Fraction(1, 7))
+    assert is_expander(Graph.from_edges(1, []), Fraction(1))   # no proper subset
 
 
 def test_expander_decompose_k8_single_block():
@@ -331,6 +332,14 @@ def test_kt_rejects_bad_inputs():
         kt_partition(cycle_graph(5), 2, 0)
     with pytest.raises(Exception):
         kt_partition(Graph.from_edges(2, [(0, 1, 2)]), 2, 1)
+    for k in (1, 6):   # k outside 2..n, as for every k-cut solver
+        with pytest.raises(ValueError, match=f"k must be in 2..n, got k={k} with n=5"):
+            kt_partition(cycle_graph(5), k, 2)
+    for gamma in (Fraction(0), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            expander_decompose(cycle_graph(5), gamma)
+    with pytest.raises(GraphError, match="simple graphs"):
+        regularize(weight_matrix(Graph.from_edges(3, [(0, 1, 2), (1, 2)])), 2, 1)
 
 
 # ---------------------------------------------- matrix stages = reference

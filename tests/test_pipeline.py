@@ -25,7 +25,7 @@ from kcut import (
 from kcut.generators import (PlantedInfo, certified_min_kcut, cliques_bridge, cycle_graph, gnp_graph,
                              planted_instance)
 from kcut.graph import weight_matrix
-from kcut.oracle import _min_kcut_search, kcut_lower_bound
+from kcut.oracle import _min_kcut_search, kcut_lower_bound, list_kcuts
 from kcut.pipeline import PipelineConfig
 
 
@@ -288,6 +288,21 @@ def test_forced_sparsify_border_work_is_bounded():
     assert first["extended"] == 1
     small = min_kcut(cycle_graph(80), 3, PipelineConfig(force_branch="sparsify", node_budget=50))
     assert small.value == 3 and small.border_stats[0]["truncated"]
+
+
+def test_later_round_stops_at_the_first_candidate_above_the_best():
+    # Greedy splitting gives lambda_bar = 6, and round 0 the optimum 4.  The
+    # partition is all singletons, so round 1 lists the 3-cuts of g itself
+    # of value at most floor(beta_1 * 6) = 5, in value order, and extends
+    # only those of value at most 4: a dearer one cannot tie the best.
+    g = Graph.from_edges(11, [(0, 1), (0, 4), (1, 4), (1, 7), (2, 3), (2, 7), (2, 8), (2, 9),
+                              (3, 10), (4, 7), (4, 10), (5, 6), (5, 8), (6, 10), (7, 10), (9, 10)])
+    rep = min_kcut(g, 4, PipelineConfig(force_branch="sparsify"))
+    assert (rep.value, rep.lambda_bar) == (brute_force_min_kcut(g, 4).value, 6) == (4, 6)
+    assert rep.partition_stats["q"] == g.n
+    second = rep.border_stats[1]
+    assert second["candidates"] == len(list_kcuts(g, 3, 5)[0]) == 130
+    assert second["extended"] == len(list_kcuts(g, 3, 4)[0]) == 28
 
 
 def test_fresh_copies_solve_identically():

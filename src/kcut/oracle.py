@@ -12,12 +12,12 @@ package (the tests compare Stoer-Wagner with networkx's).
 
 A solve builds its graph's weight matrix once, and each layer here takes it
 as an optional trailing argument (built when absent) and only reads it.
-``_stoer_wagner`` contracts a matrix in place, with phases in the
-maximum-adjacency order exact_min_kcut searches in: stoer_wagner_mincut
-gives it a copy and memoises the checked cut on the Graph, and sv_2approx's
+``_stoer_wagner`` contracts into ever smaller matrices of its own, with
+phases in the maximum-adjacency order exact_min_kcut searches in:
+stoer_wagner_mincut memoises its checked cut on the Graph, and sv_2approx's
 first round is that call on the input graph, so one solve computes the
 whole-graph min cut once and exact_min_kcut's lambda is free.  Every later
-sv_2approx part is a principal submatrix, already a fresh array.
+sv_2approx part is a principal submatrix.
 ni_sparsify ranks the edges by one more maximum-adjacency phase.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .graph import (
 
 BRUTE_FORCE_KCUT_LIMIT = 14
 BRUTE_FORCE_ISLAND_LIMIT = 18
-# Key of a placed (or dead) vertex in a maximum-adjacency phase.  Later
+# Key of a placed vertex in a maximum-adjacency phase.  Later
 # placements add at most its degree, at most the total weight, which fits
 # int64 (see graph.py), so it stays negative and below every unplaced key.
 _PLACED = np.iinfo(np.int64).min
@@ -304,25 +304,19 @@ def exact_min_kcut(g: Graph, k: int, incumbent: Optional[KCut] = None,
     return _min_kcut_search(g, k, incumbent=incumbent, lam=lam, w=w)
 
 
-def _max_adjacency_phase(w: np.ndarray, dead: Optional[np.ndarray] = None) -> tuple:
+def _max_adjacency_phase(w: np.ndarray) -> tuple:
     """Maximum-adjacency ordering of the vertices of weight matrix ``w``:
     start at 0, then repeatedly place the unplaced vertex with the largest
-    weight into the placed set, ties to the lowest index.  Vertices marked in
-    the boolean mask ``dead`` (all-zero rows and columns of ``w``) count as
-    placed from the start and are left out of the order.
+    weight into the placed set, ties to the lowest index.
 
     Returns (order, attach), attach[i] being the weight from order[i] to
     order[:i].
     """
     key = w[0].copy()
-    steps = len(w) - 1
-    if dead is not None:
-        key[dead] = _PLACED
-        steps -= int(np.count_nonzero(dead))
     key[0] = _PLACED
     order = [0]
     attach = [0]
-    for _ in range(steps):
+    for _ in range(len(w) - 1):
         v = int(key.argmax())
         order.append(v)
         attach.append(int(key[v]))
@@ -358,10 +352,10 @@ def brute_force_r_island(g: Graph, r: int,
 def stoer_wagner_mincut(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
     """Exact global minimum weighted 2-cut; (0, component split) if disconnected.
 
-    ``_stoer_wagner`` on g's weight matrix (``w`` copied, or built), told
-    that g is connected when ``g.components``, which every solve labels
-    first, already says so.  Vertex 0 is on side 0.  The cut is re-evaluated on g's edges
-    and memoised on g itself (like its cached properties), so the
+    ``_stoer_wagner`` on g's weight matrix (``w``, or built), told that g
+    is connected when ``g.components``, which every solve labels first,
+    already says so.  Vertex 0 is on side 0.  The cut is re-evaluated on
+    g's edges and memoised on g itself (like its cached properties), so the
     whole-graph min cut is computed once however many layers ask for it.
     """
     memo = vars(g).get("_min_cut")
@@ -370,7 +364,7 @@ def stoer_wagner_mincut(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
     connected = "components" in vars(g) and len(g.components.blocks) == 1
-    value, side = _stoer_wagner(weight_matrix(g) if w is None else w.copy(), g.simple, connected)
+    value, side = _stoer_wagner(weight_matrix(g) if w is None else w, g.simple, connected)
     cut = KCut.from_labels(g, (~side).astype(np.int64).tolist(), 2)
     if cut.value != value:
         raise InvalidCutError(f"Stoer-Wagner reported {value}, its cut has value {cut.value}")
@@ -383,9 +377,10 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
     ``simple`` if every entry is 0 or 1, ``connected`` if known to be:
     (value, mask of vertex 0's side).
 
-    Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction, in place on ``w``
-    (merged vertices are marked dead, and later phases skip them).  The best
-    cut so far, lambda-hat, starts as the smallest weighted degree.  Each
+    Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction; ``w`` is only
+    read, and each merge builds the smaller matrix of the super-vertices
+    (``_contract``), whose rows keep the order of their first members.  The
+    best cut so far, lambda-hat, starts as the smallest weighted degree.  Each
     phase orders the current super-vertices by maximum adjacency
     v_1, ..., v_m and offers, after the certified floors below, every prefix
     cut {v_1..v_i}, i < m, of value sum over j <= i of deg(v_j) -
@@ -401,8 +396,7 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
     vertex's last neighbour edge, as q = deg(v_m) >= lambda-hat there, and the
     loop ends when two super-vertices are left, whose cut is a degree
     already offered.  A candidate replaces the best only when it is strictly
-    smaller: degrees go by lowest super-vertex id, prefixes by shortest
-    prefix.
+    smaller: degrees go by lowest row, prefixes by shortest prefix.
 
     No candidate is below lambda, so once the best reaches a certified lower
     bound L <= lambda no later candidate can replace it, and the loop stops
@@ -429,7 +423,7 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
     """
     n = len(w)
     deg = w.sum(axis=1)
-    rep = np.arange(n)   # the super-vertex of every vertex
+    rep = np.arange(n)   # every vertex's row in the current ``w``
     best_value, best_side = int(deg.min()), rep == deg.argmin()
     certified = simple and best_value >= n // 2   # Chartrand
     lower = 1
@@ -442,10 +436,8 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
             bridge_searched = True
             lower = 1 if has_unit_bridge(w) else 2
         certified = best_value <= lower
-    dead = np.zeros(n, dtype=bool)
-    m = n   # super-vertices left
-    while m > 2 and not certified:
-        order, attach = _max_adjacency_phase(w, dead)
+    while len(w) > 2 and not certified:
+        order, attach = _max_adjacency_phase(w)
         if 0 in attach[1:]:
             # Only in the first phase, on a disconnected graph: the vertices
             # placed before the first zero are vertex 0's component.
@@ -464,33 +456,49 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
             best_value, best_side = int(prefix[i]), _inside(rep, order[:i + 1])
             if best_value <= lower:
                 break
-        root = component_roots(m, *_contractible(w, order, best_value))
-        sup, src = _merge(w, order, root)
-        dead[src] = True
-        m = len(sup)
-        relabel = np.arange(n)
-        relabel[order] = order[root]
-        rep = relabel[rep]
-        if m == 1:
+        w, row = _contract(w, order, component_roots(len(w), *_contractible(w, order, best_value)))
+        rep = row[rep]
+        if len(w) == 1:
             break
-        deg[sup] = w[sup].sum(axis=1)
-        i = int(deg[sup].argmin())
-        if deg[sup[i]] < best_value:
-            best_value = int(deg[sup[i]])
-            best_side = rep == sup[deg[sup] == best_value].min()
+        deg = w.sum(axis=1)
+        i = int(deg.argmin())
+        if deg[i] < best_value:
+            best_value, best_side = int(deg[i]), rep == i
     return best_value, best_side == best_side[0]
 
 
-def _inside(rep: np.ndarray, supers) -> np.ndarray:
-    """Mask of the vertices whose super-vertex is one of ``supers``."""
+def _inside(rep: np.ndarray, rows) -> np.ndarray:
+    """Mask of the vertices whose row (``rep``) is one of ``rows``."""
     mask = np.zeros(len(rep), dtype=bool)
-    mask[supers] = True
+    mask[rows] = True
     return mask[rep]
+
+
+def _contract(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:
+    """Contract each component of the maximum-adjacency order ``order`` of
+    ``w``'s vertices into one super-vertex; ``root`` gives, for every
+    position, the position of its component's first member.  Rows, then
+    columns, of each component are summed, and self-loops dropped.
+
+    Returns (the super-vertices' weight matrix, every vertex's row in it).
+    The rows keep the order of the first members' rows in ``w``, so ties
+    between super-vertices break as between those members, and row 0 stays
+    vertex 0's super-vertex.
+    """
+    head = np.empty(len(w), dtype=np.intp)
+    head[order] = order[root]
+    row = ((head == np.arange(len(w))).cumsum() - 1)[head]
+    members = row.argsort(kind="stable")
+    size = np.bincount(row)
+    starts = size.cumsum() - size
+    c = np.add.reduceat(np.add.reduceat(w[members], starts)[:, members], starts, axis=1)
+    np.fill_diagonal(c, 0)
+    return c, row
 
 
 def _contractible(w: np.ndarray, order: np.ndarray, best: int) -> tuple:
     """Positions (ii, jj), ii < jj, of the edges (v_i, v_j) of the
-    maximum-adjacency order ``order`` of the live vertices of ``w`` whose q,
+    maximum-adjacency order ``order`` of the vertices of ``w`` whose q,
     the weight from v_j to v_1..v_i, is at least ``best``: the running sums
     of the rows in that order, read in the columns of the vertices placed
     after each row's."""
@@ -538,34 +546,6 @@ def ni_sparsify(g: Graph, s: int, w: Optional[np.ndarray] = None) -> Graph:
     keep = np.empty(len(by), dtype=bool)
     keep[by] = np.arange(len(by)) - np.searchsorted(late, late) < s   # 0-based ranks
     return Graph._of_array(g.n, np.compress(keep, edges, axis=0), True)
-
-
-def _merge(w: np.ndarray, order: np.ndarray, root: np.ndarray) -> tuple:
-    """Contract, in place, each component of the live vertices ``order``
-    into its vertex of lowest position; ``root`` gives that position for
-    every position.  Rows, then columns, are summed, self-loops dropped, and
-    the merged vertices' rows and columns zeroed.
-
-    Returns (super-vertices, merged vertices), the super-vertices in
-    position order.
-    """
-    m = len(order)
-    roots = (root == np.arange(m)).nonzero()[0]
-    key = root.tolist()
-    members = order[sorted(range(m), key=key.__getitem__)]   # grouped by root
-    sizes = np.bincount(root, minlength=m)[roots]
-    starts = sizes.cumsum() - sizes
-    sup = order[roots]
-    rows = np.add.reduceat(w[members], starts)
-    block = np.add.reduceat(rows[:, members], starts, axis=1)
-    rows[:, members] = 0
-    rows[:, sup] = block
-    rows[np.arange(len(sup)), sup] = 0
-    w[sup] = rows
-    w[:, sup] = rows.T
-    src = order[root != np.arange(m)]
-    w[src] = 0
-    return sup, src
 
 
 def sv_2approx(g: Graph, k: int, w: Optional[np.ndarray] = None) -> KCut:

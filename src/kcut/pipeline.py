@@ -8,7 +8,10 @@ island extension, with the 2-approximate cut always kept as a safety floor.
 Round i lists the (k - i)-cuts of the contracted graph of value at most
 floor(beta_i * lambda_bar) exactly (see ``borders``).  Island extension
 is capped at the best value found so far, so it only searches for cuts that
-could still replace it.
+could still replace it.  When the partition contracts nothing and round 0
+is not truncated, that round listed every cheapest k-cut of the input
+itself, and its first is the optimum with the smallest labels, which no
+later round can beat: the rounds stop there.
 """
 from __future__ import annotations
 
@@ -38,13 +41,10 @@ NODE_BUDGET = 200_000
 class PipelineConfig:
     trial_cap: int = 100_000        # the most candidates a border round keeps
     force_branch: Optional[str] = None   # "exact" | "sparsify"
-    node_budget: int = NODE_BUDGET  # search nodes a border round may expand
 
     def __post_init__(self):
         if self.trial_cap < 1:
             raise ValueError("trial_cap must be >= 1")
-        if self.node_budget < 0:
-            raise ValueError("node_budget must be >= 0")
         if self.force_branch not in (None, "exact", "sparsify"):
             raise ValueError(f"unknown branch override {self.force_branch!r}")
 
@@ -133,17 +133,17 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
     best_cut = sv_cut
     border_best: Optional[KCut] = None
     border_stats = []
-    log2n = math.log2(g.n) if g.n >= 2 else 1.0
+    log2n = math.log2(g.n)
     t2 = time.perf_counter()
     for i in range(k):
         s = k - i
-        beta = min(1.0, max(0.0, 1.0 - (1.0 - 2.0 / log2n) * i / k))
+        beta = min(1.0, 1.0 - (1.0 - 2.0 / log2n) * i / k)
         # In round 0 a candidate is its own extension, and lifting keeps
         # the (value, labels) order of canonical labels, so no candidate can
         # beat the first: the round lists only its cheapest cuts, and extends
         # the first of them.
         params = BorderParams(s=s, trials=cfg.trial_cap, lam=lam,
-                              budget=cfg.node_budget, cheapest=i == 0)
+                              budget=NODE_BUDGET, cheapest=i == 0)
         max_border = math.floor(beta * lambda_bar)
         candidates = enumerate_borders(gc, params, max_value=max_border)
         extended = 0
@@ -169,6 +169,8 @@ def min_kcut(g: Graph, k: int, cfg: PipelineConfig = PipelineConfig()) -> SolveR
             "candidates": len(candidates), "extended": extended,
             "truncated": candidates.truncated,
         })
+        if i == 0 and gc.n == g.n and not candidates.truncated:
+            break   # round 0 listed every cheapest k-cut of g itself
     timings["borders"] = time.perf_counter() - t2
     timings["total"] = time.perf_counter() - t0
 

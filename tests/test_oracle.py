@@ -476,7 +476,7 @@ def count_phases(monkeypatch):
     phases = []
     phase = kcut.oracle._max_adjacency_phase
     monkeypatch.setattr(kcut.oracle, "_max_adjacency_phase",
-                        lambda w, *dead: phases.append(len(w)) or phase(w, *dead))
+                        lambda w: phases.append(len(w)) or phase(w))
     return phases
 
 
@@ -536,6 +536,22 @@ def test_sw_contraction_work_guard_on_planted_graphs(monkeypatch, shape, seed):
     assert len(phases) <= 8
     ref = nx.Graph([(u, v) for u, v, _ in g.edges])
     assert value == nx.stoer_wagner(ref)[0] == cut_value(g, cut)
+
+
+def test_sw_only_reads_its_matrix(monkeypatch):
+    # Each merge builds a smaller matrix, so a read-only input is fine and
+    # stays as it was; the planted graph merges after phases of 100 and 24.
+    g, _ = planted_instance(4, 25, 0.9, 0.005, 0, seed=0)
+    w = weight_matrix(g)
+    w.flags.writeable = False
+    phases = count_phases(monkeypatch)
+    value, side = kcut.oracle._stoer_wagner(w, g.simple)
+    assert phases[:2] == [100, 24]
+    ref_value, ref_side = kcut.oracle._stoer_wagner(w.copy(), g.simple)
+    assert value == ref_value and (side == ref_side).all()
+    assert (w == weight_matrix(g)).all()
+    fresh = Graph(n=g.n, edges=g.edges, simple=g.simple)
+    assert stoer_wagner_mincut(g, w) == stoer_wagner_mincut(fresh)
 
 
 def test_sw_tie_break():

@@ -278,7 +278,7 @@ def test_forced_sparsify_reaches_certified_blown_up_optimum(n, seed, k):
     assert not any(r["truncated"] for r in rep.border_stats)
 
 
-def test_forced_sparsify_border_work_is_bounded():
+def test_forced_sparsify_border_work_is_bounded(monkeypatch):
     # C_80 has C(80, 3) = 82,160 3-cuts of value 3, all within the first
     # round's bound: the round stops at the node budget and says so.
     rep = min_kcut(cycle_graph(80), 3, PipelineConfig(force_branch="sparsify"))
@@ -286,23 +286,41 @@ def test_forced_sparsify_border_work_is_bounded():
     first = rep.border_stats[0]
     assert first["truncated"] and 0 < first["candidates"] < 82_160
     assert first["extended"] == 1
-    small = min_kcut(cycle_graph(80), 3, PipelineConfig(force_branch="sparsify", node_budget=50))
+    monkeypatch.setattr(kcut.pipeline, "NODE_BUDGET", 50)
+    small = min_kcut(cycle_graph(80), 3, PipelineConfig(force_branch="sparsify"))
     assert small.value == 3 and small.border_stats[0]["truncated"]
 
 
-def test_later_round_stops_at_the_first_candidate_above_the_best():
+def test_later_round_stops_at_the_first_candidate_above_the_best(monkeypatch):
     # Greedy splitting gives lambda_bar = 6, and round 0 the optimum 4.  The
-    # partition is all singletons, so round 1 lists the 3-cuts of g itself
-    # of value at most floor(beta_1 * 6) = 5, in value order, and extends
-    # only those of value at most 4: a dearer one cannot tie the best.
+    # partition is all singletons; at a 30-node budget round 0 is truncated,
+    # so the rounds go on.  Round 1 lists 3-cuts of g itself of value at
+    # most floor(beta_1 * 6) = 5, in value order, and extends only those of
+    # value at most 4: a dearer one cannot tie the best.
+    monkeypatch.setattr(kcut.pipeline, "NODE_BUDGET", 30)
     g = Graph.from_edges(11, [(0, 1), (0, 4), (1, 4), (1, 7), (2, 3), (2, 7), (2, 8), (2, 9),
                               (3, 10), (4, 7), (4, 10), (5, 6), (5, 8), (6, 10), (7, 10), (9, 10)])
     rep = min_kcut(g, 4, PipelineConfig(force_branch="sparsify"))
     assert (rep.value, rep.lambda_bar) == (brute_force_min_kcut(g, 4).value, 6) == (4, 6)
-    assert rep.partition_stats["q"] == g.n
+    assert rep.partition_stats["q"] == g.n and rep.border_stats[0]["truncated"]
+    cuts = list_kcuts(g, 3, 5, lam=stoer_wagner_mincut(g)[0], budget=30)[0]
     second = rep.border_stats[1]
-    assert second["candidates"] == len(list_kcuts(g, 3, 5)[0]) == 130
-    assert second["extended"] == len(list_kcuts(g, 3, 4)[0]) == 28
+    assert second["candidates"] == len(cuts) == 20
+    assert second["extended"] == sum(c.value <= 4 for c in cuts) == 12
+
+
+@given(st.integers(4, 9), st.sampled_from([0.4, 0.6, 0.8]), st.integers(0, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_forced_sparsify_without_contraction_stops_after_round_0(n, p, seed, data):
+    # A partition of singletons contracts nothing, so round 0 lists every
+    # cheapest k-cut of g itself, and its first is the exact optimum.
+    g = gnp_graph(n, p, seed)
+    assume(len(g.components.blocks) == 1)
+    k = data.draw(st.integers(2, n), label="k")
+    rep = min_kcut(g, k, PipelineConfig(force_branch="sparsify"))
+    assume(rep.partition_stats["q"] == g.n)
+    assert rep.cut == brute_force_min_kcut(g, k)
+    assert len(rep.border_stats) == 1 and not rep.fallback
 
 
 def test_fresh_copies_solve_identically():
@@ -315,12 +333,6 @@ def test_fresh_copies_solve_identically():
         del doc["stats"]["timings"]
         docs.append(doc)
     assert docs[0] == docs[1]
-
-
-def test_node_budget_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        PipelineConfig(node_budget=-1)
-    assert PipelineConfig(node_budget=0).node_budget == 0
 
 
 @pytest.mark.parametrize("cap", [0, -1])

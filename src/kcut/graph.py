@@ -342,10 +342,16 @@ def contract(g: Graph, p: VertexPartition) -> tuple:
     Super-edge weight is the total weight between the two blocks; intra-block
     edges are discarded.  Blocks relabel densely in canonical block order.
     The crossing edges merge by one ``np.unique`` over lo * nb + hi, which
-    is (lo, hi) order.
+    is (lo, hi) order.  The two trivial partitions touch no edge: all
+    singletons give g itself (so what is memoised on g serves the result
+    too) with the identity map, and one block the edgeless one-vertex graph.
     """
     cmap = p.to_block_index(g.n)
     nb = len(p.blocks)
+    if nb == g.n:
+        return g, cmap
+    if nb == 1:
+        return Graph._of_array(1, np.zeros((0, 3), dtype=np.int64), True), cmap
     block = np.array(cmap, dtype=np.int64)
     u, v, w = g.edge_array.T
     bu, bv = block[u], block[v]

@@ -12,18 +12,19 @@ package (the tests compare Stoer-Wagner with networkx's).
 
 A solve builds its graph's weight matrix once, and each layer here takes it
 as an optional trailing argument (built when absent) and only reads it.
-``_stoer_wagner`` contracts into ever smaller matrices of its own, with
-phases in the maximum-adjacency order exact_min_kcut searches in:
-stoer_wagner_mincut memoises its checked cut on the Graph, and sv_2approx's
-first round is that call on the input graph, so one solve computes the
-whole-graph min cut once and exact_min_kcut's lambda is free.  Every later
-sv_2approx part is a principal submatrix.
-ni_sparsify ranks the edges by one more maximum-adjacency phase.
+Per-graph facts are memoised on the Graph.  g's one maximum-adjacency order
+(``_first_phase``) is Stoer-Wagner's first phase, ni_sparsify's edge ranking
+and the order of every search on g; whichever runs first fills it.
+stoer_wagner_mincut memoises its checked cut, and sv_2approx's first round
+is that call on the input graph, so one solve computes the whole-graph min
+cut once and exact_min_kcut's lambda is free.  ``_stoer_wagner`` contracts
+into ever smaller matrices of its own; every later sv_2approx part is a
+principal submatrix.
 """
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -104,13 +105,13 @@ def _search_setup(g: Graph, order: Sequence[int]) -> tuple:
 
 
 def _max_adjacency_setup(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
-    """``_search_setup`` in maximum-adjacency order (of g's weight matrix
-    ``w``, built when absent), memoised on g itself, so every search on one
-    graph (the exact branch, every border round) builds it once."""
+    """``_search_setup`` in g's memoised maximum-adjacency order
+    (``_first_phase``, of g's weight matrix ``w``), itself memoised on g, so
+    every search on one graph (the exact branch, every border round) builds
+    it once."""
     memo = vars(g).get("_search_setup")
     if memo is None:
-        order = _max_adjacency_phase(weight_matrix(g) if w is None else w)[0]
-        memo = vars(g)["_search_setup"] = _search_setup(g, order)
+        memo = vars(g)["_search_setup"] = _search_setup(g, _first_phase(g, w)[0])
     return memo
 
 
@@ -325,6 +326,15 @@ def _max_adjacency_phase(w: np.ndarray) -> tuple:
     return order, attach
 
 
+def _first_phase(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
+    """``_max_adjacency_phase`` of g's weight matrix ``w`` (built when
+    absent), memoised on g itself: every layer that orders g reads it."""
+    memo = vars(g).get("_first_phase")
+    if memo is None:
+        memo = vars(g)["_first_phase"] = _max_adjacency_phase(weight_matrix(g) if w is None else w)
+    return memo
+
+
 def brute_force_r_island(g: Graph, r: int,
                          n_limit: int = BRUTE_FORCE_ISLAND_LIMIT) -> tuple:
     """Exhaustive r-island oracle: minimum over r-subsets of the total weight
@@ -354,7 +364,8 @@ def stoer_wagner_mincut(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
 
     ``_stoer_wagner`` on g's weight matrix (``w``, or built), told that g
     is connected when ``g.components``, which every solve labels first,
-    already says so.  Vertex 0 is on side 0.  The cut is re-evaluated on
+    already says so, and given g's memoised first phase.  Vertex 0 is on
+    side 0.  The cut is re-evaluated on
     g's edges and memoised on g itself (like its cached properties), so the
     whole-graph min cut is computed once however many layers ask for it.
     """
@@ -364,7 +375,8 @@ def stoer_wagner_mincut(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
     if g.n < 2:
         raise ValueError("stoer_wagner_mincut needs n >= 2")
     connected = "components" in vars(g) and len(g.components.blocks) == 1
-    value, side = _stoer_wagner(weight_matrix(g) if w is None else w, g.simple, connected)
+    w = weight_matrix(g) if w is None else w
+    value, side = _stoer_wagner(w, g.simple, connected, lambda: _first_phase(g, w))
     cut = KCut.from_labels(g, (~side).astype(np.int64).tolist(), 2)
     if cut.value != value:
         raise InvalidCutError(f"Stoer-Wagner reported {value}, its cut has value {cut.value}")
@@ -372,10 +384,12 @@ def stoer_wagner_mincut(g: Graph, w: Optional[np.ndarray] = None) -> tuple:
     return result
 
 
-def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple:
+def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False,
+                  first: Optional[Callable[[], tuple]] = None) -> tuple:
     """Global minimum cut of the graph with weight matrix ``w`` (n >= 2),
     ``simple`` if every entry is 0 or 1, ``connected`` if known to be:
-    (value, mask of vertex 0's side).
+    (value, mask of vertex 0's side).  ``first``, if given, returns phase
+    1, ``_max_adjacency_phase(w)``, from the caller's memo.
 
     Stoer-Wagner with Nagamochi-Ono-Ibaraki contraction; ``w`` is only
     read, and each merge builds the smaller matrix of the super-vertices
@@ -437,7 +451,8 @@ def _stoer_wagner(w: np.ndarray, simple: bool, connected: bool = False) -> tuple
             lower = 1 if has_unit_bridge(w) else 2
         certified = best_value <= lower
     while len(w) > 2 and not certified:
-        order, attach = _max_adjacency_phase(w)
+        order, attach = first() if first else _max_adjacency_phase(w)
+        first = None
         if 0 in attach[1:]:
             # Only in the first phase, on a disconnected graph: the vertices
             # placed before the first zero are vertex 0's component.
@@ -527,8 +542,9 @@ def ni_sparsify(g: Graph, s: int, w: Optional[np.ndarray] = None) -> Graph:
     at most the degree of either end.
 
     Degree certificate: if min(deg u, deg v) <= s for every edge (u, v), every
-    rank is at most s and g is returned.  Otherwise the order is one phase on
-    g's weight matrix ``w`` (built when absent, only read); sorted by (later
+    rank is at most s and g is returned.  Otherwise the order is g's
+    memoised first phase (``_first_phase``, on g's weight matrix ``w``, built
+    when absent, only read), shared with Stoer-Wagner; sorted by (later
     position, earlier position) (``_edges_by_position``), an edge row's rank
     is one more than its index among its later end's rows.  The result is
     the rows of g's ``edge_array`` of rank at most s, which stay sorted.
@@ -541,7 +557,7 @@ def ni_sparsify(g: Graph, s: int, w: Optional[np.ndarray] = None) -> Graph:
     deg = np.bincount(edges[:, :2].ravel(), minlength=g.n)   # simple: degree = endpoint count
     if (np.minimum(deg[edges[:, 0]], deg[edges[:, 1]]) <= s).all():
         return g
-    order = _max_adjacency_phase(weight_matrix(g) if w is None else w)[0]
+    order = _first_phase(g, w)[0]
     _, by, _, late = _edges_by_position(g, order)
     keep = np.empty(len(by), dtype=bool)
     keep[by] = np.arange(len(by)) - np.searchsorted(late, late) < s   # 0-based ranks
@@ -556,7 +572,9 @@ def sv_2approx(g: Graph, k: int, w: Optional[np.ndarray] = None) -> KCut:
     still needed: at most 2k-3 Stoer-Wagner runs.  The first part, all of g,
     is cut by ``stoer_wagner_mincut`` on g with g's weight matrix ``w``
     (built when absent), which memoises the global min cut on g; every later
-    part by ``_stoer_wagner`` on its principal submatrix of ``w``.  Each
+    part by ``_stoer_wagner`` on its principal submatrix of ``w``, told it
+    is connected when its split cost more than 0: a min cut's side that fell
+    into unjoined pieces would have a piece with a smaller cut.  Each
     edge of the final cut was cut by exactly one split, so a final value
     other than the sum of the split costs raises InvalidCutError.
     """
@@ -564,11 +582,11 @@ def sv_2approx(g: Graph, k: int, w: Optional[np.ndarray] = None) -> KCut:
         raise ValueError(f"k must be in 2..n, got k={k} with n={g.n}")
     if w is None:
         w = weight_matrix(g)
-    parts: list = [np.arange(g.n)]   # increasing vertex ids
+    parts: list = [(np.arange(g.n), False)]   # (increasing vertex ids, known connected)
     cuts: list = []   # per part: ((cost, part min vertex), side-0 mask over the part), None if a singleton
     value = 0
     while len(parts) < k:
-        for part in parts[len(cuts):]:
+        for part, connected in parts[len(cuts):]:
             if len(part) < 2:
                 cuts.append(None)
                 continue
@@ -576,20 +594,19 @@ def sv_2approx(g: Graph, k: int, w: Optional[np.ndarray] = None) -> KCut:
                 cost, cut2 = stoer_wagner_mincut(g, w)
                 side = np.array(cut2.labels) == 0
             else:
-                cost, side = _stoer_wagner(w.take(part, 0).take(part, 1), g.simple)
+                cost, side = _stoer_wagner(w.take(part, 0).take(part, 1), g.simple, connected)
             cuts.append(((cost, int(part[0])), side))
         splittable = [i for i, c in enumerate(cuts) if c is not None]
         if not splittable:
             raise InvalidCutError(f"no part left to split at {len(parts)} of {k} parts")
         idx = min(splittable, key=lambda i: cuts[i][0])
-        part = parts.pop(idx)
+        part, _ = parts.pop(idx)
         (cost, _), side = cuts.pop(idx)
         value += cost
-        parts.append(part[side])
-        parts.append(part[~side])
+        parts += (part[side], cost > 0), (part[~side], cost > 0)
     # Parts are numbered by their smallest vertex.
     labels = np.empty(g.n, dtype=np.int64)
-    for label, part in enumerate(sorted(parts, key=lambda p: p[0])):
+    for label, (part, _) in enumerate(sorted(parts, key=lambda p: p[0][0])):
         labels[part] = label
     cut = KCut.from_labels(g, labels.tolist(), k)
     if cut.value != value:

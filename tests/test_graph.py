@@ -169,10 +169,12 @@ def test_cut_value_label_permutation_invariant(gl):
 # ------------------------------------------------------------------ contract
 
 def test_contract_identity():
+    # A partition of singletons gives g itself, so whatever is memoised on g
+    # (its components, min cut and maximum-adjacency order) serves gc too.
     g = complete_graph(4)
     p = VertexPartition.from_blocks([[v] for v in range(4)], 4)
     gc, cmap = contract(g, p)
-    assert gc == g
+    assert gc is g
     assert cmap == (0, 1, 2, 3)
 
 
@@ -525,6 +527,20 @@ def test_contract_matches_from_edges(g, data):
     gc, got_cmap = contract(g, p)
     assert got_cmap == cmap
     assert_same_graph(gc, Graph.from_edges(len(p.blocks), crossing))
+
+
+@given(st.one_of(graphs(max_n=9), heavy_graphs()))
+@settings(max_examples=80, deadline=None)
+def test_trivial_contractions_match_from_edges(g):
+    # The two trivial partitions skip the edge pass; each result is still the
+    # graph that the general path's reference, from_edges over the crossing
+    # edges, builds: g itself for singletons, and for one block the
+    # edgeless one-vertex graph.
+    gc, cmap = contract(g, VertexPartition.from_labels(range(g.n), g.n))
+    assert gc is g and cmap == tuple(range(g.n))
+    gc, cmap = contract(g, VertexPartition.from_labels([7] * g.n, g.n))
+    assert cmap == (0,) * g.n
+    assert_same_graph(gc, Graph.from_edges(1, []))
 
 
 @pytest.mark.parametrize("p", [

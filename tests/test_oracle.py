@@ -3,10 +3,11 @@ import math
 import random
 import sys
 from itertools import combinations, product
+from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kcut.oracle
@@ -34,7 +35,7 @@ from kcut.generators import (
     planted_instance,
     star_graph,
 )
-from kcut.graph import has_unit_bridge, weight_matrix
+from kcut.graph import component_roots, has_unit_bridge, nonzeros, weight_matrix
 from kcut.oracle import _max_adjacency_phase, _min_kcut_search, list_kcuts
 
 from helpers import adjacency, graphs, heavy_graphs, list_kcuts_reference, sv_2approx_reference
@@ -577,10 +578,11 @@ def test_sw_tie_break():
 
 @st.composite
 def small_lambda_graphs(draw):
-    """Connected graphs with lambda in {1, 2}: a tree plus a few extra pairs,
-    a cycle with chords, or cliques chained by 1-2 edges; sometimes with
-    weights 1..3 (a weight-1 edge keeps the tree and chain cuts at 1 or 2)."""
-    kind = draw(st.sampled_from(["tree", "cycle", "cliques"]))
+    """Connected graphs with lambda in {1, 2}: a tree (sometimes a path) plus
+    a few extra pairs, a cycle with chords, or cliques chained by 1-2 edges;
+    sometimes with weights 1..3 (a weight-1 edge keeps the tree and chain
+    cuts at 1 or 2)."""
+    kind = draw(st.sampled_from(["tree", "path", "cycle", "cliques"]))
     if kind == "cliques":
         g = cliques_bridge(draw(st.integers(2, 6)), draw(st.integers(2, 5)),
                            draw(st.integers(1, 2)))
@@ -588,6 +590,8 @@ def small_lambda_graphs(draw):
         n = draw(st.integers(3, 40))
         if kind == "tree":
             edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        elif kind == "path":
+            edges = [(v - 1, v) for v in range(1, n)]
         else:
             edges = [(v, (v + 1) % n) for v in range(n)]
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -779,17 +783,49 @@ def disconnected_graphs(draw):
     return Graph.from_edges(a.n + b.n, [(perm[u], perm[v], w) for u, v, w in edges])
 
 
+def is_connected(w):
+    return not component_roots(len(w), *nonzeros(w)).any()
+
+
 @given(st.one_of(graphs(max_n=10, min_n=2), heavy_graphs(), dense_graphs(),
-                 disconnected_graphs()), st.data())
-@settings(max_examples=200, deadline=None)
+                 disconnected_graphs(), small_lambda_graphs()), st.data())
+@settings(max_examples=250, deadline=None)
 def test_sv_2approx_matches_the_induced_subgraph_reference(g, data):
     # The library cuts each part on a slice of one weight matrix; the
     # reference builds each part's induced subgraph and runs
-    # stoer_wagner_mincut on it, on a distinct Graph object.
+    # stoer_wagner_mincut on it, on a distinct Graph object.  The sparse
+    # connected draws split into parts of minimum degree <= 2, whose
+    # connectivity the library takes from the split, not from a scan; the
+    # hint is checked to be true wherever it is given.
     k = data.draw(st.integers(2, g.n), label="k")
-    cut = sv_2approx(g, k)
+    core = kcut.oracle._stoer_wagner
+
+    def checked(w, simple, connected=False, *first):
+        assert not connected or is_connected(w)
+        return core(w, simple, connected, *first)
+
+    with mock.patch.object(kcut.oracle, "_stoer_wagner", checked):
+        cut = sv_2approx(g, k)
     ref = sv_2approx_reference(Graph(n=g.n, edges=g.edges, simple=g.simple), k)
     assert (cut.value, cut.labels) == (ref.value, ref.labels)
+
+
+@given(st.one_of(small_lambda_graphs(), graphs(max_n=10, min_n=2), dense_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_both_sides_of_a_positive_min_cut_are_connected(g):
+    # sv_2approx tells Stoer-Wagner that a part cut off by a positive min
+    # cut is connected; the hint changes no result on either side.
+    value, cut = stoer_wagner_mincut(g)
+    assume(value > 0)
+    w = weight_matrix(g)
+    for label in (0, 1):
+        part = [v for v in range(g.n) if cut.labels[v] == label]
+        side = w.take(part, 0).take(part, 1)
+        assert is_connected(side)
+        if len(part) >= 2:
+            hinted = kcut.oracle._stoer_wagner(side, g.simple, True)
+            scanned = kcut.oracle._stoer_wagner(side, g.simple, False)
+            assert hinted[0] == scanned[0] and (hinted[1] == scanned[1]).all()
 
 
 def test_sv_2approx_rejects_a_split_cost_that_is_not_its_cut(monkeypatch):

@@ -230,6 +230,36 @@ def test_a_solve_builds_one_weight_matrix(monkeypatch, g, k, cfg):
     assert np.array_equal(built[0], weight_matrix(g))
 
 
+@pytest.mark.parametrize("g, k, cfg, builds", [
+    # Forced sparsify, all-singleton partition: the border rounds run on g
+    # itself and read its order; the matrices are g's and the sparsifier's
+    # certificate's.
+    (planted_instance(4, 20, 0.9, 0.01, 3, seed=1)[0], 4,
+     PipelineConfig(force_branch="sparsify", trial_cap=150), 2),
+    # Exact branch: the search's order is Stoer-Wagner's first phase.
+    (planted_instance(4, 25, 0.9, 0.005, 0, seed=0)[0], 4, PipelineConfig(), 1),
+])
+def test_a_solve_orders_its_graph_once(monkeypatch, g, k, cfg, builds):
+    phases, built = [], []
+    phase = kcut.oracle._max_adjacency_phase
+    monkeypatch.setattr(kcut.oracle, "_max_adjacency_phase",
+                        lambda w: phases.append(len(w)) or phase(w))
+
+    def spy(h):
+        built.append(h.n)
+        return weight_matrix(h)
+
+    for mod in (kcut.pipeline, kcut.oracle, kcut.partition, kcut.islands):
+        monkeypatch.setattr(mod, "weight_matrix", spy)
+    rep = min_kcut(g, k, cfg)
+    assert rep.branch == (cfg.force_branch or "exact")
+    assert rep.partition_stats is None or rep.partition_stats["q"] == g.n
+    assert "_search_setup" in vars(g)   # a search ran on g's order
+    assert phases.count(g.n) == 1 and len(built) == builds
+    if rep.branch == "exact":
+        assert len(phases) > 1   # Stoer-Wagner merged after its first phase
+
+
 def test_island_cap_changes_no_sparsify_output(monkeypatch):
     # The pipeline caps each extension at the best value so far; lifting the
     # cap must give the same report, ties on value included.

@@ -10,12 +10,20 @@ from kcut.cli import build_parser
 SRC = Path(kcut.__file__).parent
 
 
-def _nodes():
-    """(file name, AST node) for every node of every module under src/kcut."""
+def _nodes(top=False):
+    """(file name, AST node) for every node of every module under src/kcut;
+    with ``top``, for every top-level statement instead."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
+        for node in (tree.body if top else ast.walk(tree)):
             yield path.relative_to(SRC), node
+
+
+def _names(node, name):
+    """Whether ``node`` names ``name``: as a variable, an import or an attribute."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)
+            or isinstance(node, ast.Attribute) and node.attr == name)
 
 
 def test_library_has_no_assert_statements():
@@ -46,9 +54,7 @@ def test_only_the_graph_module_names_the_weight_budget():
     # Every Graph's total weight fits int64 from construction on, so no
     # module but graph.py needs to know the bound or check against it.
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if str(name) != "graph.py"
-             and (isinstance(node, ast.Name) and node.id == "MAX_WEIGHT"
-                  or isinstance(node, ast.alias) and "MAX_WEIGHT" in (node.name, node.asname)
-                  or isinstance(node, ast.Attribute) and node.attr == "MAX_WEIGHT")]
+             and _names(node, "MAX_WEIGHT")]
     assert found == []
 
 
@@ -104,7 +110,16 @@ def test_only_graph_construction_modules_name_induced_subgraph():
     # clusters out of the graphs they build.
     allowed = {"graph.py", "generators.py", "__init__.py"}
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if str(name) not in allowed
-             and (isinstance(node, ast.Name) and node.id == "induced_subgraph"
-                  or isinstance(node, ast.alias) and "induced_subgraph" in (node.name, node.asname)
-                  or isinstance(node, ast.Attribute) and node.attr == "induced_subgraph")]
+             and _names(node, "induced_subgraph")]
+    assert found == []
+
+
+def test_only_the_memo_and_stoer_wagner_name_the_max_adjacency_phase():
+    # A whole graph's maximum-adjacency order is computed once, by the
+    # per-graph memo oracle._first_phase, which every layer reads;
+    # _stoer_wagner calls the phase itself only for its contracted matrices.
+    allowed = {"_max_adjacency_phase", "_first_phase", "_stoer_wagner"}
+    found = [f"{name}:{sub.lineno}" for name, top in _nodes(top=True)
+             if getattr(top, "name", None) not in allowed
+             for sub in ast.walk(top) if _names(sub, "_max_adjacency_phase")]
     assert found == []
